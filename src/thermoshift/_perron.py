@@ -18,12 +18,14 @@ Two escalations handle hard supports without touching the certificate:
 - if that also stalls (two cycle families with nearly tied means), the
   lazy matrix is repeatedly squared in the log domain, so the gap
   ratio squares with every step.
+
+Every reduction goes through ``logsumexp`` below, a numpy transcription
+of the algorithm in ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError
 
@@ -35,6 +37,28 @@ _LAZY_BUDGET = 2000
 _LAZY_STALL = 80
 _MAX_SQUARINGS = 60
 _NOISE_FLOOR_ACCEPT = 1e-12
+
+
+def logsumexp(a, axis=None):
+    """``log(sum(exp(a)))`` over ``axis`` (every axis when ``None``).
+
+    The maximal terms are split off before the sum (Blanchard, Higham and
+    Higham 2021): with ``m`` of them at ``a_max``, the result is
+    ``log1p(sum(exp(a - a_max)) over the rest / m) + log(m) + a_max``.
+    These are the operations of ``scipy.special.logsumexp``, in the same
+    order, so the results agree bit for bit.  A slice whose entries are
+    all ``-inf`` reduces to ``-inf``: it is shifted by 0 instead of its
+    maximum.
+    """
+    a = np.asarray(a, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=axis, keepdims=True, dtype=float)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    rest = np.exp(np.where(top, -np.inf, a) - shift).sum(axis=axis, keepdims=True)
+    out = np.log1p(rest / m) + np.log(m) + a_max
+    return np.squeeze(out, axis=axis)[()]
 
 
 def _lse_matmul(a, b):

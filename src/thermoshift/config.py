@@ -94,8 +94,11 @@ def config_from_dict(raw) -> SystemConfig:
     except SftError as exc:
         raise ValidationError(f"transitions: {exc}") from exc
 
+    tables = raw.get("potentials", {})
+    if not isinstance(tables, dict):
+        raise ValidationError("potentials: must be an object")
     potentials: dict[str, Potential] = {}
-    for name, entry in raw.get("potentials", {}).items():
+    for name, entry in tables.items():
         if not isinstance(entry, dict):
             raise ValidationError(f"potentials.{name}: must be an object")
         _expect_keys(entry, {"memory", "values"}, {"memory", "values"},
@@ -103,6 +106,8 @@ def config_from_dict(raw) -> SystemConfig:
         memory = entry["memory"]
         if not isinstance(memory, int) or isinstance(memory, bool) or memory < 1:
             raise ValidationError(f"potentials.{name}.memory: must be a positive integer")
+        if not isinstance(entry["values"], dict):
+            raise ValidationError(f"potentials.{name}.values: must be an object")
         values: dict[Block, float] = {}
         for key, value in entry["values"].items():
             try:

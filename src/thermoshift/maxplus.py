@@ -10,6 +10,7 @@ subshifts), with at most one edge per ordered vertex pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,16 +67,22 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
 def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:
     """Maximum cycle mean by Karp's recurrence, plus a simple witness cycle.
 
-    All vertices must be reachable from vertex 0.
+    All vertices must be reachable from vertex 0, and the weights are
+    Fractions.  The recurrence runs on Python ints: every weight is scaled
+    by the common denominator of the weights (for floats, which are dyadic
+    rationals, the largest one), which keeps every comparison exact and in
+    the same order.
     """
-    # level[k][v] = best weight of a walk 0 -> v with exactly k edges
-    level: list[dict[int, Fraction]] = [{0: Fraction(0)}]
+    scale = math.lcm(*(w.denominator for _, _, w in edges))
+    scaled = [(i, j, w.numerator * (scale // w.denominator)) for i, j, w in edges]
+    # level[k][v] = best scaled weight of a walk 0 -> v with exactly k edges
+    level: list[dict[int, int]] = [{0: 0}]
     parent: list[dict[int, int]] = [{}]
     for k in range(1, n + 1):
-        cur: dict[int, Fraction] = {}
+        cur: dict[int, int] = {}
         par: dict[int, int] = {}
         prev = level[k - 1]
-        for i, j, w in edges:
+        for i, j, w in scaled:
             if i in prev:
                 cand = prev[i] + w
                 if j not in cur or cand > cur[j]:
@@ -84,20 +91,24 @@ def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:
         level.append(cur)
         parent.append(par)
 
-    beta = None
-    best_v = None
+    # beta = max over v of min over k of (top - level[k][v]) / (n - k);
+    # each ratio is kept as an int pair (numerator, positive denominator)
+    # and compared by cross-multiplication.
+    beta_num = beta_den = best_v = None
     for v, top in level[n].items():
-        worst = None
+        low_num = low_den = None
         for k in range(n):
             if v in level[k]:
-                ratio = (top - level[k][v]) / (n - k)
-                if worst is None or ratio < worst:
-                    worst = ratio
-        if worst is not None and (beta is None or worst > beta):
-            beta = worst
-            best_v = v
-    if beta is None:
+                num, den = top - level[k][v], n - k
+                if low_num is None or num * low_den < low_num * den:
+                    low_num, low_den = num, den
+        if low_num is not None and (
+            beta_num is None or low_num * beta_den > beta_num * low_den
+        ):
+            beta_num, beta_den, best_v = low_num, low_den, v
+    if beta_num is None:
         raise ValueError("no vertex admits a walk of full length; graph not strongly connected")
+    beta = Fraction(beta_num, beta_den * scale)
 
     # Walk the parent chain back from (n, best_v); every cycle inside this
     # walk has mean exactly beta, so the first repeated vertex closes a

@@ -11,6 +11,7 @@ and a simple dominant eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,10 @@ class Sft:
     transitions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.transitions)
+        try:
+            m = np.asarray(self.transitions)
+        except ValueError as exc:  # numpy refuses ragged nested sequences
+            raise NotSquareError("transition matrix rows differ in length") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.alphabet_size:
             raise NotSquareError(
                 f"transition matrix must be {self.alphabet_size}x{self.alphabet_size}, "
@@ -83,6 +87,15 @@ class Sft:
     def is_edge(self, i: int, j: int) -> bool:
         """True iff symbol ``j`` may follow symbol ``i``."""
         return bool(self.transitions[i, j])
+
+    @cached_property
+    def _topological_entropy(self) -> float:
+        # Solved on first use rather than at construction, so building an
+        # Sft (for instance a higher-block recoding) costs no eigensolve.
+        from ._perron import log_perron_value
+
+        logw = np.where(self.transitions > 0, 0.0, -np.inf)
+        return log_perron_value(logw)
 
 
 def wielandt_bound(n: int) -> int:
@@ -147,11 +160,8 @@ def admissible_blocks(sft: Sft, k: int) -> list[Block]:
 
 def topological_entropy(sft: Sft) -> float:
     """Topological entropy in nats: log of the Perron eigenvalue of the
-    transition matrix."""
-    from ._perron import log_perron_value
-
-    logw = np.where(sft.transitions > 0, 0.0, -np.inf)
-    return log_perron_value(logw)
+    transition matrix, solved once per ``Sft`` and cached on it."""
+    return sft._topological_entropy
 
 
 def recode_to_edge_shift(sft: Sft, k: int) -> tuple[Sft, dict[Block, int]]:

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import maxplus
 from ._edgegraph import EdgeGraph, build_edge_graph
-from ._perron import DEFAULT_TOL, MAX_ITERATIONS, power_log_perron
+from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
 from .sft import Block, Sft, admissible_blocks, topological_entropy

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through routes that share no
 numerical code with the package: dense numpy eigensolves instead of
-log-domain power iteration, networkx cycle enumeration instead of Karp,
+log-domain power iteration, networkx cycle enumeration instead of Karp
+(and Karp's recurrence in ``Fraction``s instead of scaled integers),
 sequential matrix powers instead of repeated squaring, and closed-form
 inversions where available.
 """
@@ -113,6 +114,41 @@ def max_cycle_mean_enumeration(n, edges):
         if best is None or mean > best:
             best = mean
     return best
+
+
+def karp_fractions(n, edges):
+    """Karp's maximum-cycle-mean recurrence carried out in ``Fraction``s,
+    with the witness cycle read off the parent chain of the maximizing
+    vertex: the reference for the package's integer recurrence."""
+    edges = [(i, j, Fraction(w)) for i, j, w in edges]
+    level = [{0: Fraction(0)}]
+    parent = [{}]
+    for _ in range(n):
+        cur, par = {}, {}
+        for i, j, w in edges:
+            if i in level[-1]:
+                cand = level[-1][i] + w
+                if j not in cur or cand > cur[j]:
+                    cur[j], par[j] = cand, i
+        level.append(cur)
+        parent.append(par)
+    beta = best_v = None
+    for v, top in level[n].items():
+        worst = min(
+            (top - level[k][v]) / (n - k) for k in range(n) if v in level[k]
+        )
+        if beta is None or worst > beta:
+            beta, best_v = worst, v
+    walk = [best_v]
+    for k in range(n, 0, -1):
+        walk.append(parent[k][walk[-1]])
+    walk.reverse()
+    seen = {}
+    for idx, v in enumerate(walk):
+        if v in seen:
+            return beta, walk[seen[v]:idx]
+        seen[v] = idx
+    raise AssertionError("walk of full length contained no cycle")
 
 
 # --- closed forms ------------------------------------------------------------

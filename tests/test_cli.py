@@ -102,6 +102,26 @@ def test_validation_error_exit_code(tmp_path):
     assert run_cli("entropy", str(tmp_path / "absent.json")).returncode == 3
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"potentials": []}, "potentials: must be an object"),
+        (
+            {"potentials": {"p": {"memory": 1, "values": [1, 2]}}},
+            "potentials.p.values: must be an object",
+        ),
+        ({"transitions": [[1, 1], [1]]}, "rows differ in length"),
+    ],
+    ids=["potentials-list", "values-list", "ragged-transitions"],
+)
+def test_malformed_config_is_a_configuration_error(tmp_path, change, message):
+    path = write_config(tmp_path, {**GOLDEN_CONFIG, **change})
+    proc = run_cli("entropy", path)
+    assert proc.returncode == 3
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_solver_error_exit_code(tmp_path):
     path = write_config(tmp_path, FULL2_CONFIG)
     proc = run_cli("solve-entropy", path, "--phi", "pin0", "--target", "0.8")

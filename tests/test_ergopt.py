@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import thermoshift as ts
+from thermoshift import maxplus
 from thermoshift.errors import ValidationError
 from thermoshift._edgegraph import build_edge_graph
 
@@ -85,6 +87,35 @@ def test_karp_matches_enumeration_exactly(rng):
             graph.n_states, list(graph.edges())
         )
         assert result.beta == float(oracle)
+
+
+def random_strongly_connected_graph(rng, n):
+    """Edges ``(i, j, weight)`` of a random strongly connected digraph whose
+    float weights mix magnitudes (so their dyadic denominators differ) and
+    repeat values (so cycle means tie)."""
+    while True:
+        mask = rng.random((n, n)) < min(1.0, 3.0 / n)
+        pairs = list(zip(*np.nonzero(mask)))
+        label = maxplus.strongly_connected_components(n, pairs)
+        if pairs and len(set(label)) == 1:
+            break
+    palette = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, size=4)
+    return [(int(i), int(j), float(rng.choice(palette))) for i, j in pairs]
+
+
+def test_integer_karp_matches_fraction_recurrence_and_enumeration(rng):
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        edges = random_strongly_connected_graph(rng, n)
+        exact = [(i, j, Fraction(w)) for i, j, w in edges]
+        beta, witness = maxplus.karp_cycle_mean(n, exact)
+        assert (beta, witness) == oracles.karp_fractions(n, edges)
+        assert beta == oracles.max_cycle_mean_enumeration(n, edges)
+    for _ in range(5):  # beyond the reach of cycle enumeration
+        n = int(rng.integers(30, 65))
+        edges = random_strongly_connected_graph(rng, n)
+        exact = [(i, j, Fraction(w)) for i, j, w in edges]
+        assert maxplus.karp_cycle_mean(n, exact) == oracles.karp_fractions(n, edges)
 
 
 def test_witness_cycle_mean_is_exactly_beta(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
+from thermoshift import _perron
 from thermoshift.errors import (
     BlockLengthError,
     NotPrimitiveError,
@@ -138,6 +139,28 @@ def test_recode_preserves_entropy(rng, full2, golden, full3):
         for k in range(1, 5):
             recoded, _ = ts.recode_to_edge_shift(sft, k)
             assert ts.topological_entropy(recoded) == pytest.approx(base, abs=1e-10)
+
+
+def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
+    calls = []
+    original = _perron.log_perron_value
+
+    def counting(logw, *args, **kwargs):
+        calls.append(logw.shape)
+        return original(logw, *args, **kwargs)
+
+    m = oracles.random_primitive_transitions(rng)
+    monkeypatch.setattr(_perron, "log_perron_value", counting)
+    sft = ts.build_sft(len(m), m)
+    assert calls == []  # nothing is solved at construction
+    first = ts.topological_entropy(sft)
+    assert ts.topological_entropy(sft) == first
+    assert len(calls) == 1
+    # an equal but distinct Sft solves afresh, to the same bits
+    assert ts.topological_entropy(ts.build_sft(len(m), m)) == first
+    assert len(calls) == 2
+    uncached = original(np.where(np.asarray(m) > 0, 0.0, -np.inf))
+    assert first == uncached
 
 
 def test_recode_block_length_zero(golden):
