@@ -10,7 +10,8 @@ vector ``x``, ``min_i log (Ax)_i/x_i <= log lambda <= max_i log
 Plain iteration converges at the spectral-gap rate and is tried first.
 Two escalations handle hard supports without touching the certificate:
 
-- when the enclosure stalls, updates switch to the lazy matrix
+- when the enclosure stalls, or contracts too slowly to reach the
+  tolerance within the plain budget, updates switch to the lazy matrix
   ``A + I`` (same eigenvectors, eigenvalue shifted by one), which mixes
   the phases of nearly periodic supports; a bare cycle, the
   low-temperature limit of a pinned potential, makes plain iterates
@@ -24,6 +25,8 @@ of the algorithm in ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -102,9 +105,9 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     value = residual = np.inf
 
     # plain phase: the certifying product is also the update
-    best = np.inf
-    since_best = 0
-    for _ in range(min(_PLAIN_BUDGET, max_iter)):
+    plain_budget = min(_PLAIN_BUDGET, max_iter)
+    history = deque(maxlen=_PLAIN_STALL + 1)
+    for _ in range(plain_budget):
         iterations += 1
         z = logsumexp(logw + u[None, :], axis=1)
         d = z - u
@@ -112,11 +115,14 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
         value, residual = (hi + lo) / 2.0, (hi - lo) / 2.0
         if residual <= half_tol:
             return value, u, residual, iterations
-        if residual < best:
-            best, since_best = residual, 0
-        else:
-            since_best += 1
-            if since_best >= _PLAIN_STALL:
+        history.append(residual)
+        if len(history) > _PLAIN_STALL:
+            # Escalate as soon as the residual has not shrunk over the
+            # last _PLAIN_STALL steps, or its contraction over them,
+            # carried over the rest of the budget, cannot reach tol.
+            ratio = residual / history[0]
+            steps_left = plain_budget - iterations
+            if ratio >= 1.0 or residual * ratio ** (steps_left / _PLAIN_STALL) > half_tol:
                 break
         u = z - z.max()
 

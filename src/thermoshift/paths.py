@@ -1,15 +1,18 @@
 """Sweeps and intermediate-value solvers along potential rays.
 
 Along the ray ``t -> psi + t * phi`` the pressure ``p(t)`` is convex with
-``p'(t)`` equal to the equilibrium average of ``phi``, so both the
-entropy and the ``psi``-pressure of the equilibrium state,
-``p(t) - t p'(t)``, are non-increasing for ``t >= 0``.  Targets between
-the asymptotic ground value and the value at ``t = 0`` are therefore
-found by a geometric bracketing scan followed by bisection.
+``p'(t)`` equal to the equilibrium average of ``phi`` and ``p''(t)`` equal
+to the asymptotic variance of ``phi`` in the equilibrium state, so both
+the entropy and the ``psi``-pressure of the equilibrium state,
+``p(t) - t p'(t)``, are non-increasing for ``t >= 0`` with derivative
+``-t p''(t)``.  Targets between the asymptotic ground value and the value
+at ``t = 0`` are therefore found by a geometric bracketing scan followed
+by Newton steps safeguarded by bisection inside the bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +28,12 @@ from .errors import (
 )
 from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
-from .transfer import integrate, pressure, pressure_and_equilibrium
+from .transfer import (
+    _asymptotic_variance,
+    integrate,
+    pressure,
+    pressure_and_equilibrium,
+)
 
 SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
@@ -39,7 +47,9 @@ class PathSample:
 
     ``pressure`` is ``P(psi + t phi)``; ``entropy`` and ``phi_avg`` are
     taken in the unique equilibrium state ``mu_t``; ``psi_pressure`` is
-    ``h(mu_t) + integral(psi, mu_t)``.
+    ``h(mu_t) + integral(psi, mu_t)``; ``phi_var`` is ``p''(t)``, the
+    asymptotic variance of ``phi`` under ``mu_t`` (``nan`` on a sample
+    built by hand or where the kernel of ``mu_t`` is reducible).
     """
 
     t: float
@@ -47,11 +57,17 @@ class PathSample:
     entropy: float
     phi_avg: float
     psi_pressure: float
+    phi_var: float = math.nan
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of an intermediate-value solve along a ray."""
+    """Result of an intermediate-value solve along a ray.
+
+    ``bracket`` is the interval found by the geometric scan, ``iterations``
+    the number of probes made after it was found, and ``trace`` every
+    probe in the order made.
+    """
 
     target: float
     t_found: float
@@ -72,6 +88,7 @@ def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
         entropy=entropy,
         phi_avg=integrate(mu, phi),
         psi_pressure=entropy + integrate(mu, psi),
+        phi_var=_asymptotic_variance(mu, phi),
     )
 
 
@@ -111,7 +128,7 @@ def entropy_monotonicity_check(samples, slack: float = 1e-9) -> MonotonicityRepo
     return MonotonicityReport(max_increase, True)
 
 
-def _bisect_monotone(
+def _solve_monotone(
     evaluate: Callable[[float], PathSample],
     value_of: Callable[[PathSample], float],
     target: float,
@@ -119,7 +136,16 @@ def _bisect_monotone(
     t_max: float,
     exhausted: Callable[[list[PathSample]], Exception],
 ) -> SolveReport:
-    """Bracket a non-increasing objective on a geometric grid, then bisect.
+    """Bracket a non-increasing objective on a geometric grid, then close
+    the bracket by safeguarded Newton steps.
+
+    Both objectives have derivative ``-t p''(t)``.  From the probe
+    closest to the target (an end of the bracket, as the objective is
+    monotone) the Newton step is taken when it lands strictly inside the
+    bracket, else the midpoint (``rtsafe``, Numerical Recipes section
+    9.4).  A Newton step shorter than the width tolerance is pushed half
+    that tolerance past the root, so the next probe lands on the other
+    side of it and closes the bracket.
 
     The returned parameter carries both guarantees: objective within
     ``tol`` of the target and a bracket collapsed to near round-off, so
@@ -156,20 +182,27 @@ def _bisect_monotone(
     lo, hi = bracket
     best = min(trace, key=lambda s: abs(value_of(s) - target))
     iterations = 0
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        s = probe(mid)
+    while hi - lo > (width := 1e-10 * max(1.0, hi)):
+        t = 0.5 * (lo + hi)
+        curvature = best.t * best.phi_var  # minus the objective's slope
+        if curvature > 0.0:
+            step = (value_of(best) - target) / curvature
+            if abs(step) < width:
+                step += math.copysign(0.5 * width, step)
+            if lo < best.t + step < hi:
+                t = best.t + step
+        s = probe(t)
         iterations += 1
         if abs(value_of(s) - target) < abs(value_of(best) - target):
             best = s
         if value_of(s) >= target:
-            lo = mid
+            lo = t
         else:
-            hi = mid
+            hi = t
     residual = abs(value_of(best) - target)
     if residual > tol:
         raise ConvergenceError(
-            f"bisection collapsed the bracket but the residual {residual} "
+            f"the bracket collapsed but the residual {residual} "
             f"still exceeds {tol}"
         )
     return SolveReport(target, best.t, value_of(best), residual,
@@ -222,7 +255,7 @@ def solve_intermediate_entropy(
                 f"scan reached t = {t_max} with entropy {lowest} still above {a}"
             )
 
-    return _bisect_monotone(evaluate, lambda s: s.entropy, a, tol, t_max, exhausted)
+    return _solve_monotone(evaluate, lambda s: s.entropy, a, tol, t_max, exhausted)
 
 
 def solve_intermediate_pressure(
@@ -276,7 +309,7 @@ def solve_intermediate_pressure(
             f"{target}; the target is approached only as t -> infinity"
         )
 
-    return _bisect_monotone(
+    return _solve_monotone(
         evaluate, lambda s: s.psi_pressure, target, tol, t_max, exhausted
     )
 

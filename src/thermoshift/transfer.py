@@ -313,6 +313,38 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
     return math.fsum(terms)
 
 
+def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
+    """Asymptotic variance of ``phi`` under the Markov measure ``mu``.
+
+    ``phi`` must live on the subshift of ``mu`` with memory at most
+    ``mu.order + 1``, as it does when ``mu`` is the equilibrium state
+    ``mu_t`` of ``psi + t * phi``; the result is then the second
+    derivative ``p''(t)`` of the pressure along the ray.
+
+    With ``f`` the value of ``phi`` on each transition, ``g = (P * f) 1``
+    its one-step mean and ``m = pi g`` its average, the covariances of
+    all lags sum through the fundamental matrix ``(I - P + 1 pi)^-1``
+    (Kemeny and Snell): ``var = sum pi_i P_ij (f_ij - m)^2 + 2 pi (P * f) h``
+    with ``h`` solving ``(I - P + 1 pi) h = g - m``.
+
+    The system is singular when ``P`` is reducible, as it becomes once
+    the weights between two tied ground cycles underflow at large ``t``;
+    the variance is then ``nan``.  It is not clamped, so round-off can
+    leave it a few ulps below zero where it vanishes.
+    """
+    kernel, pi = mu.kernel, mu.stationary
+    f = np.where(kernel > 0, build_edge_graph(mu.sft, phi, mu.order).logw, 0.0)
+    weighted = kernel * f
+    g = weighted.sum(axis=1)
+    m = pi @ g
+    try:
+        h = np.linalg.solve(np.eye(len(pi)) - kernel + pi[None, :], g - m)
+    except np.linalg.LinAlgError:
+        return math.nan
+    spread = pi @ (kernel * (f - m) ** 2).sum(axis=1)
+    return float(spread + 2.0 * pi @ (weighted @ h))
+
+
 @dataclass(frozen=True)
 class LipschitzReport:
     """Both sides of the pressure Lipschitz bound |P(phi)-P(psi)| <= |phi-psi|."""

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import thermoshift as ts
+from thermoshift import paths
 from thermoshift.errors import (
     AsymptoteUnreachableError,
     MonotonicityError,
@@ -11,6 +13,7 @@ from thermoshift.errors import (
     TargetOutOfRangeError,
     ValidationError,
 )
+from thermoshift.transfer import _asymptotic_variance
 
 import oracles
 
@@ -91,6 +94,58 @@ def test_sample_invariants_along_sweep(golden, rng):
     ]
     assert all(v >= -1e-9 for v in second)
     ts.entropy_monotonicity_check(ts.sweep(golden, ts.zero_potential(golden), phi, grid))
+
+
+# --- second derivative of the pressure ---------------------------------------------
+
+
+def test_phi_var_bernoulli_closed_form(full2):
+    phi = ts.Potential(full2, 1, {(0,): 0.0, (1,): -1.0})
+    samples = ts.sweep(full2, ts.zero_potential(full2), phi, [0.0, 0.5, 1.0, 3.0, 10.0])
+    for s in samples:
+        q = 1.0 / (1.0 + math.exp(s.t))
+        assert abs(s.phi_var - q * (1.0 - q)) <= 1e-12
+
+
+def test_phi_var_matches_finite_differences(golden, full3, rng):
+    step = 1e-4
+    rays = [
+        (golden, ts.zero_potential(golden), ts.fixed_point_potential(golden, 0)),
+        (full3, ts.Potential(full3, 1, oracles.random_values(rng, full3.transitions, 1)),
+         ts.Potential(full3, 2, oracles.random_values(rng, full3.transitions, 2))),
+    ]
+    for sft, psi, phi in rays:
+        for t in (0.0, 0.5, 1.0, 2.0, 3.0):
+            lo, mid, hi = ts.sweep(sft, psi, phi, [t, t + step, t + 2 * step])
+            assert abs(mid.phi_var - (hi.phi_avg - lo.phi_avg) / (2 * step)) <= 1e-6
+
+
+def test_phi_var_is_never_negative(full2, golden, full3, rng):
+    rays = [
+        (full2, ts.constant_potential(full2, 1.3)),
+        (full2, ts.fixed_point_potential(full2, 0)),
+        (golden, ts.fixed_point_potential(golden, 0)),
+        (full3, ts.Potential(full3, 2, oracles.random_values(rng, full3.transitions, 2))),
+    ]
+    for sft, phi in rays:
+        samples = ts.sweep(sft, ts.zero_potential(sft), phi, np.linspace(0.0, 40.0, 41))
+        # unclamped, so only round-off may take it below zero
+        assert all(math.isfinite(s.phi_var) and s.phi_var >= -1e-14 for s in samples)
+
+
+def test_phi_var_is_nan_on_a_reducible_kernel(full2):
+    two_loops = ts.Potential(
+        full2, 2, {(0, 0): 0.0, (1, 1): 0.0, (0, 1): -1.0, (1, 0): -1.0}
+    )
+    # two disjoint loops: I - P + 1 pi is singular
+    mu = ts.MarkovMeasure(full2, 1, np.array([0.5, 0.5]), np.eye(2))
+    assert math.isnan(_asymptotic_variance(mu, two_loops))
+    # far out on the ray the kernel between the loops underflows, and the
+    # samples still come back
+    samples = ts.sweep(full2, ts.zero_potential(full2), two_loops, [1000.0, 1e6])
+    for s in samples:
+        assert s.entropy == pytest.approx(0.0, abs=1e-12)
+        assert math.isnan(s.phi_var) or math.isfinite(s.phi_var)
 
 
 # --- monotonicity checks -------------------------------------------------------
@@ -212,6 +267,55 @@ def test_solve_entropy_report_invariants(golden):
     result, mu = ts.pressure_and_equilibrium(golden, combined)
     assert abs(result.value - (mu.entropy + ts.integrate(mu, combined))) <= 1e-9
     assert mu.has_strongly_connected_support()
+
+
+def assert_newton_solve(report, value_of, bracket, max_probes):
+    assert len(report.trace) <= max_probes
+    assert report.bracket == bracket
+    assert report.residual <= ts.paths.SOLVER_TOL
+    above = max(s.t for s in report.trace if value_of(s) >= report.target)
+    below = min(s.t for s in report.trace if value_of(s) < report.target)
+    assert abs(below - above) <= 1e-10 * max(1.0, below)
+
+
+def golden_entropy_solve(golden):
+    phi = ts.fixed_point_potential(golden, 0)
+    return ts.solve_intermediate_entropy(golden, phi, 0.24)
+
+
+def full3_pressure_solve(full3, rng):
+    psi = ts.Potential(full3, 1, oracles.random_values(rng, full3.transitions, 1))
+    phi = ts.Potential(full3, 2, oracles.random_values(rng, full3.transitions, 2))
+    target = ts.sample_at(full3, psi, phi, 2.3).psi_pressure
+    return ts.solve_intermediate_pressure(full3, psi, phi, target)
+
+
+def test_solve_entropy_newton_probe_count(golden):
+    report = golden_entropy_solve(golden)
+    assert_newton_solve(report, lambda s: s.entropy, (1.0, 2.0), 12)
+
+
+def test_solve_pressure_newton_probe_count(full3, rng):
+    report = full3_pressure_solve(full3, rng)
+    assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 4.0), 14)
+
+
+def test_newton_steps_leaving_the_bracket_fall_back_to_midpoints(
+    golden, full3, rng, monkeypatch
+):
+    # a vanishing second derivative sends every Newton step out of the
+    # bracket, so only midpoints are probed
+    sample_at = paths.sample_at
+    monkeypatch.setattr(
+        paths, "sample_at",
+        lambda *args: dataclasses.replace(sample_at(*args), phi_var=1e-300),
+    )
+    report = golden_entropy_solve(golden)
+    assert_newton_solve(report, lambda s: s.entropy, (1.0, 2.0), 45)
+    assert report.iterations > 30  # one probe per halving of the bracket
+    report = full3_pressure_solve(full3, rng)
+    assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 4.0), 45)
+    assert report.iterations > 30
 
 
 # --- intermediate pressure ----------------------------------------------------------

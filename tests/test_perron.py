@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+import thermoshift as ts
 from thermoshift import _perron
 from thermoshift._perron import logsumexp
+
+import oracles
 
 
 def assert_bit_identical(a, axis):
@@ -53,3 +57,18 @@ def test_import_loads_no_scipy():
     code = "import sys, thermoshift; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_slow_plain_contraction_escalates_early():
+    # Nearly periodic support at t = 10 (|lambda_2 / lambda_1| about
+    # 0.9998): the plain residual shrinks too slowly to reach the
+    # tolerance within the plain budget, so the lazy phase must take over
+    # long before that budget is spent.
+    full2 = ts.full_shift(2)
+    values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
+    phi = ts.combine(ts.zero_potential(full2, 2), ts.Potential(full2, 2, values), 10.0)
+    result = ts.pressure(full2, phi)
+    assert result.iterations <= 300
+    _, W = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
+    lam, _, _ = oracles.perron_pair(W)
+    assert abs(result.value - math.log(lam)) <= 1e-12
