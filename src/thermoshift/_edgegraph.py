@@ -3,7 +3,8 @@
 Every memory-k potential becomes an edge weight function on the graph
 whose vertices are the admissible ``max(k-1, 1)``-blocks, with an edge
 ``b -> c`` whenever the blocks overlap and the joined word is
-admissible.  All spectral and cycle computations happen on this graph.
+admissible; the graph comes from :func:`sft.block_graph`.  All spectral
+and cycle computations happen on this graph.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import Potential
-from .sft import Block, Sft, admissible_blocks
+from .sft import Block, Sft, block_graph
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,6 @@ class EdgeGraph:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def word(self, i: int, j: int) -> Block:
-        """The (order+1)-word read along edge ``i -> j``."""
-        return self.states[i] + (self.states[j][-1],)
 
     def edges(self):
         """Iterate (i, j, weight) over admissible edges."""
@@ -54,15 +51,13 @@ def build_edge_graph(sft: Sft, phi: Potential, order: int | None = None) -> Edge
         raise ValueError(
             f"order {order} cannot carry a memory-{phi.memory} potential"
         )
-    states = tuple(admissible_blocks(sft, order))
-    index = {b: i for i, b in enumerate(states)}
-    n = len(states)
-    logw = np.full((n, n), -np.inf)
-    for b, i in index.items():
-        for s in range(sft.alphabet_size):
-            if not sft.is_edge(b[-1], s):
-                continue
-            j = index[b[1:] + (s,)]
-            word = b + (s,)
-            logw[i, j] = phi.values[word[: phi.memory]]
+    states, src, dst = block_graph(sft, order)
+    # Edge e is the e-th (order+1)-block; the src arrays of the lower
+    # orders map it to its memory-prefix, the index of its value.
+    prefix = np.arange(len(src))
+    for k in range(order, phi.memory - 1, -1):
+        prefix = block_graph(sft, k)[1][prefix]
+    values = np.fromiter(phi.values.values(), float, len(phi.values))
+    logw = np.full((len(states), len(states)), -np.inf)
+    logw[src, dst] = values[prefix]
     return EdgeGraph(sft, order, states, logw)

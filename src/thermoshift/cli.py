@@ -51,6 +51,17 @@ class _UsageError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermoshift",
@@ -83,23 +94,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("path", "sweep the ray psi + t*phi over a parameter grid")
     sp.add_argument("--phi", metavar="NAME", required=True, help="ray direction")
     sp.add_argument("--psi", metavar="NAME", help="ray start (default: zero)")
-    sp.add_argument("--t-max", type=float, default=10.0, help="last grid point")
+    sp.add_argument("--t-max", type=_finite_float, default=10.0, help="last grid point")
     sp.add_argument("--steps", type=int, default=101, help="number of grid points")
     sp.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
 
     sp = command("solve-entropy", "find t whose equilibrium entropy hits a target")
     sp.add_argument("--phi", metavar="NAME", required=True, help="ray direction")
-    sp.add_argument("--target", type=float, required=True, help="entropy target (nats)")
-    sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    sp.add_argument("--target", type=_finite_float, required=True, help="entropy target (nats)")
+    sp.add_argument("--tol", type=_finite_float, default=1e-8, help="residual tolerance")
 
     sp = command("solve-pressure", "find t whose equilibrium psi-pressure hits a target")
     sp.add_argument("--phi", metavar="NAME", required=True, help="ray direction")
     sp.add_argument("--psi", metavar="NAME", help="reference potential (default: zero)")
-    sp.add_argument("--target", type=float, required=True, help="pressure target (nats)")
-    sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    sp.add_argument("--target", type=_finite_float, required=True, help="pressure target (nats)")
+    sp.add_argument("--tol", type=_finite_float, default=1e-8, help="residual tolerance")
 
     sp = command("check", "run built-in consistency checks on the configuration")
-    sp.add_argument("--t-max", type=float, default=4.0, help="sweep extent for checks")
+    sp.add_argument("--t-max", type=_finite_float, default=4.0, help="sweep extent for checks")
     sp.add_argument("--steps", type=int, default=17, help="sweep points for checks")
 
     return parser
@@ -139,6 +150,8 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
     config = parse_config(args.config)
     sft = config.sft
     bits = getattr(args, "bits", False)
+    if getattr(args, "tol", 1.0) <= 0:
+        raise _UsageError("--tol must be positive")
     suffix = "bits" if bits else "nats"
 
     if args.command == "entropy":
@@ -187,12 +200,7 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
     if args.command == "path":
         phi = _lookup(config, args.phi)
         psi = _lookup(config, args.psi)
-        if args.steps < 1:
-            raise _UsageError("--steps must be >= 1")
-        if args.t_max < 0 or (args.t_max == 0 and args.steps > 1):
-            raise _UsageError("--t-max must be positive")
-        grid = np.linspace(0.0, args.t_max, args.steps)
-        samples = sweep(sft, psi, phi, grid)
+        samples = sweep(sft, psi, phi, _grid(args))
         if args.csv:
             lines = [CSV_HEADER]
             for s in samples:
@@ -224,6 +232,14 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
     raise _UsageError(f"unknown command {args.command!r}")
 
 
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    if args.steps < 1:
+        raise _UsageError("--steps must be >= 1")
+    if args.t_max < 0 or (args.t_max == 0 and args.steps > 1):
+        raise _UsageError("--t-max must be positive")
+    return np.linspace(0.0, args.t_max, args.steps)
+
+
 def _report_dict(report, bits: bool) -> dict:
     return {
         "target": _unit(report.target, bits),
@@ -238,6 +254,7 @@ def _report_dict(report, bits: bool) -> dict:
 
 def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, int]:
     sft = config.sft
+    grid = _grid(args)
     checks = []
     names = sorted(config.potentials)
 
@@ -268,7 +285,6 @@ def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, in
                 }
             )
 
-    grid = np.linspace(0.0, args.t_max, args.steps)
     zero = zero_potential(sft)
     for name in names:
         phi = config.potentials[name]

@@ -128,6 +128,11 @@ def entropy_monotonicity_check(samples, slack: float = 1e-9) -> MonotonicityRepo
     return MonotonicityReport(max_increase, True)
 
 
+def _check_tol(tol: float):
+    if not 0.0 < tol < math.inf:  # nan fails too
+        raise ValidationError(f"tol must be a finite positive number, got {tol}")
+
+
 def _solve_monotone(
     evaluate: Callable[[float], PathSample],
     value_of: Callable[[PathSample], float],
@@ -223,8 +228,9 @@ def solve_intermediate_entropy(
     ground entropy are attained only in the ``t -> infinity`` limit and
     are rejected.
     """
+    _check_tol(tol)
     h_top = topological_entropy(sft)
-    if a < 0.0 or a > h_top + _ENDPOINT_GUARD:
+    if not 0.0 <= a <= h_top + _ENDPOINT_GUARD:  # nan fails too
         raise TargetOutOfRangeError(
             f"entropy target {a} outside [0, h(f)] = [0, {h_top}]"
         )
@@ -274,9 +280,10 @@ def solve_intermediate_pressure(
     returns ``t = 0`` at ``target = P(psi)`` and rejects targets at or
     beyond the asymptote.
     """
+    _check_tol(tol)
     alpha = ground_state_pressure_bound(sft, psi, phi)
     top = pressure(sft, psi).value
-    if target > top + _ENDPOINT_GUARD:
+    if not target <= top + _ENDPOINT_GUARD:  # nan fails too
         raise TargetOutOfRangeError(f"target {target} exceeds P(psi) = {top}")
     if target < alpha - _ENDPOINT_GUARD:
         raise TargetOutOfRangeError(

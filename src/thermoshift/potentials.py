@@ -25,7 +25,11 @@ from .sft import Block, Sft, admissible_blocks
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """A locally constant potential: a value table over admissible k-blocks."""
+    """A locally constant potential: a value table over admissible k-blocks.
+
+    ``values`` iterates in lexicographic block order, whatever the order
+    of the table it was built from.
+    """
 
     sft: Sft
     memory: int
@@ -49,6 +53,7 @@ class Potential:
         bad = [b for b, v in table.items() if not math.isfinite(v)]
         if bad:
             raise ValidationError(f"non-finite value on block(s): {_word_strs(bad)}")
+        table = dict(sorted(table.items()))
         object.__setattr__(self, "values", MappingProxyType(table))
 
     def value_on(self, word: Block) -> float:

@@ -73,6 +73,7 @@ class Sft:
             )
         m.flags.writeable = False
         object.__setattr__(self, "transitions", m)
+        object.__setattr__(self, "_block_graphs", {})
 
     def __eq__(self, other):
         if not isinstance(other, Sft):
@@ -164,6 +165,33 @@ def topological_entropy(sft: Sft) -> float:
     return sft._topological_entropy
 
 
+def block_graph(sft: Sft, k: int) -> tuple[tuple[Block, ...], np.ndarray, np.ndarray]:
+    """Higher-block graph on the admissible ``k``-blocks, cached on ``sft``.
+
+    Returns the blocks in lexicographic order and read-only arrays
+    ``src, dst``: edge ``e`` is the ``e``-th admissible ``(k+1)``-block,
+    read from its prefix ``states[src[e]]`` to its suffix ``states[dst[e]]``.
+    Two concurrent first calls may both build the graph, which is harmless.
+    """
+    if k < 1:
+        raise BlockLengthError(f"block length must be >= 1, got {k}")
+    graph = sft._block_graphs.get(k)
+    if graph is None:
+        states = tuple(admissible_blocks(sft, k))
+        index = {b: i for i, b in enumerate(states)}
+        follow = [np.flatnonzero(row).tolist() for row in sft.transitions]
+        edges = [
+            (i, index[b[1:] + (s,)])
+            for i, b in enumerate(states)
+            for s in follow[b[-1]]
+        ]
+        src, dst = np.array(edges, dtype=np.intp).T.copy()
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        graph = sft._block_graphs[k] = (states, src, dst)
+    return graph
+
+
 def recode_to_edge_shift(sft: Sft, k: int) -> tuple[Sft, dict[Block, int]]:
     """Higher-block presentation on admissible ``k``-blocks.
 
@@ -175,18 +203,7 @@ def recode_to_edge_shift(sft: Sft, k: int) -> tuple[Sft, dict[Block, int]]:
 
     Returns the recoded SFT together with the block -> symbol index map.
     """
-    if k < 1:
-        raise BlockLengthError(f"block length must be >= 1, got {k}")
-    blocks = admissible_blocks(sft, k)
-    index = {b: i for i, b in enumerate(blocks)}
-    n = len(blocks)
-    m = np.zeros((n, n), dtype=np.int8)
-    for b, i in index.items():
-        for s in range(sft.alphabet_size):
-            if not sft.is_edge(b[-1], s):
-                continue
-            c = b[1:] + (s,)
-            j = index.get(c)
-            if j is not None:
-                m[i, j] = 1
-    return Sft(n, m), index
+    states, src, dst = block_graph(sft, k)
+    m = np.zeros((len(states), len(states)), dtype=np.int8)
+    m[src, dst] = 1
+    return Sft(len(states), m), {b: i for i, b in enumerate(states)}

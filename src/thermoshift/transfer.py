@@ -27,7 +27,7 @@ from ._edgegraph import EdgeGraph, build_edge_graph
 from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
-from .sft import Block, Sft, admissible_blocks, topological_entropy
+from .sft import Block, Sft, block_graph, topological_entropy
 
 # Log-weight spread beyond which the max-plus conjugation is applied.
 _PRECONDITION_SPAN = 30.0
@@ -136,7 +136,7 @@ class MarkovMeasure:
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        states = tuple(admissible_blocks(self.sft, self.order))
+        states, src, dst = block_graph(self.sft, self.order)
         pi = np.asarray(self.stationary, dtype=float).copy()
         kernel = np.asarray(self.kernel, dtype=float).copy()
         n = len(states)
@@ -154,12 +154,8 @@ class MarkovMeasure:
             raise ValidationError(
                 f"kernel rows sum to 1 only within {np.abs(rows - 1.0).max():.3g}"
             )
-        index = {b: i for i, b in enumerate(states)}
         allowed = np.zeros((n, n), dtype=bool)
-        for b, i in index.items():
-            for s in range(self.sft.alphabet_size):
-                if self.sft.is_edge(b[-1], s):
-                    allowed[i, index[b[1:] + (s,)]] = True
+        allowed[src, dst] = True
         if (kernel[~allowed] != 0).any():
             raise ValidationError("kernel is supported outside admissible transitions")
         drift = np.abs(pi @ kernel - pi).max()
@@ -267,29 +263,17 @@ def lift_markov_measure(mu: MarkovMeasure, order: int) -> MarkovMeasure:
         raise ValidationError(f"cannot lower order from {mu.order} to {order}")
     if order == mu.order:
         return mu
-    o = mu.order
-    old_index = {b: i for i, b in enumerate(mu.states)}
-    states = admissible_blocks(mu.sft, order)
-    index = {b: i for i, b in enumerate(states)}
-    n = len(states)
-
-    pi = np.empty(n)
-    for b, i in index.items():
-        mass = mu.stationary[old_index[b[:o]]]
-        for m in range(order - o):
-            mass *= mu.kernel[old_index[b[m : m + o]], old_index[b[m + 1 : m + 1 + o]]]
-        pi[i] = mass
-
-    kernel = np.zeros((n, n))
-    for b, i in index.items():
-        tail = b[-o:]
-        for s in range(mu.sft.alphabet_size):
-            if not mu.sft.is_edge(b[-1], s):
-                continue
-            j = index[b[1:] + (s,)]
-            kernel[i, j] = mu.kernel[old_index[tail], old_index[tail[1:] + (s,)]]
-    pi /= pi.sum()
-    return MarkovMeasure(mu.sft, order, pi, kernel)
+    # One order at a time: a (k+1)-block weighs its prefix times its
+    # transition, which is the next order's kernel on the edges it ends.
+    pi, kernel = mu.stationary, mu.kernel
+    for k in range(mu.order, order):
+        _, src, dst = block_graph(mu.sft, k)
+        step = kernel[src, dst]
+        pi = pi[src] * step
+        _, src, dst = block_graph(mu.sft, k + 1)
+        kernel = np.zeros((len(pi), len(pi)))
+        kernel[src, dst] = step[dst]
+    return MarkovMeasure(mu.sft, order, pi / pi.sum(), kernel)
 
 
 def integrate(mu: MarkovMeasure, phi: Potential) -> float:
@@ -302,15 +286,10 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
         raise MismatchedSystemError("potential and measure live on different subshifts")
     if phi.memory > mu.order + 1:
         mu = lift_markov_measure(mu, phi.memory - 1)
-    states = mu.states
-    terms = []
-    for i, j in zip(*np.nonzero(mu.kernel > 0)):
-        weight = mu.stationary[i] * mu.kernel[i, j]
-        if weight == 0.0:
-            continue
-        word = states[i] + (states[j][-1],)
-        terms.append(weight * phi.values[word[: phi.memory]])
-    return math.fsum(terms)
+    weight = mu.stationary[:, None] * mu.kernel
+    charged = weight > 0  # masked first: 0 * -inf is nan off the edges
+    logw = build_edge_graph(mu.sft, phi, mu.order).logw
+    return math.fsum((weight[charged] * logw[charged]).tolist())
 
 
 def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:

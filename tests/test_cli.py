@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import thermoshift as ts
-from thermoshift.cli import CSV_HEADER
+from thermoshift.cli import CSV_HEADER, main
 
 GOLDEN_CONFIG = {
     "alphabet": 2,
@@ -120,6 +120,28 @@ def test_malformed_config_is_a_configuration_error(tmp_path, change, message):
     assert proc.returncode == 3
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve-entropy", "--phi", "pin0", "--target", "nan"),
+        ("solve-pressure", "--phi", "pin0", "--target", "nan"),
+        ("solve-entropy", "--phi", "pin0", "--target", "0.3", "--tol", "nan"),
+        ("solve-entropy", "--phi", "pin0", "--target", "0.3", "--tol", "-1"),
+        ("solve-pressure", "--phi", "pin0", "--target", "0.3", "--tol", "0"),
+        ("path", "--phi", "pin0", "--t-max", "nan"),
+        ("path", "--phi", "pin0", "--t-max", "inf"),
+        ("check", "--t-max", "nan"),
+        ("check", "--steps", "0"),
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(tmp_path, capsys, args):
+    path = write_config(tmp_path, GOLDEN_CONFIG)
+    assert main([args[0], path, *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err and "Traceback" not in captured.err
 
 
 def test_solver_error_exit_code(tmp_path):

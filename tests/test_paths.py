@@ -226,6 +226,25 @@ def test_solve_entropy_rejects_out_of_range(full2):
         ts.solve_intermediate_entropy(full2, phi, -0.1)
 
 
+def test_solvers_refuse_nan_target(full2):
+    psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(full2, 0)
+    with pytest.raises(TargetOutOfRangeError):
+        ts.solve_intermediate_entropy(full2, phi, math.nan)
+    with pytest.raises(TargetOutOfRangeError):
+        ts.solve_intermediate_pressure(full2, psi, phi, math.nan)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solvers_refuse_bad_tol(full2, tol):
+    psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(full2, 0)
+    with pytest.raises(ValidationError, match="tol"):
+        ts.solve_intermediate_entropy(full2, phi, 0.5, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        ts.solve_intermediate_pressure(full2, psi, phi, 0.5, tol=tol)
+
+
 def test_solve_entropy_zero_is_asymptotic(full2):
     phi = ts.fixed_point_potential(full2, 0)
     with pytest.raises(AsymptoteUnreachableError):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from thermoshift.errors import (
     NotSquareError,
     StrandedSymbolError,
 )
+from thermoshift.sft import block_graph
 
 import oracles
 
@@ -166,6 +169,60 @@ def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
 def test_recode_block_length_zero(golden):
     with pytest.raises(BlockLengthError):
         ts.recode_to_edge_shift(golden, 0)
+
+
+def test_block_graph_matches_brute_force_words(rng):
+    for _ in range(8):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+        sft = ts.build_sft(len(m), m)
+        for k in range(1, 5):
+            states, src, dst = block_graph(sft, k)
+            assert list(states) == oracles.admissible_words(m, k)
+            longer = oracles.admissible_words(m, k + 1)
+            assert len(src) == len(dst) == len(longer)
+            for e, word in enumerate(longer):
+                assert states[src[e]] == word[:-1]
+                assert states[dst[e]] == word[1:]
+
+
+def test_block_graph_is_cached_and_read_only(golden):
+    states, src, dst = block_graph(golden, 2)
+    again = block_graph(golden, 2)
+    assert again[0] is states and again[1] is src and again[2] is dst
+    with pytest.raises(ValueError):
+        src[0] = 1
+    with pytest.raises(ValueError):
+        dst[0] = 1
+    with pytest.raises(BlockLengthError):
+        block_graph(golden, 0)
+
+
+def test_block_graph_concurrent_first_calls_agree(rng):
+    m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sft = ts.build_sft(len(m), m)  # a fresh, empty cache
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(block_graph, sft, 3) for _ in range(16)]
+                graphs = [f.result(timeout=60) for f in futures]
+            states, src, dst = block_graph(sft, 3)
+            for other in graphs:
+                assert other[0] == states
+                assert np.array_equal(other[1], src) and np.array_equal(other[2], dst)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_potential_values_iterate_lexicographically(rng):
+    m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+    sft = ts.build_sft(len(m), m)
+    table = oracles.random_values(rng, m, 3)
+    shuffled = dict(reversed(list(table.items())))
+    phi = ts.Potential(sft, 3, shuffled)
+    assert list(phi.values) == oracles.admissible_words(m, 3)
+    assert dict(phi.values) == table
 
 
 def test_primitivity_agrees_with_sequential_powers(rng):

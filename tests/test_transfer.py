@@ -251,6 +251,44 @@ def test_integrate_auto_lifts_higher_memory(rng, golden):
     assert by_auto == pytest.approx(by_lift, abs=1e-13)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_lift_matches_block_by_block_oracle(order):
+    rng = np.random.default_rng(20261018 + order)
+    m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+    sft = ts.build_sft(len(m), m)
+    states, kernel, pi = oracles.random_stochastic_kernel(rng, m, order)
+    mu = ts.MarkovMeasure(sft, order, pi, kernel)
+    index = {b: i for i, b in enumerate(states)}
+
+    def step(a, b):  # old kernel on the transition between two windows
+        return kernel[index[a], index[b]]
+
+    top = order + 2
+    lifted = ts.lift_markov_measure(mu, top)
+    blocks = oracles.admissible_words(m, top)
+    assert list(lifted.states) == blocks
+    masses = []
+    for i, b in enumerate(blocks):
+        mass = pi[index[b[:order]]]
+        for w in range(top - order):
+            mass *= step(b[w : w + order], b[w + 1 : w + 1 + order])
+        assert lifted.stationary[i] == pytest.approx(mass, rel=1e-14)
+        masses.append(mass)
+    for i, b in enumerate(blocks):
+        for j, c in enumerate(blocks):
+            if b[1:] != c[:-1]:
+                assert lifted.kernel[i, j] == 0.0
+                continue
+            tail = (b + c[-1:])[-order - 1 :]  # the edge's last window
+            assert lifted.kernel[i, j] == step(tail[:-1], tail[1:])
+
+    # a memory-(order+2) potential needs the lift to integrate
+    values = oracles.random_values(rng, m, top)
+    phi = ts.Potential(sft, top, values)
+    brute = math.fsum(mass * values[w] for mass, w in zip(masses, blocks))
+    assert ts.integrate(mu, phi) == pytest.approx(brute, abs=1e-14)
+
+
 def test_lift_cannot_lower_order(golden):
     mu = ts.equilibrium_state(golden, ts.fixed_point_potential(golden, 0))
     with pytest.raises(ValidationError):
