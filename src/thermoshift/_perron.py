@@ -1,27 +1,21 @@
-"""Log-domain Perron eigenvalue solver.
+"""Certified Perron eigenvalue solver.
 
-Power iteration carried out entirely with log-sum-exp reductions, so
-weighted matrices ``exp(L)`` never materialize and arbitrarily large
-negative log-weights cannot overflow.  Convergence is certified by the
-Collatz-Wielandt enclosure on the original matrix: for any positive
-vector ``x``, ``min_i log (Ax)_i/x_i <= log lambda <= max_i log
-(Ax)_i/x_i``.
+Power iteration ``x <- E x`` on ``E = exp(logw)``, formed once per solve.
+Callers condition ``logw`` by a max-plus diagonal scaling first, so every
+row peaks near 0 and the iterates stay in the normal float range; an
+iterate that leaves it raises ``ConvergenceError``.  The Collatz-Wielandt
+enclosure ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in
+logs, certifies the result.
 
-Plain iteration converges at the spectral-gap rate and is tried first.
-Two escalations handle hard supports without touching the certificate:
+Plain iteration is tried first.  When its enclosure stalls, or contracts
+too slowly to reach the tolerance within its budget, updates switch to
+the lazy matrix ``E + I`` (same eigenvectors), which mixes the phases of
+nearly periodic supports such as a bare ground cycle.  If that stalls
+too (two cycle families with nearly tied means), the lazy matrix is
+squared repeatedly, so the gap ratio squares with every step.
 
-- when the enclosure stalls, or contracts too slowly to reach the
-  tolerance within the plain budget, updates switch to the lazy matrix
-  ``A + I`` (same eigenvectors, eigenvalue shifted by one), which mixes
-  the phases of nearly periodic supports; a bare cycle, the
-  low-temperature limit of a pinned potential, makes plain iterates
-  rotate forever;
-- if that also stalls (two cycle families with nearly tied means), the
-  lazy matrix is repeatedly squared in the log domain, so the gap
-  ratio squares with every step.
-
-Every reduction goes through ``logsumexp`` below, a numpy transcription
-of the algorithm in ``scipy.special.logsumexp``.
+``logsumexp``, a numpy transcription of ``scipy.special.logsumexp``,
+serves the measure assembly.
 """
 
 from __future__ import annotations
@@ -40,6 +34,7 @@ _LAZY_BUDGET = 2000
 _LAZY_STALL = 80
 _MAX_SQUARINGS = 60
 _NOISE_FLOOR_ACCEPT = 1e-12
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def logsumexp(a, axis=None):
@@ -64,57 +59,49 @@ def logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _lse_matmul(a, b):
-    """Log-domain matrix product: ``C_ij = LSE_k (a_ik + b_kj)``."""
-    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
-
-
-def _lazy(logw):
-    """Log-weights of ``exp(logw) + I``."""
-    out = logw.copy()
-    diag = np.arange(logw.shape[0])
-    out[diag, diag] = np.logaddexp(logw[diag, diag], 0.0)
-    return out
+def _normalized(y, iterations):
+    """``y`` scaled to ``max = 1``; refuses an entry below the normal range."""
+    x = y / y.max()
+    smallest = x.min()
+    if not smallest >= _SMALLEST_NORMAL:  # also catches nan
+        raise ConvergenceError(
+            f"Perron iterate left the normal float range (smallest entry "
+            f"{smallest:g} of a max-1 vector after {iterations} iterations)"
+        )
+    return x
 
 
 def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     """Dominant log-eigenvalue and log right eigenvector of ``exp(logw)``.
 
-    Parameters
-    ----------
-    logw : (n, n) ndarray
-        Log-weights, ``-inf`` on missing edges.  The support must be
-        irreducible and every row must contain at least one finite entry.
-
-    Returns
-    -------
-    value, log_vector, residual, iterations
-        ``value`` encloses the log Perron eigenvalue to ``residual``;
-        ``log_vector`` is normalized to ``max = 0``.
-
-    Raises
-    ------
-    ConvergenceError
-        If the enclosure width cannot be brought to ``tol`` (or at least
-        to the floating-point noise floor) within the budgets.
+    ``logw`` holds log-weights, ``-inf`` on missing edges; the support
+    must be irreducible and every row must peak near 0.  Returns
+    ``(value, log_vector, residual, iterations)``: ``value`` encloses the
+    log Perron eigenvalue to ``residual``, and ``log_vector`` has
+    ``max = 0``.  Raises ``ConvergenceError`` if the enclosure cannot be
+    brought to ``tol`` (or at least to the floating-point noise floor)
+    within the budgets, or if an iterate leaves the normal float range.
     """
-    n = logw.shape[0]
-    u = np.zeros(n)
+    e = np.exp(logw)
+    x = np.ones(e.shape[0])
     iterations = 0
     half_tol = tol / 2.0
     value = residual = np.inf
+
+    def certify(vec):
+        y = e @ vec
+        d = np.log(y / vec)
+        hi, lo = float(d.max()), float(d.min())
+        return (hi + lo) / 2.0, (hi - lo) / 2.0, y
 
     # plain phase: the certifying product is also the update
     plain_budget = min(_PLAIN_BUDGET, max_iter)
     history = deque(maxlen=_PLAIN_STALL + 1)
     for _ in range(plain_budget):
         iterations += 1
-        z = logsumexp(logw + u[None, :], axis=1)
-        d = z - u
-        hi, lo = float(d.max()), float(d.min())
-        value, residual = (hi + lo) / 2.0, (hi - lo) / 2.0
+        value, residual, y = certify(x)
         if residual <= half_tol:
-            return value, u, residual, iterations
+            return value, np.log(x), residual, iterations
         history.append(residual)
         if len(history) > _PLAIN_STALL:
             # Escalate as soon as the residual has not shrunk over the
@@ -124,27 +111,20 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
             steps_left = plain_budget - iterations
             if ratio >= 1.0 or residual * ratio ** (steps_left / _PLAIN_STALL) > half_tol:
                 break
-        u = z - z.max()
+        x = _normalized(y, iterations)
 
-    def certify(vec):
-        z = logsumexp(logw + vec[None, :], axis=1)
-        d = z - vec
-        hi, lo = float(d.max()), float(d.min())
-        return (hi + lo) / 2.0, (hi - lo) / 2.0
-
-    # lazy phase: update with A + I, certify on A
-    lazy = _lazy(logw)
+    # lazy phase: update with E + I, certify on E
+    lazy = e + np.eye(len(e))
     best = residual
     since_best = 0
     for _ in range(_LAZY_BUDGET):
         if iterations >= max_iter:
             break
         iterations += 1
-        step = logsumexp(lazy + u[None, :], axis=1)
-        u = step - step.max()
-        value, residual = certify(u)
+        x = _normalized(lazy @ x, iterations)
+        value, residual, _ = certify(x)
         if residual <= half_tol:
-            return value, u, residual, iterations
+            return value, np.log(x), residual, iterations
         if residual < best:
             best, since_best = residual, 0
         else:
@@ -158,16 +138,15 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
         if iterations >= max_iter:
             break
         iterations += 1
-        squared = _lse_matmul(squared, squared)
-        squared -= squared.max()
-        boost = logsumexp(squared + u[None, :], axis=1)
-        u = boost - boost.max()
-        value, residual = certify(u)
+        squared = squared @ squared
+        squared /= squared.max()
+        x = _normalized(squared @ x, iterations)
+        value, residual, _ = certify(x)
         if residual <= half_tol:
-            return value, u, residual, iterations
+            return value, np.log(x), residual, iterations
 
     if residual <= _NOISE_FLOOR_ACCEPT:
-        return value, u, residual, iterations
+        return value, np.log(x), residual, iterations
     raise ConvergenceError(
         f"Perron enclosure stalled at half-width {residual:g} "
         f"(tolerance {tol:g}, {iterations} iterations)"

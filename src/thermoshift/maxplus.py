@@ -32,16 +32,12 @@ class MaxPlusData:
     eigenvector
         A max-plus (right) eigenvector of the ``beta``-normalized
         weights: best path weight from each vertex into the witness.
-    left_eigenvector
-        The left counterpart: best path weight from the witness to each
-        vertex.
     """
 
     beta: Fraction
     witness: tuple[int, ...]
     critical: frozenset[tuple[int, int]]
     eigenvector: tuple[Fraction, ...]
-    left_eigenvector: tuple[Fraction, ...]
 
 
 def analyze(n_vertices: int, edges) -> MaxPlusData:
@@ -56,12 +52,8 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
     beta, witness = karp_cycle_mean(n_vertices, exact)
     normalized = [(i, j, w - beta) for i, j, w in exact]
     vec = bellman_longest_to(n_vertices, normalized, witness[0])
-    reversed_edges = [(j, i, w) for i, j, w in normalized]
-    left = bellman_longest_to(n_vertices, reversed_edges, witness[0])
     critical = critical_edges(n_vertices, normalized, vec)
-    return MaxPlusData(
-        beta, tuple(witness), frozenset(critical), tuple(vec), tuple(left)
-    )
+    return MaxPlusData(beta, tuple(witness), frozenset(critical), tuple(vec))
 
 
 def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:

@@ -6,19 +6,16 @@ equilibrium state is the Markov measure built from the left and right
 Perron vectors (kernel ``P_ij = A_ij e^{w_ij} r_j / (lambda r_i)``,
 stationary ``pi_i ~ l_i r_i``).
 
-All spectral work happens in the log domain.  When the spread of the
-log-weights is large (the low-temperature regime ``t -> infinity``), the
-matrix is first conjugated by the exact max-plus eigenvector of its
-weights, which keeps every intermediate quantity of moderate size; the
-conjugation is computed in rational arithmetic and cancels identically
-in the kernel and stationary formulas.
+Every eigensolve conjugates the matrix by a float max-plus eigenvector
+of its log-weights first (tropical diagonal scaling), which keeps every
+quantity of moderate size at any temperature, and then iterates in the
+linear domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +26,6 @@ from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
 from .sft import Block, Sft, block_graph, topological_entropy
 
-# Log-weight spread beyond which the max-plus conjugation is applied.
-_PRECONDITION_SPAN = 30.0
 _INVARIANCE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _ENTROPY_SLACK = 1e-9
@@ -58,11 +53,9 @@ class _EigenSolve:
     graph: EdgeGraph
     result: PressureResult
     frame_logw: np.ndarray
-    frame_value: float
     frame_right: np.ndarray
+    # log pi = frame_left + frame_right (up to norm)
     frame_left: np.ndarray
-    # log pi = stationary_offset + frame_left + frame_right (up to norm)
-    stationary_offset: np.ndarray
 
 
 def _require_over(sft: Sft, phi: Potential):
@@ -70,50 +63,77 @@ def _require_over(sft: Sft, phi: Potential):
         raise MismatchedSystemError("potential is defined over a different subshift")
 
 
+def _longest_walks(n, tail, head, weights, target):
+    """Best weight of a walk from each vertex to ``target`` over the edges
+    ``tail -> head``, by float Bellman passes up to the first that changes
+    nothing; pinning ``target`` at 0 keeps rounding from creeping."""
+    dist = np.full(n, -np.inf)
+    dist[target] = 0.0
+    for _ in range(n):
+        step = dist.copy()
+        np.maximum.at(step, tail, weights + dist[head])
+        step[target] = 0.0
+        if np.array_equal(step, dist):
+            break
+        dist = step
+    return dist
+
+
+def _maxplus_frame(n, src, dst, w):
+    """Float max-plus conditioning of edge weights ``w`` on ``src -> dst``:
+    the maximum cycle mean ``beta`` by Karp's recurrence (Karp 1978) over
+    the edge arrays, in O(n E); a right max-plus eigenvector ``right`` of
+    ``w - beta``; the conjugated weights ``frame_w``, whose rows peak at
+    0; and a left max-plus eigenvector ``left`` of ``frame_w``."""
+    # level[k, v]: best weight of a k-edge walk from vertex 0 to v
+    level = np.full((n + 1, n), -np.inf)
+    level[0, 0] = 0.0
+    for k in range(1, n + 1):
+        np.maximum.at(level[k], dst, level[k - 1, src] + w)
+    reached = np.isfinite(level[:n])
+    gaps = np.where(reached, level[n] - np.where(reached, level[:n], 0.0), np.inf)
+    means = (gaps / np.arange(n, 0, -1)[:, None]).min(axis=0)
+    vertex = int(means.argmax())
+    beta = float(means[vertex])
+    # Every cycle on a best n-edge walk into that vertex is critical: walk
+    # back over argmax parents to the first repeated vertex.
+    seen = set()
+    for k in range(n, 0, -1):
+        seen.add(vertex)
+        into = np.flatnonzero(dst == vertex)
+        vertex = int(src[into[(level[k - 1, src[into]] + w[into]).argmax()]])
+        if vertex in seen:
+            break
+    right = _longest_walks(n, src, dst, w - beta, vertex)
+    frame_w = w - beta + right[dst] - right[src]
+    return beta, right, frame_w, _longest_walks(n, dst, src, frame_w, vertex)
+
+
 def _solve_eigen(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> _EigenSolve:
     _require_over(sft, phi)
     graph = build_edge_graph(sft, phi)
-    logw = graph.logw
     n = graph.n_states
-    finite = logw[np.isfinite(logw)]
-    span = float(finite.max() - finite.min())
-
-    if span > _PRECONDITION_SPAN and n > 1:
-        # Conjugate each orientation by its own exact max-plus eigenvector
-        # so both iterations see O(1) quantities; the offsets recombine
-        # exactly in the pressure, the reported vectors and the
-        # stationary weights.
-        data = maxplus.analyze(n, graph.edges())
-        vec, left = data.eigenvector, data.left_eigenvector
-        frame = np.full_like(logw, -np.inf)
-        frame_t = np.full_like(logw, -np.inf)
-        for i, j, w in graph.edges():
-            exact = Fraction(w) - data.beta
-            frame[i, j] = float(exact + vec[j] - vec[i])
-            frame_t[j, i] = float(exact + left[i] - left[j])
-        value_offset = float(data.beta)
-        right_offset = np.array([float(v) for v in vec])
-        left_offset = np.array([float(y) for y in left])
-        stationary_offset = np.array([float(y + v) for y, v in zip(left, vec)])
-    else:
-        value_offset = float(finite.max())
-        frame = logw - value_offset
-        frame_t = frame.T
-        right_offset = np.zeros(n)
-        left_offset = np.zeros(n)
-        stationary_offset = np.zeros(n)
+    _, src, dst = block_graph(sft, graph.order)
+    # A conjugation keeps the spectrum and the enclosure is certified on the
+    # conjugated matrix, so frame rounding cannot weaken it.  Conjugating the
+    # transposed frame again, by its left eigenvector, keeps pi frame-sized.
+    beta, right, frame_w, left = _maxplus_frame(n, src, dst, graph.logw[src, dst])
+    frame = np.full((n, n), -np.inf)
+    frame[src, dst] = frame_w
+    frame_t = np.full((n, n), -np.inf)
+    frame_t[dst, src] = frame_w + left[src] - left[dst]
 
     p_right, u, res_right, it_right = power_log_perron(frame, tol, max_iter)
-    p_left, v, res_left, it_left = power_log_perron(frame_t, tol, max_iter)
-    residual = max(res_right, res_left)
+    _, v, res_left, it_left = power_log_perron(frame_t, tol, max_iter)
+    frame_left = v + left
     result = PressureResult(
-        value=p_right + value_offset,
-        left_vector=v + left_offset,
-        right_vector=u + right_offset,
-        residual=residual,
+        value=p_right + beta,
+        left_vector=frame_left - right,
+        right_vector=u + right,
+        residual=max(res_right, res_left),
         iterations=max(it_right, it_left),
     )
-    return _EigenSolve(graph, result, frame, p_right, u, v, stationary_offset)
+    return _EigenSolve(graph, result, frame, u, frame_left)
 
 
 def pressure(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> PressureResult:
@@ -222,12 +242,12 @@ def pressure_and_equilibrium(
 def _measure_from_eigen(solve: _EigenSolve) -> MarkovMeasure:
     frame = solve.frame_logw
     u = solve.frame_right
-    ln_kernel = frame + u[None, :] - solve.frame_value - u[:, None]
+    ln_kernel = frame + u[None, :] - u[:, None]
     ln_kernel -= logsumexp(ln_kernel, axis=1)[:, None]
     kernel = np.exp(ln_kernel)
     kernel /= kernel.sum(axis=1)[:, None]
 
-    ln_pi = solve.stationary_offset + solve.frame_left + solve.frame_right
+    ln_pi = solve.frame_left + solve.frame_right
     pi = np.exp(ln_pi - logsumexp(ln_pi))
     pi /= pi.sum()
     pi = _polish_stationary(pi, kernel)

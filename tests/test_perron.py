@@ -43,14 +43,13 @@ def test_logsumexp_ties_and_all_minus_inf_slices():
 
 
 def test_logsumexp_squaring_ladder_shape(rng):
-    # _lse_matmul reduces the middle axis of an (n, n, n) sum of log-weights
-    # in which missing edges are -inf, so whole slices can be -inf.
+    # The middle axis of an (n, n, n) sum of log-weights in which missing
+    # edges are -inf: whole slices can be -inf.
     for n in (1, 2, 3, 5):
         logw = rng.normal(size=(n, n)) * 10.0
         logw[rng.random((n, n)) < 0.4] = -np.inf
         cube = logw[:, :, None] + logw[None, :, :]
         assert_bit_identical(cube, 1)
-        assert np.array_equal(_perron._lse_matmul(logw, logw), scipy_logsumexp(cube, axis=1))
 
 
 def test_import_loads_no_scipy():
@@ -72,3 +71,41 @@ def test_slow_plain_contraction_escalates_early():
     _, W = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
     lam, _, _ = oracles.perron_pair(W)
     assert abs(result.value - math.log(lam)) <= 1e-12
+
+
+def ray(sft, phi, t):
+    return ts.combine(ts.zero_potential(sft), phi, t)
+
+
+def test_low_span_nearly_periodic_support_certifies():
+    # Span under 30 and a nearly periodic support with a tiny Perron root:
+    # without a max-plus frame the lazy phase stalls above the noise floor.
+    transitions = [[0, 1], [1, 1]]
+    values = {(0, 1, 0): 18.62, (0, 1, 1): 5.52, (1, 0, 1): -7.36,
+              (1, 1, 0): 2.86, (1, 1, 1): 0.29}
+    sft = ts.build_sft(2, transitions)
+    result, mu = ts.pressure_and_equilibrium(sft, ray(sft, ts.Potential(sft, 3, values), 1.0))
+    _, W = oracles.dense_weighted_matrix(transitions, 3, values, 1.0)
+    lam, _, _ = oracles.perron_pair(W)
+    assert abs(result.value - math.log(lam)) <= 1e-12
+    assert result.residual <= 1e-12
+
+
+@pytest.mark.parametrize("detune", [0.0, 1e-9])
+@pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
+def test_near_tied_loops_certify_within_tolerance(full2, detune, t):
+    # Two fixed-point loops of (nearly) equal weight joined by edges of
+    # weight -t: in the frame the spectral gap is about e^-t or detune * t,
+    # which only the squaring ladder closes within the budgets.
+    values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): -detune}
+    result = ts.pressure(full2, ray(full2, ts.Potential(full2, 2, values), t))
+    assert abs(result.value - math.log1p(math.exp(-t))) <= 1e-13
+    assert result.residual <= _perron.DEFAULT_TOL / 2
+
+
+def test_iterate_below_normal_range_is_a_typed_failure():
+    # An unconditioned matrix whose Perron vector spans e^-720: the first
+    # update leaves a subnormal entry, which is refused, not iterated on.
+    logw = np.array([[0.0, 0.0], [-720.0, -720.0]])
+    with pytest.raises(ts.errors.ConvergenceError, match="normal float range"):
+        _perron.power_log_perron(logw)
