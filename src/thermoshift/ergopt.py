@@ -4,7 +4,9 @@ The largest space average of a locally constant potential over invariant
 measures equals the maximum mean cycle weight of its edge graph; the
 maximizing measures are exactly the invariant measures carried by the
 critical subgraph (edges saturating the max-plus Bellman equation that
-lie on cycles).  These are computed exactly in rational arithmetic.
+lie on cycles).  These are computed exactly, in integer arithmetic on one
+common dyadic scale of the edge weights, with `Fraction` only in the
+result (see `maxplus`).
 """
 
 from __future__ import annotations

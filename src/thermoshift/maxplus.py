@@ -1,8 +1,12 @@
 """Exact max-plus spectral data for weighted digraphs.
 
-Everything here runs in rational arithmetic (floats convert to
-`fractions.Fraction` exactly), so the maximum cycle mean, the witness
-cycle and the critical subgraph are exact for any float edge weights.
+Everything here runs in exact integer arithmetic on one common dyadic
+scale: each weight is multiplied once by the common denominator of all
+the weights (for floats, which are dyadic rationals, the largest one), so
+every sum and comparison is a Python int operation, and
+`fractions.Fraction` appears only in the result.  The maximum cycle mean,
+the witness cycle and the critical subgraph are exact for any float edge
+weights.
 
 The graphs handled are strongly connected (they come from primitive
 subshifts), with at most one edge per ordered vertex pair.
@@ -44,63 +48,95 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
     """Full max-plus analysis of a strongly connected weighted digraph.
 
     ``edges`` is an iterable of ``(i, j, weight)``; weights may be
-    floats or Fractions.
+    floats, Fractions or ints.
     """
-    exact = [(i, j, Fraction(w)) for i, j, w in edges]
-    if not exact:
-        raise ValueError("graph has no edges")
-    beta, witness = karp_cycle_mean(n_vertices, exact)
-    normalized = [(i, j, w - beta) for i, j, w in exact]
+    scale, scaled = _scaled_to_ints(edges)
+    beta_num, beta_den, witness = _karp_scaled(n_vertices, scaled)
+    # w - beta in units of 1 / (scale * beta_den)
+    normalized = [(i, j, w * beta_den - beta_num) for i, j, w in scaled]
     vec = bellman_longest_to(n_vertices, normalized, witness[0])
     critical = critical_edges(n_vertices, normalized, vec)
-    return MaxPlusData(beta, tuple(witness), frozenset(critical), tuple(vec))
+    unit = scale * beta_den
+    return MaxPlusData(
+        Fraction(beta_num, unit),
+        tuple(witness),
+        frozenset(critical),
+        tuple(Fraction(v, unit) for v in vec),
+    )
 
 
 def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:
     """Maximum cycle mean by Karp's recurrence, plus a simple witness cycle.
 
-    All vertices must be reachable from vertex 0, and the weights are
-    Fractions.  The recurrence runs on Python ints: every weight is scaled
-    by the common denominator of the weights (for floats, which are dyadic
-    rationals, the largest one), which keeps every comparison exact and in
-    the same order.
+    All vertices must be reachable from vertex 0; the weights may be
+    floats, Fractions or ints.
     """
-    scale = math.lcm(*(w.denominator for _, _, w in edges))
-    scaled = [(i, j, w.numerator * (scale // w.denominator)) for i, j, w in edges]
-    # level[k][v] = best scaled weight of a walk 0 -> v with exactly k edges
-    level: list[dict[int, int]] = [{0: 0}]
-    parent: list[dict[int, int]] = [{}]
-    for k in range(1, n + 1):
-        cur: dict[int, int] = {}
-        par: dict[int, int] = {}
-        prev = level[k - 1]
-        for i, j, w in scaled:
-            if i in prev:
-                cand = prev[i] + w
-                if j not in cur or cand > cur[j]:
+    scale, scaled = _scaled_to_ints(edges)
+    beta_num, beta_den, cycle = _karp_scaled(n, scaled)
+    return Fraction(beta_num, beta_den * scale), cycle
+
+
+def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
+    """The common denominator of the weights, and the edges with every
+    weight multiplied by it (an exact int)."""
+    ratios = [(i, j, w.as_integer_ratio()) for i, j, w in edges]
+    if not ratios:
+        raise ValueError("graph has no edges")
+    scale = math.lcm(*(den for _, _, (_, den) in ratios))
+    return scale, [(i, j, num * (scale // den)) for i, j, (num, den) in ratios]
+
+
+def _karp_scaled(n: int, edges) -> tuple[int, int, list[int]]:
+    """Karp's recurrence on int weights: the maximum cycle mean as a pair
+    ``(num, den)`` with ``den > 0``, in the units of the weights, and a
+    simple cycle attaining it.
+
+    On equal candidates the first edge in edge order wins, and the
+    vertices are scanned for the maximum in the order their first edge
+    reaches them at level ``n``, so the witness does not depend on how
+    the levels are stored.
+    """
+    # level[k][v] = best weight of a walk 0 -> v with exactly k edges
+    # (None: no such walk); parent[k][v] = the vertex before v on it
+    level: list[list[int | None]] = [[0] + [None] * (n - 1)]
+    parent: list[list[int]] = [[]]
+    for _ in range(n):
+        prev = level[-1]
+        cur: list[int | None] = [None] * n
+        par = [0] * n
+        for i, j, w in edges:
+            p = prev[i]
+            if p is not None:
+                cand = p + w
+                c = cur[j]
+                if c is None or cand > c:
                     cur[j] = cand
                     par[j] = i
         level.append(cur)
         parent.append(par)
+    # Karp's formula counts only cycles reachable from vertex 0
+    if any(all(lv[v] is None for lv in level[:n]) for v in range(n)):
+        raise ValueError("a vertex is unreachable from vertex 0; graph not strongly connected")
 
     # beta = max over v of min over k of (top - level[k][v]) / (n - k);
     # each ratio is kept as an int pair (numerator, positive denominator)
     # and compared by cross-multiplication.
+    before = level[n - 1]
+    order = dict.fromkeys(j for i, j, _ in edges if before[i] is not None)
     beta_num = beta_den = best_v = None
-    for v, top in level[n].items():
+    for v in order:
+        top = level[n][v]
         low_num = low_den = None
         for k in range(n):
-            if v in level[k]:
-                num, den = top - level[k][v], n - k
+            lv = level[k][v]
+            if lv is not None:
+                num, den = top - lv, n - k
                 if low_num is None or num * low_den < low_num * den:
                     low_num, low_den = num, den
-        if low_num is not None and (
-            beta_num is None or low_num * beta_den > beta_num * low_den
-        ):
+        if beta_num is None or low_num * beta_den > beta_num * low_den:
             beta_num, beta_den, best_v = low_num, low_den, v
     if beta_num is None:
         raise ValueError("no vertex admits a walk of full length; graph not strongly connected")
-    beta = Fraction(beta_num, beta_den * scale)
 
     # Walk the parent chain back from (n, best_v); every cycle inside this
     # walk has mean exactly beta, so the first repeated vertex closes a
@@ -123,17 +159,17 @@ def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:
     total = sum(
         weight_of[(cycle[m], cycle[(m + 1) % len(cycle)])] for m in range(len(cycle))
     )
-    if total != beta * len(cycle):
+    if total * beta_den != beta_num * len(cycle):
         raise AssertionError("extracted cycle does not attain the maximum mean")
-    return beta, cycle
+    return beta_num, beta_den, cycle
 
 
-def bellman_longest_to(n: int, normalized_edges, target: int) -> list[Fraction]:
+def bellman_longest_to(n: int, normalized_edges, target: int) -> list:
     """Best path weight from every vertex to ``target`` under weights with
     no positive cycles; this is a max-plus eigenvector when ``target``
-    lies on a critical cycle."""
-    dist: list[Fraction | None] = [None] * n
-    dist[target] = Fraction(0)
+    lies on a critical cycle.  The weights may be ints or Fractions."""
+    dist: list = [None] * n
+    dist[target] = 0
     for _ in range(n - 1):
         changed = False
         for i, j, w in normalized_edges:
@@ -150,7 +186,7 @@ def bellman_longest_to(n: int, normalized_edges, target: int) -> list[Fraction]:
             raise AssertionError("positive cycle under beta-normalized weights")
     if any(d is None for d in dist):
         raise ValueError("graph not strongly connected")
-    return dist  # type: ignore[return-value]
+    return dist
 
 
 def critical_edges(n: int, normalized_edges, vec) -> set[tuple[int, int]]:

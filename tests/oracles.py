@@ -3,9 +3,9 @@
 Everything here recomputes expected values through routes that share no
 numerical code with the package: dense numpy eigensolves instead of
 log-domain power iteration, networkx cycle enumeration instead of Karp
-(and Karp's recurrence in ``Fraction``s instead of scaled integers),
-sequential matrix powers instead of repeated squaring, and closed-form
-inversions where available.
+(and Karp's recurrence, the Bellman pass and the critical subgraph in
+``Fraction``s instead of scaled integers), sequential matrix powers
+instead of repeated squaring, and closed-form inversions where available.
 """
 
 import itertools
@@ -149,6 +149,34 @@ def karp_fractions(n, edges):
             return beta, walk[seen[v]:idx]
         seen[v] = idx
     raise AssertionError("walk of full length contained no cycle")
+
+
+def analyze_fractions(n, edges):
+    """The max-plus analysis carried out in ``Fraction``s: Karp by
+    ``karp_fractions``, then Bellman passes for the best path weight from
+    every vertex into the witness's first vertex under ``w - beta``, and
+    the critical subgraph as the saturating edges inside one networkx
+    strongly connected component of the saturating subgraph.  Returns
+    ``(beta, witness, critical, eigenvector)``: the reference for the
+    package's integer passes."""
+    beta, witness = karp_fractions(n, edges)
+    normalized = [(i, j, Fraction(w) - beta) for i, j, w in edges]
+    dist = [None] * n
+    dist[witness[0]] = Fraction(0)
+    for _ in range(n - 1):
+        changed = False
+        for i, j, w in normalized:
+            if dist[j] is not None and (dist[i] is None or w + dist[j] > dist[i]):
+                dist[i] = w + dist[j]
+                changed = True
+        if not changed:
+            break
+    saturated = [(i, j) for i, j, w in normalized if dist[i] == w + dist[j]]
+    component = {}
+    for label, vertices in enumerate(nx.strongly_connected_components(nx.DiGraph(saturated))):
+        component.update(dict.fromkeys(vertices, label))
+    critical = frozenset((i, j) for i, j in saturated if component[i] == component[j])
+    return beta, tuple(witness), critical, tuple(dist)
 
 
 # --- closed forms ------------------------------------------------------------

@@ -89,18 +89,74 @@ def test_karp_matches_enumeration_exactly(rng):
         assert result.beta == float(oracle)
 
 
-def random_strongly_connected_graph(rng, n):
+def random_strongly_connected_graph(rng, n, palette=None):
     """Edges ``(i, j, weight)`` of a random strongly connected digraph whose
     float weights mix magnitudes (so their dyadic denominators differ) and
-    repeat values (so cycle means tie)."""
+    repeat values (so cycle means tie); the weights are drawn from
+    ``palette`` when one is given."""
     while True:
         mask = rng.random((n, n)) < min(1.0, 3.0 / n)
         pairs = list(zip(*np.nonzero(mask)))
         label = maxplus.strongly_connected_components(n, pairs)
         if pairs and len(set(label)) == 1:
             break
-    palette = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, size=4)
+    if palette is None:
+        palette = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, size=4)
     return [(int(i), int(j), float(rng.choice(palette))) for i, j in pairs]
+
+
+# Weights from 1e-300 to 1e300 with both signs, and the smallest subnormal,
+# which puts the common denominator at 2**1074.
+EXTREME_PALETTE = (5e-324, -1e-300, 2.5e-160, -0.1, 1.0, 3.0, -7e90, 1e150, -2e299, 1e300)
+
+
+def test_integer_analysis_matches_fraction_reference(rng):
+    graphs = []
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        graphs.append((n, random_strongly_connected_graph(rng, n)))
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        edges = random_strongly_connected_graph(rng, n, EXTREME_PALETTE)
+        i, j, _ = edges[0]
+        edges[0] = (i, j, 5e-324)
+        graphs.append((n, edges))
+    for _ in range(3):
+        n = int(rng.integers(30, 65))
+        graphs.append((n, random_strongly_connected_graph(rng, n)))
+    sft = ts.full_shift(10)
+    blocks = oracles.admissible_words(sft.transitions, 3)
+    for values in (
+        oracles.random_values(rng, sft.transitions, 3),
+        {b: float(rng.choice([-0.5, 0.0, 0.25])) for b in blocks},  # ties
+    ):
+        graph = build_edge_graph(sft, ts.Potential(sft, 3, values))
+        graphs.append((graph.n_states, list(graph.edges())))
+    assert graphs[-1][0] == 100
+    for n, edges in graphs:
+        data = maxplus.analyze(n, edges)
+        fields = (data.beta, data.witness, data.critical, data.eigenvector)
+        assert fields == oracles.analyze_fractions(n, edges)
+
+
+def test_bellman_rejects_a_positive_cycle():
+    with pytest.raises(AssertionError, match="positive cycle"):
+        maxplus.bellman_longest_to(2, [(0, 1, 1), (1, 0, 1)], 0)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, []),
+        (2, [(0, 0, 1.0), (1, 1, 2.0)]),  # vertex 1 unreachable from 0
+        (2, [(1, 0, 0.0), (0, 0, 0.0), (1, 1, 1.0)]),  # best cycle unreachable from 0
+        (2, [(0, 1, 0.5)]),  # no cycle at all
+        (3, [(0, 1, 0.0), (1, 1, 1.0), (0, 2, 0.0), (2, 2, 0.5)]),  # 2 misses the witness
+    ],
+)
+def test_analyze_rejects_empty_or_not_strongly_connected_graphs(n, edges):
+    with pytest.raises(ValueError):
+        maxplus.analyze(n, edges)
 
 
 def test_integer_karp_matches_fraction_recurrence_and_enumeration(rng):
