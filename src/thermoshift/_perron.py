@@ -152,11 +152,3 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
         f"(tolerance {tol:g}, {iterations} iterations)"
     )
 
-
-def log_perron_value(logw, tol=DEFAULT_TOL) -> float:
-    """Log Perron eigenvalue of ``exp(logw)``, with internal shift for
-    numerical headroom."""
-    finite = logw[np.isfinite(logw)]
-    shift = float(finite.max())
-    value, _, _, _ = power_log_perron(logw - shift, tol=tol)
-    return value + shift

@@ -32,9 +32,9 @@ from .paths import (
     solve_intermediate_pressure,
     sweep,
 )
-from .potentials import Potential, combine, sup_norm, zero_potential
+from .potentials import Potential, zero_potential
 from .sft import topological_entropy
-from .transfer import integrate, pressure, pressure_and_equilibrium
+from .transfer import integrate, lipschitz_check, pressure, pressure_and_equilibrium
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -272,18 +272,15 @@ def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, in
 
     for a_idx, name_a in enumerate(names):
         for name_b in names[a_idx + 1 :]:
-            phi = config.potentials[name_a]
-            psi = config.potentials[name_b]
-            gap = abs(pressure(sft, phi).value - pressure(sft, psi).value)
-            bound = sup_norm(combine(phi, psi, -1.0))
-            checks.append(
-                {
-                    "name": f"pressure-lipschitz[{name_a},{name_b}]",
-                    "ok": bool(gap <= bound + 1e-12),
-                    "gap": gap,
-                    "bound": bound,
-                }
-            )
+            entry = {"name": f"pressure-lipschitz[{name_a},{name_b}]"}
+            try:
+                report = lipschitz_check(
+                    sft, config.potentials[name_a], config.potentials[name_b]
+                )
+                entry.update(ok=True, gap=report.pressure_gap, bound=report.sup_norm_bound)
+            except CheckFailedError as exc:
+                entry.update(ok=False, detail=str(exc))
+            checks.append(entry)
 
     zero = zero_potential(sft)
     for name in names:

@@ -7,6 +7,10 @@ critical subgraph (edges saturating the max-plus Bellman equation that
 lie on cycles).  These are computed exactly, in integer arithmetic on one
 common dyadic scale of the edge weights, with `Fraction` only in the
 result (see `maxplus`).
+
+The ground entropy and the ground-state bound are pressures on the
+critical subgraph: exact on its simple cycles, and elsewhere Perron values
+in a float max-plus frame, certified as every eigensolve in `transfer`.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import numpy as np
 
 from . import maxplus
 from ._edgegraph import build_edge_graph, graph_order
+from ._perron import power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, zero_potential
 from .sft import Block, Sft, topological_entropy
-from .transfer import integrate, pressure_and_equilibrium
+from .transfer import _maxplus_frame, integrate, pressure_and_equilibrium
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     graph = build_edge_graph(sft, phi)
     data = maxplus.analyze(graph.n_states, graph.edges())
     critical = sorted(data.critical)
-    ground = _subgraph_entropy(graph.n_states, critical)
+    ground = _critical_pressure(graph.n_states, critical, np.zeros_like(graph.logw))
     return MaximizationResult(
         beta=float(data.beta),
         critical_edges=tuple(
@@ -66,15 +71,30 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     )
 
 
-def _subgraph_entropy(n: int, edge_pairs) -> float:
-    """Topological entropy of the subshift spanned by ``edge_pairs``."""
-    if maxplus.is_disjoint_simple_cycles(edge_pairs):
-        return 0.0
-    adjacency = np.zeros((n, n))
-    for i, j in edge_pairs:
-        adjacency[i, j] = 1.0
-    radius = max(abs(np.linalg.eigvals(adjacency)))
-    return max(0.0, float(np.log(radius)))
+def _critical_pressure(n: int, critical, logw: np.ndarray) -> float:
+    """Largest pressure of ``logw`` over the strongly connected components
+    of the ``critical`` edges: the exact mean on a simple cycle, else the
+    certified Perron value in a float max-plus frame, as in `transfer`."""
+    label = maxplus.strongly_connected_components(n, critical)
+    components: dict[int, list[tuple[int, int]]] = {}
+    for i, j in critical:
+        components.setdefault(label[i], []).append((i, j))
+
+    best = -math.inf
+    for edges in components.values():
+        if maxplus.is_disjoint_simple_cycles(edges):
+            value = math.fsum(logw[i, j] for i, j in edges) / len(edges)
+        else:
+            pairs = np.array(edges)
+            vertices, local = np.unique(pairs, return_inverse=True)
+            src, dst = local.reshape(pairs.shape).T
+            m = len(vertices)
+            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, logw[tuple(pairs.T)])
+            frame = np.full((m, m), -np.inf)
+            frame[src, dst] = frame_w
+            value = power_log_perron(frame)[0] + beta
+        best = max(best, value)
+    return best
 
 
 def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> float:
@@ -82,9 +102,9 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     maximizing ``phi``: the pressure of ``psi`` restricted to the
     critical subgraph of ``phi``.
 
-    Exact (cycle average of ``psi``) when the critical subgraph splits
-    into simple cycles; otherwise the Perron value of the
-    ``psi``-weighted critical subgraph.
+    Exact (cycle average of ``psi``) on a component of the critical
+    subgraph that is a simple cycle; otherwise the certified Perron value
+    of the ``psi``-weighted component in a max-plus frame.
     """
     if psi.sft != sft or phi.sft != sft:
         raise MismatchedSystemError("potentials must live on the given subshift")
@@ -92,27 +112,7 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     phi_graph = build_edge_graph(sft, phi, order)
     psi_graph = build_edge_graph(sft, psi, order)
     data = maxplus.analyze(phi_graph.n_states, phi_graph.edges())
-
-    label = maxplus.strongly_connected_components(phi_graph.n_states, data.critical)
-    components: dict[int, list[tuple[int, int]]] = {}
-    for i, j in data.critical:
-        components.setdefault(label[i], []).append((i, j))
-
-    best = -math.inf
-    for edges in components.values():
-        if maxplus.is_disjoint_simple_cycles(edges):
-            value = math.fsum(psi_graph.logw[i, j] for i, j in edges) / len(edges)
-        else:
-            vertices = sorted({v for e in edges for v in e})
-            pos = {v: k for k, v in enumerate(vertices)}
-            shift = max(psi_graph.logw[i, j] for i, j in edges)
-            weighted = np.zeros((len(vertices), len(vertices)))
-            for i, j in edges:
-                weighted[pos[i], pos[j]] = np.exp(psi_graph.logw[i, j] - shift)
-            radius = max(abs(np.linalg.eigvals(weighted)))
-            value = float(np.log(radius)) + shift
-        best = max(best, value)
-    return best
+    return _critical_pressure(phi_graph.n_states, data.critical, psi_graph.logw)
 
 
 @dataclass(frozen=True)

@@ -65,17 +65,6 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
     )
 
 
-def karp_cycle_mean(n: int, edges) -> tuple[Fraction, list[int]]:
-    """Maximum cycle mean by Karp's recurrence, plus a simple witness cycle.
-
-    All vertices must be reachable from vertex 0; the weights may be
-    floats, Fractions or ints.
-    """
-    scale, scaled = _scaled_to_ints(edges)
-    beta_num, beta_den, cycle = _karp_scaled(n, scaled)
-    return Fraction(beta_num, beta_den * scale), cycle
-
-
 def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
     """The common denominator of the weights, and the edges with every
     weight multiplied by it (an exact int)."""

@@ -20,10 +20,16 @@ from .errors import (
     NotPrimitiveError,
     NotSquareError,
     StrandedSymbolError,
+    ValidationError,
 )
 
 # A block is a finite admissible word, represented as a tuple of symbols.
 Block = tuple[int, ...]
+
+# Most admissible blocks one listing may hold.  Dense tables are indexed
+# by listed blocks, so each float64 one stays within 8 * MAX_BLOCKS**2
+# bytes = 128 MiB.
+MAX_BLOCKS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +99,10 @@ class Sft:
     def _topological_entropy(self) -> float:
         # Solved on first use rather than at construction, so building an
         # Sft (for instance a higher-block recoding) costs no eigensolve.
-        from ._perron import log_perron_value
+        from ._perron import power_log_perron
 
         logw = np.where(self.transitions > 0, 0.0, -np.inf)
-        return log_perron_value(logw)
+        return power_log_perron(logw)[0]
 
 
 def wielandt_bound(n: int) -> int:
@@ -145,9 +151,22 @@ def is_admissible_block(sft: Sft, word) -> bool:
 
 
 def admissible_blocks(sft: Sft, k: int) -> list[Block]:
-    """All admissible words of length ``k`` in lexicographic order."""
+    """All admissible words of length ``k`` in lexicographic order; more
+    than ``MAX_BLOCKS`` of them raise ``ValidationError`` before listing."""
     if k < 1:
         raise BlockLengthError(f"block length must be >= 1, got {k}")
+    # ends[s]: j-blocks ending in s, so the k-block count is the entry sum
+    # of A^(k-1) (Lind and Marcus, 2.2); stopping once a length exceeds the
+    # cap keeps every product below alphabet_size * MAX_BLOCKS.
+    ends = np.ones(sft.alphabet_size, dtype=np.int64)
+    for _ in range(k - 1):
+        if ends.sum() > MAX_BLOCKS:
+            break
+        ends = ends @ sft.transitions
+    if ends.sum() > MAX_BLOCKS:
+        raise ValidationError(
+            f"at least {ends.sum()} admissible {k}-blocks, over the cap of {MAX_BLOCKS}"
+        )
     blocks: list[Block] = [(s,) for s in range(sft.alphabet_size)]
     for _ in range(k - 1):
         blocks = [

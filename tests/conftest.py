@@ -22,3 +22,14 @@ def full3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def no_block_listing(monkeypatch):
+    """Fail as soon as admissible blocks are listed, so that a refusal of
+    an oversized table must come first."""
+
+    def listing(self, i, j):
+        raise AssertionError("admissible blocks were listed")
+
+    monkeypatch.setattr(ts.Sft, "is_edge", listing)

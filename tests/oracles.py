@@ -72,6 +72,15 @@ def perron_pair(W):
     return lam, r, l
 
 
+def restricted_log_radius(W, edges):
+    """Log spectral radius of ``W`` kept only on the index pairs ``edges``,
+    by a dense eigensolve (no conditioning, no certificate)."""
+    R = np.zeros_like(W)
+    for i, j in edges:
+        R[i, j] = W[i, j]
+    return math.log(max(abs(np.linalg.eigvals(R))))
+
+
 def stationary_from_kernel(P):
     """Stationary vector of a stochastic matrix via the SVD null space of
     ``P^T - I`` (no power iteration)."""

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import thermoshift as ts
+from thermoshift import cli
 from thermoshift.cli import CSV_HEADER, main
+from thermoshift.errors import CheckFailedError
 
 GOLDEN_CONFIG = {
     "alphabet": 2,
@@ -298,6 +300,36 @@ def test_check_command(tmp_path):
     assert any(name.startswith("variational-identity") for name in names)
     assert any(name.startswith("pressure-lipschitz") for name in names)
     assert any(name.startswith("entropy-monotone") for name in names)
+
+
+def test_oversized_config_is_a_configuration_error(tmp_path, capsys, no_block_listing):
+    config = {
+        "alphabet": 40,
+        "transitions": [[1] * 40] * 40,
+        "potentials": {"big": {"memory": 6, "values": {}}},
+    }
+    assert main(["entropy", write_config(tmp_path, config)]) == 3
+    assert "potentials.big: at least" in capsys.readouterr().err
+
+
+def test_check_reports_a_failed_library_check(monkeypatch, capsys):
+    def failing(sft, phi, psi):
+        raise CheckFailedError("pressure gap exceeds the sup-norm bound")
+
+    monkeypatch.setattr(cli, "lipschitz_check", failing)
+    config = str(pathlib.Path(__file__).parent / "data" / "golden.json")
+    assert main(["check", config, "--t-max", "2", "--steps", "5"]) == 5
+    payload = json.loads(capsys.readouterr().out)  # one JSON object
+    assert payload["ok"] is False
+    lipschitz = [c for c in payload["checks"] if c["name"].startswith("pressure-lipschitz")]
+    assert len(lipschitz) == 3
+    for entry in lipschitz:
+        assert entry == {
+            "name": entry["name"],
+            "ok": False,
+            "detail": "pressure gap exceeds the sup-norm bound",
+        }
+    assert all(c["ok"] for c in payload["checks"] if c not in lipschitz)
 
 
 def test_results_only_on_stdout(tmp_path):

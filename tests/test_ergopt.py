@@ -160,18 +160,20 @@ def test_analyze_rejects_empty_or_not_strongly_connected_graphs(n, edges):
 
 
 def test_integer_karp_matches_fraction_recurrence_and_enumeration(rng):
+    def karp(n, edges):
+        data = maxplus.analyze(n, [(i, j, Fraction(w)) for i, j, w in edges])
+        return data.beta, list(data.witness)
+
     for _ in range(60):
         n = int(rng.integers(1, 9))
         edges = random_strongly_connected_graph(rng, n)
-        exact = [(i, j, Fraction(w)) for i, j, w in edges]
-        beta, witness = maxplus.karp_cycle_mean(n, exact)
+        beta, witness = karp(n, edges)
         assert (beta, witness) == oracles.karp_fractions(n, edges)
         assert beta == oracles.max_cycle_mean_enumeration(n, edges)
     for _ in range(5):  # beyond the reach of cycle enumeration
         n = int(rng.integers(30, 65))
         edges = random_strongly_connected_graph(rng, n)
-        exact = [(i, j, Fraction(w)) for i, j, w in edges]
-        assert maxplus.karp_cycle_mean(n, exact) == oracles.karp_fractions(n, edges)
+        assert karp(n, edges) == oracles.karp_fractions(n, edges)
 
 
 def test_witness_cycle_mean_is_exactly_beta(rng):
@@ -211,6 +213,81 @@ def test_ground_entropy_below_topological(rng):
         assert result.ground_entropy <= ts.topological_entropy(sft) + 1e-12
         if result.unique_flag:
             assert result.ground_entropy == 0.0
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [ts.golden_mean_shift, lambda: ts.full_shift(2), lambda: ts.full_shift(5)],
+    ids=["golden", "full2", "full5"],
+)
+def test_ground_entropy_of_constant_potential_is_topological_entropy(make, memory):
+    # the whole edge graph is critical, so the ground entropy is h(f)
+    sft = make()
+    for c in (0.0, 0.7, -3.25):
+        result = ts.max_ergodic_average(sft, ts.constant_potential(sft, c, memory))
+        assert result.ground_entropy == ts.topological_entropy(sft)
+
+
+def period_two_critical_potential(full3):
+    """A potential on the full 3-shift whose critical subgraph is the
+    period-2 component {01, 10, 12, 21}."""
+    critical = {(0, 1), (1, 0), (1, 2), (2, 1)}
+    table = {(i, j): 0.0 if (i, j) in critical else -1.0 for i in range(3) for j in range(3)}
+    return ts.Potential(full3, 2, table)
+
+
+def test_period_two_critical_component(full3):
+    phi = period_two_critical_potential(full3)
+    result = ts.max_ergodic_average(full3, phi)
+    assert len(result.critical_edges) == 4
+    # two closed 2-walks through 1 (1-0-1, 1-2-1), so lambda**2 = 2
+    assert result.ground_entropy == pytest.approx(LN2 / 2, abs=1e-13)
+    for a, b, c in ((0.3, -0.2, 1.1), (1.0, 2.0, 3.0), (-4.0, 0.5, -4.0)):
+        psi = ts.Potential(full3, 1, {(0,): a, (1,): b, (2,): c})
+        expected = (b + math.log(math.exp(a) + math.exp(c))) / 2
+        alpha = ts.ground_state_pressure_bound(full3, psi, phi)
+        assert alpha == pytest.approx(expected, abs=1e-13)
+
+
+def test_bound_on_widely_spread_psi(full3):
+    # exp(psi) spans 1e-391 to 1e347: a shift by the largest weight alone
+    # underflows every other one
+    phi = period_two_critical_potential(full3)
+    psi = ts.Potential(full3, 1, {(0,): 0.0, (1,): -900.0, (2,): 800.0})
+    alpha = ts.ground_state_pressure_bound(full3, psi, phi)
+    assert alpha == pytest.approx(-50.0, abs=1e-12)
+
+
+def test_ground_values_match_dense_eigensolve(rng):
+    # integer values tie many cycles, so many critical subgraphs carry a
+    # component that is not a simple cycle (27 of these 100 draws)
+    def integer_values(m, memory):
+        values = oracles.random_values(rng, m, memory, scale=1.0)
+        return {b: float(round(v)) for b, v in values.items()}
+
+    non_cycle = 0
+    for _ in range(100):
+        m = oracles.random_primitive_transitions(rng)
+        sft = ts.build_sft(len(m), m)
+        memory = int(rng.integers(2, 4))
+        phi_values = integer_values(m, memory)
+        psi_values = integer_values(m, memory)
+        phi = ts.Potential(sft, memory, phi_values)
+        psi = ts.Potential(sft, memory, psi_values)
+        result = ts.max_ergodic_average(sft, phi)
+        states, w_psi = oracles.dense_weighted_matrix(m, memory, psi_values)
+        index = {b: i for i, b in enumerate(states)}
+        critical = [(index[b], index[c]) for b, c in result.critical_edges]
+        non_cycle += not maxplus.is_disjoint_simple_cycles(critical)
+        ones = (w_psi > 0).astype(float)
+        assert result.ground_entropy == pytest.approx(
+            oracles.restricted_log_radius(ones, critical), abs=1e-12
+        )
+        assert ts.ground_state_pressure_bound(sft, psi, phi) == pytest.approx(
+            oracles.restricted_log_radius(w_psi, critical), abs=1e-12
+        )
+    assert non_cycle >= 20
 
 
 # --- invariances -----------------------------------------------------------------

@@ -157,3 +157,11 @@ def test_value_on_ignores_trailing_symbols(golden):
     assert phi.value_on((1, 0, 0)) == -2.0
     with pytest.raises(WordTooShortError):
         ts.fixed_point_potential(golden, 0).value_on((0,))
+
+
+def test_oversized_potential_is_refused_before_listing(no_block_listing):
+    big = ts.full_shift(40)
+    with pytest.raises(ValidationError, match="at least .* admissible 6-blocks, over the cap"):
+        ts.Potential(big, 6, {})
+    with pytest.raises(ValidationError, match="over the cap"):
+        ts.zero_potential(big, 6)

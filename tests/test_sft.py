@@ -12,8 +12,9 @@ from thermoshift.errors import (
     NotPrimitiveError,
     NotSquareError,
     StrandedSymbolError,
+    ValidationError,
 )
-from thermoshift.sft import block_graph
+from thermoshift.sft import MAX_BLOCKS, block_graph
 
 import oracles
 
@@ -146,14 +147,14 @@ def test_recode_preserves_entropy(rng, full2, golden, full3):
 
 def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     calls = []
-    original = _perron.log_perron_value
+    original = _perron.power_log_perron
 
     def counting(logw, *args, **kwargs):
         calls.append(logw.shape)
         return original(logw, *args, **kwargs)
 
     m = oracles.random_primitive_transitions(rng)
-    monkeypatch.setattr(_perron, "log_perron_value", counting)
+    monkeypatch.setattr(_perron, "power_log_perron", counting)
     sft = ts.build_sft(len(m), m)
     assert calls == []  # nothing is solved at construction
     first = ts.topological_entropy(sft)
@@ -162,7 +163,7 @@ def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     # an equal but distinct Sft solves afresh, to the same bits
     assert ts.topological_entropy(ts.build_sft(len(m), m)) == first
     assert len(calls) == 2
-    uncached = original(np.where(np.asarray(m) > 0, 0.0, -np.inf))
+    uncached = original(np.where(np.asarray(m) > 0, 0.0, -np.inf))[0]
     assert first == uncached
 
 
@@ -195,6 +196,24 @@ def test_block_graph_is_cached_and_read_only(golden):
         dst[0] = 1
     with pytest.raises(BlockLengthError):
         block_graph(golden, 0)
+
+
+def test_block_count_cap_is_exact(golden):
+    # golden-mean k-blocks number F(k+2): 2584 at k = 16, 4181 at k = 17
+    assert len(ts.admissible_blocks(golden, 16)) == 2584
+    with pytest.raises(ValidationError, match=f"4181 admissible 17-blocks, over the cap of {MAX_BLOCKS}"):
+        ts.admissible_blocks(golden, 17)
+    assert len(ts.admissible_blocks(ts.full_shift(4), 6)) == MAX_BLOCKS
+    with pytest.raises(ValidationError, match="8192 admissible 13-blocks"):
+        ts.admissible_blocks(ts.full_shift(2), 13)
+
+
+def test_oversized_block_graph_is_refused_before_listing(no_block_listing):
+    big = ts.full_shift(40)  # 40**5 and 40**6 blocks
+    for k in (5, 6):
+        with pytest.raises(ValidationError, match=f"over the cap of {MAX_BLOCKS}"):
+            block_graph(big, k)
+    assert big._block_graphs == {}
 
 
 def test_block_graph_concurrent_first_calls_agree(rng):
