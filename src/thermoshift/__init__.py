@@ -60,6 +60,7 @@ from .transfer import (
     measure_entropy,
     pressure,
     pressure_and_equilibrium,
+    variational_identity_check,
 )
 
 __version__ = "0.1.0"
@@ -109,6 +110,7 @@ __all__ = [
     "sup_norm",
     "sweep",
     "topological_entropy",
+    "variational_identity_check",
     "wielandt_bound",
     "zero_potential",
     "zero_temperature_diagnostics",

@@ -43,21 +43,40 @@ def graph_order(memory: int) -> int:
     return max(memory - 1, 1)
 
 
-def build_edge_graph(sft: Sft, phi: Potential, order: int | None = None) -> EdgeGraph:
-    """Edge-indexed form of ``phi`` at the given (or minimal) vertex order."""
-    if order is None:
-        order = graph_order(phi.memory)
+def edge_weights(phi: Potential, order: int) -> np.ndarray:
+    """Values of ``phi`` on the edges of ``block_graph(phi.sft, order)``,
+    aligned with its ``src, dst``; built once per ``(phi, order)``, cached
+    on ``phi`` and read-only.  Two concurrent first calls may both build
+    the vector, which is harmless."""
+    weights = phi._edge_weights.get(order)
+    if weights is None:
+        weights = phi._edge_weights[order] = _build_edge_weights(phi, order)
+    return weights
+
+
+def _build_edge_weights(phi: Potential, order: int) -> np.ndarray:
     if order + 1 < phi.memory:
         raise ValueError(
             f"order {order} cannot carry a memory-{phi.memory} potential"
         )
-    states, src, dst = block_graph(sft, order)
     # Edge e is the e-th (order+1)-block; the src arrays of the lower
     # orders map it to its memory-prefix, the index of its value.
-    prefix = np.arange(len(src))
+    prefix = np.arange(len(block_graph(phi.sft, order)[1]))
     for k in range(order, phi.memory - 1, -1):
-        prefix = block_graph(sft, k)[1][prefix]
+        prefix = block_graph(phi.sft, k)[1][prefix]
     values = np.fromiter(phi.values.values(), float, len(phi.values))
+    weights = values[prefix]
+    weights.flags.writeable = False
+    return weights
+
+
+def build_edge_graph(sft: Sft, phi: Potential, order: int | None = None) -> EdgeGraph:
+    """Edge-indexed form of ``phi`` at the given (or minimal) vertex order:
+    its cached edge weights scattered into a dense table."""
+    if order is None:
+        order = graph_order(phi.memory)
+    weights = edge_weights(phi, order)
+    states, src, dst = block_graph(sft, order)
     logw = np.full((len(states), len(states)), -np.inf)
-    logw[src, dst] = values[prefix]
+    logw[src, dst] = weights
     return EdgeGraph(sft, order, states, logw)

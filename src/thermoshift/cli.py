@@ -34,7 +34,12 @@ from .paths import (
 )
 from .potentials import Potential, zero_potential
 from .sft import topological_entropy
-from .transfer import integrate, lipschitz_check, pressure, pressure_and_equilibrium
+from .transfer import (
+    lipschitz_check,
+    pressure,
+    pressure_and_equilibrium,
+    variational_identity_check,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -259,15 +264,11 @@ def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, in
     names = sorted(config.potentials)
 
     for name in names:
-        phi = config.potentials[name]
-        result, mu = pressure_and_equilibrium(sft, phi)
-        gap = abs(result.value - (mu.entropy + integrate(mu, phi)))
+        report = variational_identity_check(
+            sft, config.potentials[name], raise_on_failure=False
+        )
         checks.append(
-            {
-                "name": f"variational-identity[{name}]",
-                "ok": bool(gap <= 1e-9),
-                "gap": gap,
-            }
+            {"name": f"variational-identity[{name}]", "ok": report.ok, "gap": report.gap}
         )
 
     for a_idx, name_a in enumerate(names):

@@ -24,9 +24,9 @@ from . import maxplus
 from ._edgegraph import build_edge_graph, graph_order
 from ._perron import power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
-from .potentials import Potential, combine, zero_potential
+from .potentials import Potential, zero_potential
 from .sft import Block, Sft, topological_entropy
-from .transfer import _maxplus_frame, integrate, pressure_and_equilibrium
+from .transfer import _maxplus_frame, _ray_equilibrium, integrate
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def zero_temperature_diagnostics(
     rows = []
     previous = None
     for t in ts:
-        _, mu = pressure_and_equilibrium(sft, combine(zero, phi, t))
+        _, mu = _ray_equilibrium(sft, zero, phi, t)
         avg = integrate(mu, phi)
         defect = beta - avg
         bound = h_top / t

@@ -30,6 +30,7 @@ from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
 from .transfer import (
     _asymptotic_variance,
+    _ray_equilibrium,
     integrate,
     pressure,
     pressure_and_equilibrium,
@@ -80,7 +81,7 @@ class SolveReport:
 
 def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
     """Evaluate one path sample at parameter ``t``."""
-    result, mu = pressure_and_equilibrium(sft, combine(psi, phi, t))
+    result, mu = _ray_equilibrium(sft, psi, phi, t)
     entropy = mu.entropy
     return PathSample(
         t=float(t),

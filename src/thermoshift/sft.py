@@ -79,9 +79,12 @@ class Sft:
             )
         m.flags.writeable = False
         object.__setattr__(self, "transitions", m)
+        object.__setattr__(self, "_block_lists", {})
         object.__setattr__(self, "_block_graphs", {})
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Sft):
             return NotImplemented
         return self.alphabet_size == other.alphabet_size and np.array_equal(
@@ -153,8 +156,17 @@ def is_admissible_block(sft: Sft, word) -> bool:
 def admissible_blocks(sft: Sft, k: int) -> list[Block]:
     """All admissible words of length ``k`` in lexicographic order; more
     than ``MAX_BLOCKS`` of them raise ``ValidationError`` before listing."""
+    return list(_block_listing(sft, k))
+
+
+def _block_listing(sft: Sft, k: int) -> tuple[Block, ...]:
+    """The admissible ``k``-blocks as a tuple, listed once per ``(sft, k)``
+    and cached on ``sft``."""
     if k < 1:
         raise BlockLengthError(f"block length must be >= 1, got {k}")
+    listing = sft._block_lists.get(k)
+    if listing is not None:
+        return listing
     # ends[s]: j-blocks ending in s, so the k-block count is the entry sum
     # of A^(k-1) (Lind and Marcus, 2.2); stopping once a length exceeds the
     # cap keeps every product below alphabet_size * MAX_BLOCKS.
@@ -175,7 +187,8 @@ def admissible_blocks(sft: Sft, k: int) -> list[Block]:
             for s in range(sft.alphabet_size)
             if sft.is_edge(b[-1], s)
         ]
-    return blocks
+    listing = sft._block_lists[k] = tuple(blocks)
+    return listing
 
 
 def topological_entropy(sft: Sft) -> float:
@@ -192,11 +205,9 @@ def block_graph(sft: Sft, k: int) -> tuple[tuple[Block, ...], np.ndarray, np.nda
     read from its prefix ``states[src[e]]`` to its suffix ``states[dst[e]]``.
     Two concurrent first calls may both build the graph, which is harmless.
     """
-    if k < 1:
-        raise BlockLengthError(f"block length must be >= 1, got {k}")
     graph = sft._block_graphs.get(k)
     if graph is None:
-        states = tuple(admissible_blocks(sft, k))
+        states = _block_listing(sft, k)
         index = {b: i for i, b in enumerate(states)}
         follow = [np.flatnonzero(row).tolist() for row in sft.transitions]
         edges = [

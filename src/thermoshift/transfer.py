@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maxplus
-from ._edgegraph import EdgeGraph, build_edge_graph
+from ._edgegraph import edge_weights, graph_order
 from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
@@ -50,7 +50,8 @@ class PressureResult:
 
 @dataclass(frozen=True)
 class _EigenSolve:
-    graph: EdgeGraph
+    sft: Sft
+    order: int
     result: PressureResult
     frame_logw: np.ndarray
     frame_right: np.ndarray
@@ -109,15 +110,14 @@ def _maxplus_frame(n, src, dst, w):
     return beta, right, frame_w, _longest_walks(n, dst, src, frame_w, vertex)
 
 
-def _solve_eigen(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> _EigenSolve:
-    _require_over(sft, phi)
-    graph = build_edge_graph(sft, phi)
-    n = graph.n_states
-    _, src, dst = block_graph(sft, graph.order)
+def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter) -> _EigenSolve:
+    """Eigensolve of the edge weights ``w`` on ``block_graph(sft, order)``."""
+    states, src, dst = block_graph(sft, order)
+    n = len(states)
     # A conjugation keeps the spectrum and the enclosure is certified on the
     # conjugated matrix, so frame rounding cannot weaken it.  Conjugating the
     # transposed frame again, by its left eigenvector, keeps pi frame-sized.
-    beta, right, frame_w, left = _maxplus_frame(n, src, dst, graph.logw[src, dst])
+    beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
     frame = np.full((n, n), -np.inf)
     frame[src, dst] = frame_w
     frame_t = np.full((n, n), -np.inf)
@@ -133,12 +133,18 @@ def _solve_eigen(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATI
         residual=max(res_right, res_left),
         iterations=max(it_right, it_left),
     )
-    return _EigenSolve(graph, result, frame, u, frame_left)
+    return _EigenSolve(sft, order, result, frame, u, frame_left)
+
+
+def _solve_potential(sft: Sft, phi: Potential, tol, max_iter) -> _EigenSolve:
+    _require_over(sft, phi)
+    order = graph_order(phi.memory)
+    return _solve_eigen(sft, order, edge_weights(phi, order), tol, max_iter)
 
 
 def pressure(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> PressureResult:
     """Topological pressure of ``phi`` in nats."""
-    return _solve_eigen(sft, phi, tol, max_iter).result
+    return _solve_potential(sft, phi, tol, max_iter).result
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +233,32 @@ def measure_entropy(mu: MarkovMeasure) -> float:
 
 def equilibrium_state(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> MarkovMeasure:
     """The unique equilibrium state of ``phi`` as a Markov measure."""
-    solve = _solve_eigen(sft, phi, tol, max_iter)
-    return _measure_from_eigen(solve)
+    return _measure_from_eigen(_solve_potential(sft, phi, tol, max_iter))
 
 
 def pressure_and_equilibrium(
     sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS
 ) -> tuple[PressureResult, MarkovMeasure]:
     """Pressure and its equilibrium state from a single eigensolve."""
-    solve = _solve_eigen(sft, phi, tol, max_iter)
+    solve = _solve_potential(sft, phi, tol, max_iter)
+    return solve.result, _measure_from_eigen(solve)
+
+
+def _ray_equilibrium(
+    sft: Sft, psi: Potential, phi: Potential, t: float
+) -> tuple[PressureResult, MarkovMeasure]:
+    """Pressure and equilibrium state of ``psi + t * phi`` at the common
+    order, solved on the cached edge weights of both potentials: the
+    weights of ``combine(psi, phi, t)`` bit for bit, without building that
+    potential or its dense edge table."""
+    _require_over(sft, psi)
+    _require_over(sft, phi)
+    order = max(graph_order(psi.memory), graph_order(phi.memory))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        w = edge_weights(psi, order) + t * edge_weights(phi, order)
+    if not np.isfinite(w).all():
+        raise ValidationError(f"psi + t * phi has a non-finite value at t = {t}")
+    solve = _solve_eigen(sft, order, w, DEFAULT_TOL, MAX_ITERATIONS)
     return solve.result, _measure_from_eigen(solve)
 
 
@@ -251,7 +274,7 @@ def _measure_from_eigen(solve: _EigenSolve) -> MarkovMeasure:
     pi = np.exp(ln_pi - logsumexp(ln_pi))
     pi /= pi.sum()
     pi = _polish_stationary(pi, kernel)
-    return MarkovMeasure(solve.graph.sft, solve.graph.order, pi, kernel)
+    return MarkovMeasure(solve.sft, solve.order, pi, kernel)
 
 
 def _polish_stationary(pi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -306,10 +329,11 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
         raise MismatchedSystemError("potential and measure live on different subshifts")
     if phi.memory > mu.order + 1:
         mu = lift_markov_measure(mu, phi.memory - 1)
-    weight = mu.stationary[:, None] * mu.kernel
-    charged = weight > 0  # masked first: 0 * -inf is nan off the edges
-    logw = build_edge_graph(mu.sft, phi, mu.order).logw
-    return math.fsum((weight[charged] * logw[charged]).tolist())
+    _, src, dst = block_graph(mu.sft, mu.order)
+    weight = mu.stationary[src] * mu.kernel[src, dst]
+    charged = weight > 0
+    # fsum is exactly rounded, so the order of the edges cannot matter.
+    return math.fsum((weight[charged] * edge_weights(phi, mu.order)[charged]).tolist())
 
 
 def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
@@ -332,7 +356,10 @@ def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
     leave it a few ulps below zero where it vanishes.
     """
     kernel, pi = mu.kernel, mu.stationary
-    f = np.where(kernel > 0, build_edge_graph(mu.sft, phi, mu.order).logw, 0.0)
+    _, src, dst = block_graph(mu.sft, mu.order)
+    f = np.zeros_like(kernel)
+    # 0 wherever the kernel is 0, so no product there is a signed zero
+    f[src, dst] = np.where(kernel[src, dst] > 0, edge_weights(phi, mu.order), 0.0)
     weighted = kernel * f
     g = weighted.sum(axis=1)
     m = pi @ g
@@ -342,6 +369,34 @@ def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
         return math.nan
     spread = pi @ (kernel * (f - m) ** 2).sum(axis=1)
     return float(spread + 2.0 * pi @ (weighted @ h))
+
+
+@dataclass(frozen=True)
+class VariationalIdentityReport:
+    """Gap in the variational identity ``P(phi) = h(mu) + integral(phi, mu)``
+    at the computed equilibrium state ``mu``."""
+
+    gap: float
+    ok: bool
+
+
+def variational_identity_check(
+    sft: Sft, phi: Potential, tol: float = 1e-9, *, raise_on_failure: bool = True
+) -> VariationalIdentityReport:
+    """Verify that the equilibrium state of ``phi`` attains its pressure.
+
+    A gap above ``tol`` (or a ``nan`` gap) raises ``CheckFailedError``;
+    with ``raise_on_failure=False`` it is returned as a report with
+    ``ok`` False instead.
+    """
+    result, mu = pressure_and_equilibrium(sft, phi)
+    gap = abs(result.value - (mu.entropy + integrate(mu, phi)))
+    ok = bool(gap <= tol)
+    if not ok and raise_on_failure:
+        raise CheckFailedError(
+            f"equilibrium state misses the variational identity by {gap} (tol {tol})"
+        )
+    return VariationalIdentityReport(gap, ok)
 
 
 @dataclass(frozen=True)
