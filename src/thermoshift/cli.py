@@ -264,9 +264,7 @@ def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, in
     names = sorted(config.potentials)
 
     for name in names:
-        report = variational_identity_check(
-            sft, config.potentials[name], raise_on_failure=False
-        )
+        report = variational_identity_check(sft, config.potentials[name])
         checks.append(
             {"name": f"variational-identity[{name}]", "ok": report.ok, "gap": report.gap}
         )

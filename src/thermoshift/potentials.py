@@ -53,8 +53,7 @@ class Potential:
         bad = [b for b, v in table.items() if not math.isfinite(v)]
         if bad:
             raise ValidationError(f"non-finite value on block(s): {_word_strs(bad)}")
-        # Keyed by the cached listing, which is in lexicographic order.
-        table = {b: table[b] for b in expected}
+        table = dict(sorted(table.items()))
         object.__setattr__(self, "values", MappingProxyType(table))
         # order -> read-only edge weights, filled by `_edgegraph.edge_weights`
         object.__setattr__(self, "_edge_weights", {})

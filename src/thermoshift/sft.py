@@ -79,7 +79,6 @@ class Sft:
             )
         m.flags.writeable = False
         object.__setattr__(self, "transitions", m)
-        object.__setattr__(self, "_block_lists", {})
         object.__setattr__(self, "_block_graphs", {})
 
     def __eq__(self, other):
@@ -156,17 +155,8 @@ def is_admissible_block(sft: Sft, word) -> bool:
 def admissible_blocks(sft: Sft, k: int) -> list[Block]:
     """All admissible words of length ``k`` in lexicographic order; more
     than ``MAX_BLOCKS`` of them raise ``ValidationError`` before listing."""
-    return list(_block_listing(sft, k))
-
-
-def _block_listing(sft: Sft, k: int) -> tuple[Block, ...]:
-    """The admissible ``k``-blocks as a tuple, listed once per ``(sft, k)``
-    and cached on ``sft``."""
     if k < 1:
         raise BlockLengthError(f"block length must be >= 1, got {k}")
-    listing = sft._block_lists.get(k)
-    if listing is not None:
-        return listing
     # ends[s]: j-blocks ending in s, so the k-block count is the entry sum
     # of A^(k-1) (Lind and Marcus, 2.2); stopping once a length exceeds the
     # cap keeps every product below alphabet_size * MAX_BLOCKS.
@@ -187,8 +177,7 @@ def _block_listing(sft: Sft, k: int) -> tuple[Block, ...]:
             for s in range(sft.alphabet_size)
             if sft.is_edge(b[-1], s)
         ]
-    listing = sft._block_lists[k] = tuple(blocks)
-    return listing
+    return blocks
 
 
 def topological_entropy(sft: Sft) -> float:
@@ -205,9 +194,11 @@ def block_graph(sft: Sft, k: int) -> tuple[tuple[Block, ...], np.ndarray, np.nda
     read from its prefix ``states[src[e]]`` to its suffix ``states[dst[e]]``.
     Two concurrent first calls may both build the graph, which is harmless.
     """
+    if k < 1:
+        raise BlockLengthError(f"block length must be >= 1, got {k}")
     graph = sft._block_graphs.get(k)
     if graph is None:
-        states = _block_listing(sft, k)
+        states = tuple(admissible_blocks(sft, k))
         index = {b: i for i, b in enumerate(states)}
         follow = [np.flatnonzero(row).tolist() for row in sft.transitions]
         edges = [

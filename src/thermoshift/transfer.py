@@ -29,6 +29,7 @@ from .sft import Block, Sft, block_graph, topological_entropy
 _INVARIANCE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _ENTROPY_SLACK = 1e-9
+_IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -380,23 +381,13 @@ class VariationalIdentityReport:
     ok: bool
 
 
-def variational_identity_check(
-    sft: Sft, phi: Potential, tol: float = 1e-9, *, raise_on_failure: bool = True
-) -> VariationalIdentityReport:
-    """Verify that the equilibrium state of ``phi`` attains its pressure.
-
-    A gap above ``tol`` (or a ``nan`` gap) raises ``CheckFailedError``;
-    with ``raise_on_failure=False`` it is returned as a report with
-    ``ok`` False instead.
-    """
+def variational_identity_check(sft: Sft, phi: Potential) -> VariationalIdentityReport:
+    """Gap between the pressure of ``phi`` and ``h(mu) + integral(phi, mu)``
+    at its computed equilibrium state; ``ok`` when the gap is at most
+    1e-9 (a ``nan`` gap is not ok)."""
     result, mu = pressure_and_equilibrium(sft, phi)
     gap = abs(result.value - (mu.entropy + integrate(mu, phi)))
-    ok = bool(gap <= tol)
-    if not ok and raise_on_failure:
-        raise CheckFailedError(
-            f"equilibrium state misses the variational identity by {gap} (tol {tol})"
-        )
-    return VariationalIdentityReport(gap, ok)
+    return VariationalIdentityReport(gap, bool(gap <= _IDENTITY_TOL))
 
 
 @dataclass(frozen=True)
