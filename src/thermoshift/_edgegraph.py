@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import maxplus
 from .potentials import Potential
 from .sft import Block, Sft, block_graph
 
@@ -68,6 +69,23 @@ def _build_edge_weights(phi: Potential, order: int) -> np.ndarray:
     weights = values[prefix]
     weights.flags.writeable = False
     return weights
+
+
+def maxplus_data(phi: Potential, order: int) -> maxplus.MaxPlusData:
+    """Exact max-plus analysis of ``phi`` on ``block_graph(phi.sft,
+    order)``; run once per ``(phi, order)`` and cached on ``phi``.  The
+    edges reach `maxplus.analyze` in row-major order with the values
+    `build_edge_graph` stores, so the result is that of its edge list.
+    Two concurrent first calls may both run the analysis, which is
+    harmless."""
+    data = phi._maxplus_data.get(order)
+    if data is None:
+        states, src, dst = block_graph(phi.sft, order)
+        weights = edge_weights(phi, order)
+        data = phi._maxplus_data[order] = maxplus.analyze(
+            len(states), zip(src.tolist(), dst.tolist(), weights.tolist())
+        )
+    return data
 
 
 def build_edge_graph(sft: Sft, phi: Potential, order: int | None = None) -> EdgeGraph:

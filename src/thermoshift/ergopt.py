@@ -6,7 +6,8 @@ maximizing measures are exactly the invariant measures carried by the
 critical subgraph (edges saturating the max-plus Bellman equation that
 lie on cycles).  These are computed exactly, in integer arithmetic on one
 common dyadic scale of the edge weights, with `Fraction` only in the
-result (see `maxplus`).
+result (see `maxplus`), once per potential and vertex order (see
+`_edgegraph.maxplus_data`).
 
 The ground entropy and the ground-state bound are pressures on the
 critical subgraph: exact on its simple cycles, and elsewhere Perron values
@@ -21,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maxplus
-from ._edgegraph import build_edge_graph, graph_order
+from ._edgegraph import build_edge_graph, graph_order, maxplus_data
 from ._perron import power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, zero_potential
-from .sft import Block, Sft, topological_entropy
+from .sft import Block, Sft, block_graph, topological_entropy
 from .transfer import _maxplus_frame, _ray_equilibrium, integrate
 
 
@@ -55,19 +56,19 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     critical subgraph that supports every maximizing measure."""
     if phi.sft != sft:
         raise MismatchedSystemError("potential is defined over a different subshift")
-    graph = build_edge_graph(sft, phi)
-    data = maxplus.analyze(graph.n_states, graph.edges())
+    order = graph_order(phi.memory)
+    states = block_graph(sft, order)[0]
+    n = len(states)
+    data = maxplus_data(phi, order)
     critical = sorted(data.critical)
-    ground = _critical_pressure(graph.n_states, critical, np.zeros_like(graph.logw))
+    ground = _critical_pressure(n, critical, np.zeros((n, n)))
     return MaximizationResult(
         beta=float(data.beta),
-        critical_edges=tuple(
-            (graph.states[i], graph.states[j]) for i, j in critical
-        ),
-        witness_cycle=tuple(graph.states[i] for i in data.witness),
+        critical_edges=tuple((states[i], states[j]) for i, j in critical),
+        witness_cycle=tuple(states[i] for i in data.witness),
         ground_entropy=ground,
         unique_flag=maxplus.is_single_simple_cycle(data.critical),
-        states=graph.states,
+        states=states,
     )
 
 
@@ -109,10 +110,9 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     if psi.sft != sft or phi.sft != sft:
         raise MismatchedSystemError("potentials must live on the given subshift")
     order = max(graph_order(psi.memory), graph_order(phi.memory))
-    phi_graph = build_edge_graph(sft, phi, order)
     psi_graph = build_edge_graph(sft, psi, order)
-    data = maxplus.analyze(phi_graph.n_states, phi_graph.edges())
-    return _critical_pressure(phi_graph.n_states, data.critical, psi_graph.logw)
+    data = maxplus_data(phi, order)
+    return _critical_pressure(psi_graph.n_states, data.critical, psi_graph.logw)
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,9 @@ def entropy_monotonicity_check(samples, slack: float = 1e-9) -> MonotonicityRepo
     return MonotonicityReport(max_increase, True)
 
 
-def _check_tol(tol: float):
-    if not 0.0 < tol < math.inf:  # nan fails too
-        raise ValidationError(f"tol must be a finite positive number, got {tol}")
+def _check_positive(name: str, value: float):
+    if not 0.0 < value < math.inf:  # nan fails too
+        raise ValidationError(f"{name} must be a finite positive number, got {value}")
 
 
 def _solve_monotone(
@@ -229,7 +229,8 @@ def solve_intermediate_entropy(
     ground entropy are attained only in the ``t -> infinity`` limit and
     are rejected.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
+    _check_positive("t_max", t_max)
     h_top = topological_entropy(sft)
     if not 0.0 <= a <= h_top + _ENDPOINT_GUARD:  # nan fails too
         raise TargetOutOfRangeError(
@@ -281,7 +282,8 @@ def solve_intermediate_pressure(
     returns ``t = 0`` at ``target = P(psi)`` and rejects targets at or
     beyond the asymptote.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
+    _check_positive("t_max", t_max)
     alpha = ground_state_pressure_bound(sft, psi, phi)
     top = pressure(sft, psi).value
     if not target <= top + _ENDPOINT_GUARD:  # nan fails too

@@ -57,6 +57,8 @@ class Potential:
         object.__setattr__(self, "values", MappingProxyType(table))
         # order -> read-only edge weights, filled by `_edgegraph.edge_weights`
         object.__setattr__(self, "_edge_weights", {})
+        # order -> exact max-plus data, filled by `_edgegraph.maxplus_data`
+        object.__setattr__(self, "_maxplus_data", {})
 
     def value_on(self, word: Block) -> float:
         """Value on a word of length >= memory (trailing symbols ignored)."""

@@ -1,0 +1,122 @@
+"""The exact max-plus analysis cached per potential and vertex order, and
+the pins that show it keeps every bit of the dense edge-graph route."""
+
+import numpy as np
+
+import thermoshift as ts
+from thermoshift import ergopt, maxplus
+from thermoshift._edgegraph import build_edge_graph, graph_order, maxplus_data
+
+import oracles
+
+
+def random_potential(rng, sft, memory):
+    return ts.Potential(sft, memory, oracles.random_values(rng, sft.transitions, memory))
+
+
+def fields(data):
+    return (data.beta, data.witness, data.critical, data.eigenvector)
+
+
+def dense_analysis(sft, phi, order):
+    """`maxplus.analyze` on the edge list of the dense edge table."""
+    graph = build_edge_graph(sft, phi, order)
+    return graph, maxplus.analyze(graph.n_states, graph.edges())
+
+
+def dense_maximization(sft, phi):
+    """`max_ergodic_average` as computed on the dense edge table."""
+    graph, data = dense_analysis(sft, phi, graph_order(phi.memory))
+    critical = sorted(data.critical)
+    ground = ergopt._critical_pressure(graph.n_states, critical, np.zeros_like(graph.logw))
+    return (
+        float(data.beta).hex(),
+        tuple((graph.states[i], graph.states[j]) for i, j in critical),
+        tuple(graph.states[i] for i in data.witness),
+        ground.hex(),
+        maxplus.is_single_simple_cycle(data.critical),
+        graph.states,
+    )
+
+
+def maximization_bits(result):
+    return (
+        result.beta.hex(),
+        result.critical_edges,
+        result.witness_cycle,
+        result.ground_entropy.hex(),
+        result.unique_flag,
+        result.states,
+    )
+
+
+def dense_bound(sft, psi, phi):
+    """`ground_state_pressure_bound` as computed on the dense edge tables."""
+    order = max(graph_order(psi.memory), graph_order(phi.memory))
+    graph, data = dense_analysis(sft, phi, order)
+    psi_logw = build_edge_graph(sft, psi, order).logw
+    return ergopt._critical_pressure(graph.n_states, data.critical, psi_logw)
+
+
+def test_cached_analysis_matches_the_dense_edge_list():
+    rng = np.random.default_rng(10)
+    cases = []
+    for trial in range(36):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=5)
+        sft = ts.build_sft(len(m), m)
+        cases.append((sft, random_potential(rng, sft, trial % 3 + 1)))
+    sft = ts.full_shift(10)
+    blocks = oracles.admissible_words(sft.transitions, 3)
+    ties = {b: float(rng.choice([-0.5, 0.0, 0.25])) for b in blocks}
+    cases.append((sft, ts.Potential(sft, 3, ties)))
+    for sft, phi in cases:
+        order = graph_order(phi.memory)
+        _, expected = dense_analysis(sft, phi, order)
+        assert fields(maxplus_data(phi, order)) == fields(expected)
+        assert maxplus_data(phi, order) is maxplus_data(phi, order)
+
+
+def test_maximization_and_bound_match_the_dense_route():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=5)
+        sft = ts.build_sft(len(m), m)
+        phi_memory = trial % 2 + 1
+        phi = random_potential(rng, sft, phi_memory)
+        psi = random_potential(rng, sft, phi_memory + 2)  # a higher order
+        assert maximization_bits(ts.max_ergodic_average(sft, phi)) == dense_maximization(sft, phi)
+        bound = ts.ground_state_pressure_bound(sft, psi, phi)
+        assert bound.hex() == dense_bound(sft, psi, phi).hex()
+        assert ts.ground_state_pressure_bound(sft, phi, psi).hex() == dense_bound(sft, phi, psi).hex()
+
+
+def test_one_analysis_per_potential_and_order(monkeypatch, full2):
+    states_analyzed = []
+    analyze = maxplus.analyze
+
+    def counting(n_vertices, edges):
+        states_analyzed.append(n_vertices)
+        return analyze(n_vertices, edges)
+
+    monkeypatch.setattr(maxplus, "analyze", counting)
+    phi = ts.Potential(full2, 2, {(0, 0): 0.3, (0, 1): -0.4, (1, 0): -1.1, (1, 1): 0.1})
+    psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+
+    ts.max_ergodic_average(full2, phi)
+    ts.ground_state_pressure_bound(full2, psi, phi)
+    ts.zero_temperature_diagnostics(full2, phi, [1.0, 10.0])
+    for a in (0.6, 0.4, 0.2):
+        ts.solve_intermediate_entropy(full2, phi, a)
+    alpha = ts.ground_state_pressure_bound(full2, psi, phi)
+    ts.solve_intermediate_pressure(full2, psi, phi, 0.5 * (alpha + ts.pressure(full2, psi).value))
+    assert states_analyzed == [2]
+
+    psi3 = ts.Potential(full2, 3, {b: 0.1 * k for k, b in enumerate(ts.admissible_blocks(full2, 3))})
+    ts.ground_state_pressure_bound(full2, psi3, phi)
+    ts.ground_state_pressure_bound(full2, psi3, phi)
+    assert states_analyzed == [2, 4]
+
+    twin = ts.Potential(full2, 2, dict(phi.values))
+    assert twin == phi and twin is not phi
+    ts.max_ergodic_average(full2, twin)
+    assert states_analyzed == [2, 4, 2]

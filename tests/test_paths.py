@@ -245,6 +245,32 @@ def test_solvers_refuse_bad_tol(full2, tol):
         ts.solve_intermediate_pressure(full2, psi, phi, 0.5, tol=tol)
 
 
+@pytest.mark.parametrize("t_max", [math.nan, -1.0, 0.0, math.inf])
+def test_solvers_refuse_bad_t_max(golden, monkeypatch, t_max):
+    psi = ts.Potential(golden, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(golden, 0)
+    target = 0.5 * (ts.ground_state_pressure_bound(golden, psi, phi) + ts.pressure(golden, psi).value)
+
+    def no_probe(*args):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(paths, "sample_at", no_probe)
+    with pytest.raises(ValidationError, match="t_max"):
+        ts.solve_intermediate_entropy(golden, phi, 0.3, t_max=t_max)
+    with pytest.raises(ValidationError, match="t_max"):
+        ts.solve_intermediate_pressure(golden, psi, phi, target, t_max=t_max)
+
+
+def test_short_scan_reports_the_target_unreached(golden):
+    psi = ts.Potential(golden, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(golden, 0)
+    target = 0.5 * (ts.ground_state_pressure_bound(golden, psi, phi) + ts.pressure(golden, psi).value)
+    with pytest.raises(AsymptoteUnreachableError, match="scan reached t = 0.2 with entropy"):
+        ts.solve_intermediate_entropy(golden, phi, 0.3, t_max=0.2)
+    with pytest.raises(AsymptoteUnreachableError, match="scan reached t = 0.2 with psi-pressure"):
+        ts.solve_intermediate_pressure(golden, psi, phi, target, t_max=0.2)
+
+
 def test_solve_entropy_zero_is_asymptotic(full2):
     phi = ts.fixed_point_potential(full2, 0)
     with pytest.raises(AsymptoteUnreachableError):
