@@ -57,7 +57,6 @@ from .transfer import (
     integrate,
     lift_markov_measure,
     lipschitz_check,
-    measure_entropy,
     pressure,
     pressure_and_equilibrium,
     variational_identity_check,
@@ -99,7 +98,6 @@ __all__ = [
     "lift_to_memory",
     "lipschitz_check",
     "max_ergodic_average",
-    "measure_entropy",
     "parse_config",
     "pressure",
     "pressure_and_equilibrium",

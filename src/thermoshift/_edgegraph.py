@@ -9,33 +9,11 @@ and cycle computations happen on this graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import maxplus
 from .potentials import Potential
-from .sft import Block, Sft, block_graph
-
-
-@dataclass(frozen=True)
-class EdgeGraph:
-    """Weighted digraph carrying a potential in edge-indexed form."""
-
-    sft: Sft
-    order: int
-    states: tuple[Block, ...]
-    logw: np.ndarray = field(repr=False)  # -inf on non-edges
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def edges(self):
-        """Iterate (i, j, weight) over admissible edges."""
-        ii, jj = np.nonzero(np.isfinite(self.logw))
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            yield i, j, float(self.logw[i, j])
+from .sft import block_graph
 
 
 def graph_order(memory: int) -> int:
@@ -74,10 +52,8 @@ def _build_edge_weights(phi: Potential, order: int) -> np.ndarray:
 def maxplus_data(phi: Potential, order: int) -> maxplus.MaxPlusData:
     """Exact max-plus analysis of ``phi`` on ``block_graph(phi.sft,
     order)``; run once per ``(phi, order)`` and cached on ``phi``.  The
-    edges reach `maxplus.analyze` in row-major order with the values
-    `build_edge_graph` stores, so the result is that of its edge list.
-    Two concurrent first calls may both run the analysis, which is
-    harmless."""
+    edges reach `maxplus.analyze` in row-major order.  Two concurrent
+    first calls may both run the analysis, which is harmless."""
     data = phi._maxplus_data.get(order)
     if data is None:
         states, src, dst = block_graph(phi.sft, order)
@@ -87,14 +63,3 @@ def maxplus_data(phi: Potential, order: int) -> maxplus.MaxPlusData:
         )
     return data
 
-
-def build_edge_graph(sft: Sft, phi: Potential, order: int | None = None) -> EdgeGraph:
-    """Edge-indexed form of ``phi`` at the given (or minimal) vertex order:
-    its cached edge weights scattered into a dense table."""
-    if order is None:
-        order = graph_order(phi.memory)
-    weights = edge_weights(phi, order)
-    states, src, dst = block_graph(sft, order)
-    logw = np.full((len(states), len(states)), -np.inf)
-    logw[src, dst] = weights
-    return EdgeGraph(sft, order, states, logw)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maxplus
-from ._edgegraph import build_edge_graph, graph_order, maxplus_data
+from ._edgegraph import edge_weights, graph_order, maxplus_data
 from ._perron import power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, zero_potential
@@ -61,7 +61,7 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     n = len(states)
     data = maxplus_data(phi, order)
     critical = sorted(data.critical)
-    ground = _critical_pressure(n, critical, np.zeros((n, n)))
+    ground = _critical_pressure(n, critical, np.zeros(len(critical)))
     return MaximizationResult(
         beta=float(data.beta),
         critical_edges=tuple((states[i], states[j]) for i, j in critical),
@@ -72,25 +72,28 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     )
 
 
-def _critical_pressure(n: int, critical, logw: np.ndarray) -> float:
-    """Largest pressure of ``logw`` over the strongly connected components
-    of the ``critical`` edges: the exact mean on a simple cycle, else the
-    certified Perron value in a float max-plus frame, as in `transfer`."""
+def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndarray) -> float:
+    """Largest pressure of the edge ``weights``, aligned with ``critical``,
+    over the strongly connected components of the ``critical`` edges: the
+    exact mean on a simple cycle, else the certified Perron value in a
+    float max-plus frame, as in `transfer`."""
     label = maxplus.strongly_connected_components(n, critical)
-    components: dict[int, list[tuple[int, int]]] = {}
-    for i, j in critical:
-        components.setdefault(label[i], []).append((i, j))
+    components: dict[int, list[int]] = {}
+    for e, (i, _) in enumerate(critical):
+        components.setdefault(label[i], []).append(e)
 
     best = -math.inf
-    for edges in components.values():
+    for positions in components.values():
+        edges = [critical[e] for e in positions]
+        w = weights[positions]
         if maxplus.is_disjoint_simple_cycles(edges):
-            value = math.fsum(logw[i, j] for i, j in edges) / len(edges)
+            value = math.fsum(w.tolist()) / len(edges)
         else:
             pairs = np.array(edges)
             vertices, local = np.unique(pairs, return_inverse=True)
             src, dst = local.reshape(pairs.shape).T
             m = len(vertices)
-            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, logw[tuple(pairs.T)])
+            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, w)
             frame = np.full((m, m), -np.inf)
             frame[src, dst] = frame_w
             value = power_log_perron(frame)[0] + beta
@@ -110,9 +113,12 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     if psi.sft != sft or phi.sft != sft:
         raise MismatchedSystemError("potentials must live on the given subshift")
     order = max(graph_order(psi.memory), graph_order(phi.memory))
-    psi_graph = build_edge_graph(sft, psi, order)
-    data = maxplus_data(phi, order)
-    return _critical_pressure(psi_graph.n_states, data.critical, psi_graph.logw)
+    states, src, dst = block_graph(sft, order)
+    n = len(states)
+    critical = list(maxplus_data(phi, order).critical)
+    # Edges are numbered in row-major order, so their keys are sorted.
+    at = np.searchsorted(src * n + dst, [i * n + j for i, j in critical])
+    return _critical_pressure(n, critical, edge_weights(psi, order)[at])
 
 
 @dataclass(frozen=True)

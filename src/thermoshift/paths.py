@@ -304,10 +304,14 @@ def solve_intermediate_pressure(
         while t <= t_max:
             trace.append(evaluate(t))
             t *= 2.0
+        last = (
+            f"psi-pressure {trace[-1].psi_pressure} at t = {trace[-1].t}"
+            if trace
+            else f"no scan step fits under t_max = {t_max}"
+        )
         error = AsymptoteUnreachableError(
             f"target {target} equals the ground-state bound alpha = {alpha}, "
-            f"approached only as t -> infinity (psi-pressure "
-            f"{trace[-1].psi_pressure} at t = {trace[-1].t})"
+            f"approached only as t -> infinity ({last})"
         )
         error.trace = tuple(trace)
         raise error

@@ -216,20 +216,13 @@ class MarkovMeasure:
     def has_strongly_connected_support(self) -> bool:
         """True iff the charged states and transitions form one strongly
         connected component (so the measure is ergodic)."""
-        charged = [i for i in range(len(self._states)) if self.stationary[i] > 0]
-        edges = [
-            (i, j)
-            for i in charged
-            for j in charged
-            if self.stationary[i] * self.kernel[i, j] > 0
-        ]
-        label = maxplus.strongly_connected_components(len(self._states), edges)
-        return len({label[i] for i in charged}) == 1
-
-
-def measure_entropy(mu: MarkovMeasure) -> float:
-    """Entropy of a Markov measure in nats."""
-    return mu.entropy
+        _, src, dst = block_graph(self.sft, self.order)
+        pi = self.stationary
+        charged = (pi[src] * self.kernel[src, dst] > 0) & (pi[dst] > 0)
+        label = maxplus.strongly_connected_components(
+            len(self._states), zip(src[charged].tolist(), dst[charged].tolist())
+        )
+        return len({label[i] for i in np.flatnonzero(pi > 0).tolist()}) == 1
 
 
 def equilibrium_state(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> MarkovMeasure:

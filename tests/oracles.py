@@ -60,6 +60,23 @@ def dense_weighted_matrix(transitions, memory, values, t=1.0):
     return states, W
 
 
+def dense_edge_table(transitions, memory, values, order=None):
+    """A potential table as log-weights on the ``order``-block graph (by
+    default the least order carrying it), built independently: the
+    states, the dense table (-inf on non-edges) and its row-major edge
+    list ``(i, j, weight)``."""
+    transitions = np.asarray(transitions)
+    if order is None:
+        order = max(memory - 1, 1)
+    states = admissible_words(transitions, order)
+    index = {b: i for i, b in enumerate(states)}
+    logw = np.full((len(states), len(states)), -np.inf)
+    for word in admissible_words(transitions, order + 1):
+        logw[index[word[:-1]], index[word[1:]]] = values[word[:memory]]
+    edges = [(int(i), int(j), float(logw[i, j])) for i, j in zip(*np.nonzero(np.isfinite(logw)))]
+    return states, logw, edges
+
+
 def perron_pair(W):
     """Perron eigenvalue plus positive right/left eigenvectors via dense eig."""
     eigvals, right = np.linalg.eig(W)

@@ -8,7 +8,6 @@ import pytest
 import thermoshift as ts
 from thermoshift import maxplus
 from thermoshift.errors import ValidationError
-from thermoshift._edgegraph import build_edge_graph
 
 import oracles
 
@@ -82,10 +81,8 @@ def test_karp_matches_enumeration_exactly(rng):
         sft = ts.build_sft(len(m), m)
         phi = ts.Potential(sft, 2, oracles.random_values(rng, m, 2))
         result = ts.max_ergodic_average(sft, phi)
-        graph = build_edge_graph(sft, phi)
-        oracle = oracles.max_cycle_mean_enumeration(
-            graph.n_states, list(graph.edges())
-        )
+        states, _, edges = oracles.dense_edge_table(m, 2, phi.values)
+        oracle = oracles.max_cycle_mean_enumeration(len(states), edges)
         assert result.beta == float(oracle)
 
 
@@ -130,8 +127,8 @@ def test_integer_analysis_matches_fraction_reference(rng):
         oracles.random_values(rng, sft.transitions, 3),
         {b: float(rng.choice([-0.5, 0.0, 0.25])) for b in blocks},  # ties
     ):
-        graph = build_edge_graph(sft, ts.Potential(sft, 3, values))
-        graphs.append((graph.n_states, list(graph.edges())))
+        states, _, edges = oracles.dense_edge_table(sft.transitions, 3, values)
+        graphs.append((len(states), edges))
     assert graphs[-1][0] == 100
     for n, edges in graphs:
         data = maxplus.analyze(n, edges)

@@ -5,7 +5,7 @@ import numpy as np
 
 import thermoshift as ts
 from thermoshift import ergopt, maxplus
-from thermoshift._edgegraph import build_edge_graph, graph_order, maxplus_data
+from thermoshift._edgegraph import graph_order, maxplus_data
 
 import oracles
 
@@ -19,23 +19,24 @@ def fields(data):
 
 
 def dense_analysis(sft, phi, order):
-    """`maxplus.analyze` on the edge list of the dense edge table."""
-    graph = build_edge_graph(sft, phi, order)
-    return graph, maxplus.analyze(graph.n_states, graph.edges())
+    """`maxplus.analyze` on the edge list of the independently built dense
+    edge table."""
+    states, _, edges = oracles.dense_edge_table(sft.transitions, phi.memory, phi.values, order)
+    return states, maxplus.analyze(len(states), edges)
 
 
 def dense_maximization(sft, phi):
     """`max_ergodic_average` as computed on the dense edge table."""
-    graph, data = dense_analysis(sft, phi, graph_order(phi.memory))
+    states, data = dense_analysis(sft, phi, graph_order(phi.memory))
     critical = sorted(data.critical)
-    ground = ergopt._critical_pressure(graph.n_states, critical, np.zeros_like(graph.logw))
+    ground = ergopt._critical_pressure(len(states), critical, np.zeros(len(critical)))
     return (
         float(data.beta).hex(),
-        tuple((graph.states[i], graph.states[j]) for i, j in critical),
-        tuple(graph.states[i] for i in data.witness),
+        tuple((states[i], states[j]) for i, j in critical),
+        tuple(states[i] for i in data.witness),
         ground.hex(),
         maxplus.is_single_simple_cycle(data.critical),
-        graph.states,
+        tuple(states),
     )
 
 
@@ -51,11 +52,14 @@ def maximization_bits(result):
 
 
 def dense_bound(sft, psi, phi):
-    """`ground_state_pressure_bound` as computed on the dense edge tables."""
+    """`ground_state_pressure_bound` as computed on the dense edge tables,
+    reading the critical weights of ``psi`` off its table."""
     order = max(graph_order(psi.memory), graph_order(phi.memory))
-    graph, data = dense_analysis(sft, phi, order)
-    psi_logw = build_edge_graph(sft, psi, order).logw
-    return ergopt._critical_pressure(graph.n_states, data.critical, psi_logw)
+    states, data = dense_analysis(sft, phi, order)
+    _, psi_logw, _ = oracles.dense_edge_table(sft.transitions, psi.memory, psi.values, order)
+    critical = list(data.critical)
+    weights = np.array([psi_logw[i, j] for i, j in critical])
+    return ergopt._critical_pressure(len(states), critical, weights)
 
 
 def test_cached_analysis_matches_the_dense_edge_list():
@@ -78,12 +82,23 @@ def test_cached_analysis_matches_the_dense_edge_list():
 
 def test_maximization_and_bound_match_the_dense_route():
     rng = np.random.default_rng(11)
+    cases = []
     for trial in range(30):
         m = oracles.random_primitive_transitions(rng, max_alphabet=5)
         sft = ts.build_sft(len(m), m)
         phi_memory = trial % 2 + 1
         phi = random_potential(rng, sft, phi_memory)
         psi = random_potential(rng, sft, phi_memory + 2)  # a higher order
+        cases.append((sft, phi, psi))
+    # Tied values give critical components that are not simple cycles, so
+    # the bound reads psi's weights at many critical positions.
+    for symbols in range(3, 7):
+        sft = ts.full_shift(symbols)
+        for memory in (1, 2, 3):
+            blocks = oracles.admissible_words(sft.transitions, memory)
+            ties = {b: float(rng.choice([0.0, -1.0])) for b in blocks}
+            cases.append((sft, ts.Potential(sft, memory, ties), random_potential(rng, sft, memory + 1)))
+    for sft, phi, psi in cases:
         assert maximization_bits(ts.max_ergodic_average(sft, phi)) == dense_maximization(sft, phi)
         bound = ts.ground_state_pressure_bound(sft, psi, phi)
         assert bound.hex() == dense_bound(sft, psi, phi).hex()

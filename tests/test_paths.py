@@ -410,6 +410,14 @@ def test_solve_pressure_alpha_is_asymptotic(full2):
     assert values[-1] <= 1e-3  # approaching the point-mass limit
 
 
+def test_solve_pressure_alpha_below_the_first_scan_step(full2):
+    psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(full2, 0)
+    with pytest.raises(AsymptoteUnreachableError, match="t_max = 0.1") as excinfo:
+        ts.solve_intermediate_pressure(full2, psi, phi, 0.0, t_max=0.1)
+    assert excinfo.value.trace == ()
+
+
 def test_solve_pressure_out_of_range(full2):
     psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
     phi = ts.fixed_point_potential(full2, 0)

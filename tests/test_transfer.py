@@ -187,13 +187,13 @@ def test_dominance_of_equilibrium(rng):
 
 def test_measure_entropy_examples(full2):
     uniform = ts.MarkovMeasure(full2, 1, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-    assert ts.measure_entropy(uniform) == pytest.approx(LN2, abs=1e-15)
+    assert uniform.entropy == pytest.approx(LN2, abs=1e-15)
 
     point = ts.MarkovMeasure(full2, 1, [1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]])
-    assert ts.measure_entropy(point) == 0.0
+    assert point.entropy == 0.0
 
     skew = ts.MarkovMeasure(full2, 1, [0.1, 0.9], [[0.1, 0.9], [0.1, 0.9]])
-    assert ts.measure_entropy(skew) == pytest.approx(0.32508297339144825, abs=1e-12)
+    assert skew.entropy == pytest.approx(0.32508297339144825, abs=1e-12)
 
 
 def test_integrate_constant_is_normalization(golden, rng):
@@ -320,6 +320,12 @@ def test_equilibrium_support_strongly_connected(rng):
     phi = ts.Potential(sft, 2, oracles.random_values(rng, m, 2))
     mu = ts.equilibrium_state(sft, phi)
     assert mu.has_strongly_connected_support()
+
+
+def test_support_of_two_fixed_points_is_not_strongly_connected(full2):
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    assert not ts.MarkovMeasure(full2, 1, [0.5, 0.5], identity).has_strongly_connected_support()
+    assert ts.MarkovMeasure(full2, 1, [1.0, 0.0], identity).has_strongly_connected_support()
 
 
 # --- Lipschitz continuity ------------------------------------------------------------
