@@ -7,20 +7,20 @@ iterate that leaves it raises ``ConvergenceError``.  The Collatz-Wielandt
 enclosure ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in
 logs, certifies the result.
 
-Plain iteration is tried first.  When its enclosure stalls, or contracts
-too slowly to reach the tolerance within its budget, updates switch to
-the lazy matrix ``E + I`` (same eigenvectors), which mixes the phases of
-nearly periodic supports such as a bare ground cycle.  If that stalls
-too (two cycle families with nearly tied means), the lazy matrix is
-squared repeatedly, so the gap ratio squares with every step.
+Plain iteration is tried first, on a whole stack of matrices at once
+(`perron_stack`).  When its enclosure stalls, or contracts too slowly to
+reach the tolerance within its budget, updates switch to the lazy matrix
+``E + I`` (same eigenvectors), which mixes the phases of nearly periodic
+supports such as a bare ground cycle.  If that stalls too (two cycle
+families with nearly tied means), the lazy matrix is squared repeatedly,
+so the gap ratio squares with every step.  Both later phases run on one
+matrix at a time.
 
 ``logsumexp``, a numpy transcription of ``scipy.special.logsumexp``,
 serves the measure assembly.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -64,11 +64,24 @@ def _normalized(y, iterations):
     x = y / y.max()
     smallest = x.min()
     if not smallest >= _SMALLEST_NORMAL:  # also catches nan
-        raise ConvergenceError(
-            f"Perron iterate left the normal float range (smallest entry "
-            f"{smallest:g} of a max-1 vector after {iterations} iterations)"
-        )
+        raise _left_normal_range(smallest, iterations)
     return x
+
+
+def _left_normal_range(smallest, iterations) -> ConvergenceError:
+    return ConvergenceError(
+        f"Perron iterate left the normal float range (smallest entry "
+        f"{smallest:g} of a max-1 vector after {iterations} iterations)"
+    )
+
+
+def _certify(e, x):
+    """Collatz-Wielandt midpoint and half-width of ``e @ x`` against
+    ``x``, and the product."""
+    y = e @ x
+    d = np.log(y / x)
+    hi, lo = d.max(), d.min()
+    return (hi + lo) / 2.0, (hi - lo) / 2.0, y
 
 
 def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
@@ -82,36 +95,118 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     brought to ``tol`` (or at least to the floating-point noise floor)
     within the budgets, or if an iterate leaves the normal float range.
     """
-    e = np.exp(logw)
-    x = np.ones(e.shape[0])
-    iterations = 0
-    half_tol = tol / 2.0
-    value = residual = np.inf
+    values, vectors, residuals, iterations, failures = perron_stack(
+        np.asarray(logw, dtype=float)[None], tol, max_iter
+    )
+    if failures:
+        raise failures[0]
+    return float(values[0]), vectors[0], float(residuals[0]), int(iterations[0])
 
-    def certify(vec):
-        y = e @ vec
-        d = np.log(y / vec)
-        hi, lo = float(d.max()), float(d.min())
-        return (hi + lo) / 2.0, (hi - lo) / 2.0, y
+
+def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
+    """`power_log_perron` on each slice of a stack ``logw`` of shape
+    ``(S, n, n)``, each slice bit for bit as if solved alone.
+
+    The plain phase runs on the whole stack, one stacked product per
+    step, and a slice leaves it once it certifies.  A slice that
+    escalates finishes alone in the lazy phase and the squaring ladder,
+    from its own iterate and iteration count.  Returns ``(values,
+    log_vectors, residuals, iterations)`` as arrays over the slices, and
+    a dict from each failed slice to its ``ConvergenceError``; the arrays
+    are undefined at a failed slice.
+    """
+    e = np.exp(logw)
+    size, n = e.shape[:2]
+    values = np.empty(size)
+    residuals = np.empty(size)
+    vectors = np.empty((size, n))
+    iterations = np.empty(size, dtype=int)
+    failures = {}
+    half_tol = tol / 2.0
 
     # plain phase: the certifying product is also the update
     plain_budget = min(_PLAIN_BUDGET, max_iter)
-    history = deque(maxlen=_PLAIN_STALL + 1)
-    for _ in range(plain_budget):
-        iterations += 1
-        value, residual, y = certify(x)
-        if residual <= half_tol:
-            return value, np.log(x), residual, iterations
-        history.append(residual)
-        if len(history) > _PLAIN_STALL:
+    ring = _PLAIN_STALL + 1
+    history = np.empty((ring, size))  # the residuals of the last `ring` steps
+    # The stack holds the slices `live` with their matrices and iterates.
+    # A slice with a verdict stops `waiting` but stays in the stack, its
+    # steps unused, until a quarter of the stack is left to wait.
+    live, stack, x = np.arange(size), e, np.ones((size, n))
+    waiting, count = np.ones(size, dtype=bool), size
+    escalated = []  # (slice, iterate, iterations, value, residual)
+    steps = 0
+    while count and steps < plain_budget:
+        steps += 1
+        y = np.matmul(stack, x[:, :, None])[:, :, 0]
+        d = np.log(y / x)
+        hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
+        residual = (hi - lo) / 2.0
+        history[steps % ring] = residual
+        leave = residual <= half_tol
+        if count < live.size:
+            leave &= waiting
+        leaving = np.count_nonzero(leave)
+        if leaving:
+            done = live[leave]
+            values[done], residuals[done] = (hi[leave] + lo[leave]) / 2.0, residual[leave]
+            vectors[done], iterations[done] = np.log(x[leave]), steps
+        if steps > _PLAIN_STALL and leaving < count:
             # Escalate as soon as the residual has not shrunk over the
             # last _PLAIN_STALL steps, or its contraction over them,
             # carried over the rest of the budget, cannot reach tol.
-            ratio = residual / history[0]
-            steps_left = plain_budget - iterations
-            if ratio >= 1.0 or residual * ratio ** (steps_left / _PLAIN_STALL) > half_tol:
+            exponent = (plain_budget - steps) / _PLAIN_STALL
+            oldest = history[(steps + 1) % ring].tolist()
+            open_ = (waiting & ~leave).tolist()
+            for j, r in enumerate(residual.tolist()):
+                if open_[j]:
+                    ratio = r / oldest[j]
+                    if ratio >= 1.0 or r * ratio ** exponent > half_tol:
+                        escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, r))
+                        leave[j] = True
+                        leaving += 1
+        if leaving:
+            count -= leaving
+            if not count:
                 break
-        x = _normalized(y, iterations)
+            waiting &= ~leave
+            if 4 * count <= live.size:
+                live, stack, y, hi, lo, residual, history, waiting = _compact(
+                    waiting, live, stack, y, hi, lo, residual, history)
+        x = y / np.maximum.reduce(y, axis=1, keepdims=True)
+        if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
+            smallest = np.minimum.reduce(x, axis=1)
+            normal = smallest >= _SMALLEST_NORMAL
+            for j in np.flatnonzero(waiting & ~normal).tolist():
+                failures[int(live[j])] = _left_normal_range(smallest[j], steps)
+            live, stack, x, hi, lo, residual, history, waiting = _compact(
+                waiting & normal, live, stack, x, hi, lo, residual, history)
+            count = live.size
+    # a plain budget spent without a verdict escalates from the last update
+    if count:
+        for j in np.flatnonzero(waiting).tolist():
+            escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, float(residual[j])))
+
+    for s, *plain_end in escalated:
+        try:
+            values[s], vectors[s], residuals[s], iterations[s] = _escalate(
+                e[s], *plain_end, tol, max_iter
+            )
+        except ConvergenceError as exc:
+            failures[s] = exc
+    return values, vectors, residuals, iterations, failures
+
+
+def _compact(keep, *arrays):
+    """The rows ``keep`` of each array (the columns of the last, the
+    residual history), and an all-True waiting mask for them."""
+    *rows, history = arrays
+    return (*(a[keep] for a in rows), history[:, keep], np.ones(np.count_nonzero(keep), dtype=bool))
+
+
+def _escalate(e, x, iterations, value, residual, tol, max_iter):
+    """The lazy phase and the squaring ladder of one matrix ``e``, from the
+    plain phase's last iterate ``x``, count, value and residual."""
+    half_tol = tol / 2.0
 
     # lazy phase: update with E + I, certify on E
     lazy = e + np.eye(len(e))
@@ -122,7 +217,7 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
             break
         iterations += 1
         x = _normalized(lazy @ x, iterations)
-        value, residual, _ = certify(x)
+        value, residual, _ = _certify(e, x)
         if residual <= half_tol:
             return value, np.log(x), residual, iterations
         if residual < best:
@@ -141,7 +236,7 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
         squared = squared @ squared
         squared /= squared.max()
         x = _normalized(squared @ x, iterations)
-        value, residual, _ = certify(x)
+        value, residual, _ = _certify(e, x)
         if residual <= half_tol:
             return value, np.log(x), residual, iterations
 
@@ -151,4 +246,3 @@ def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
         f"Perron enclosure stalled at half-width {residual:g} "
         f"(tolerance {tol:g}, {iterations} iterations)"
     )
-

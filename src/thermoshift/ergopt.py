@@ -27,7 +27,7 @@ from ._perron import power_log_perron
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, zero_potential
 from .sft import Block, Sft, block_graph, topological_entropy
-from .transfer import _maxplus_frame, _ray_equilibrium, integrate
+from .transfer import _maxplus_frame, _ray_samples
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndar
             vertices, local = np.unique(pairs, return_inverse=True)
             src, dst = local.reshape(pairs.shape).T
             m = len(vertices)
-            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, w)
+            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, w[None])
             frame = np.full((m, m), -np.inf)
-            frame[src, dst] = frame_w
-            value = power_log_perron(frame)[0] + beta
+            frame[src, dst] = frame_w[0]
+            value = power_log_perron(frame)[0] + float(beta[0])
         best = max(best, value)
     return best
 
@@ -144,18 +144,21 @@ def zero_temperature_diagnostics(
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValidationError("t_list must be nonempty")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValidationError(f"t_list must be finite, got {t}")
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t_list must be positive and strictly increasing")
 
     beta = max_ergodic_average(sft, phi).beta
     h_top = topological_entropy(sft)
-    zero = zero_potential(sft)
+    # every t in one stacked solve; a failed point is raised after the
+    # rows before it are checked, as a point-by-point walk would
+    ray = _ray_samples(sft, zero_potential(sft), phi, ts)
 
     rows = []
     previous = None
-    for t in ts:
-        _, mu = _ray_equilibrium(sft, zero, phi, t)
-        avg = integrate(mu, phi)
+    for t, avg, entropy in zip(ts, ray.phi_avg, ray.entropy):
         defect = beta - avg
         bound = h_top / t
         if defect < -1e-12:
@@ -167,5 +170,7 @@ def zero_temperature_diagnostics(
         if previous is not None and avg < previous - 1e-12:
             raise CheckFailedError(f"phi average decreased along the ray at t={t}")
         previous = avg
-        rows.append(ZeroTemperatureRow(t, avg, mu.entropy, defect, bound))
+        rows.append(ZeroTemperatureRow(t, avg, entropy, defect, bound))
+    if ray.failure is not None:
+        raise ray.failure
     return rows

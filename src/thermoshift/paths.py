@@ -8,6 +8,11 @@ the entropy and the ``psi``-pressure of the equilibrium state,
 ``-t p''(t)``.  Targets between the asymptotic ground value and the value
 at ``t = 0`` are therefore found by a geometric bracketing scan followed
 by Newton steps safeguarded by bisection inside the bracket.
+
+A sweep solves its whole grid as stacks (see `transfer`), and each of its
+samples equals `sample_at` at that point bit for bit; `sample_at` is a
+sweep of one point.  The solvers probe one point at a time, since each
+probe depends on the ones before it.
 """
 
 from __future__ import annotations
@@ -28,13 +33,7 @@ from .errors import (
 )
 from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
-from .transfer import (
-    _asymptotic_variance,
-    _ray_equilibrium,
-    integrate,
-    pressure,
-    pressure_and_equilibrium,
-)
+from .transfer import _ray_samples, integrate, pressure, pressure_and_equilibrium
 
 SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
@@ -79,28 +78,35 @@ class SolveReport:
     trace: tuple[PathSample, ...] = field(repr=False)
 
 
+def _samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> list[PathSample]:
+    ray = _ray_samples(sft, psi, phi, ts)
+    if ray.failure is not None:
+        raise ray.failure
+    return [
+        PathSample(t, p, h, a, h + b, v)
+        for t, p, h, a, b, v in zip(
+            ts, ray.pressure, ray.entropy, ray.phi_avg, ray.psi_avg, ray.phi_var
+        )
+    ]
+
+
 def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
-    """Evaluate one path sample at parameter ``t``."""
-    result, mu = _ray_equilibrium(sft, psi, phi, t)
-    entropy = mu.entropy
-    return PathSample(
-        t=float(t),
-        pressure=result.value,
-        entropy=entropy,
-        phi_avg=integrate(mu, phi),
-        psi_pressure=entropy + integrate(mu, psi),
-        phi_var=_asymptotic_variance(mu, phi),
-    )
+    """Evaluate one path sample at parameter ``t``: a sweep of one point."""
+    return _samples(sft, psi, phi, [float(t)])[0]
 
 
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
-    """Path samples on an increasing grid of parameters ``t >= 0``."""
+    """Path samples on an increasing grid of parameters ``t >= 0``,
+    solved as stacks; each equals `sample_at` at its point bit for bit."""
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ValidationError("t_grid must be nonempty")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValidationError(f"t_grid must be finite, got {t}")
     if any(t < 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t_grid must be nonnegative and strictly increasing")
-    return [sample_at(sft, psi, phi, t) for t in ts]
+    return _samples(sft, psi, phi, ts)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,29 @@ Every eigensolve conjugates the matrix by a float max-plus eigenvector
 of its log-weights first (tropical diagonal scaling), which keeps every
 quantity of moderate size at any temperature, and then iterates in the
 linear domain.
+
+Solves run on stacks: rows of edge weights on one graph, such as
+``psi + t * phi`` for a whole grid of ``t``, go through one max-plus
+frame, one Perron loop (both sides of every row) and one measure
+assembly with a leading stack axis; a single potential is a stack of
+one.  Each slice equals its solve alone bit for bit: every dot product
+and matrix product is still taken per slice, and every iteration stops
+on its slice's own counts.  So a sample of a sweep equals
+``paths.sample_at`` at its point.  A grid is solved in chunks whose
+largest stacked table holds at most ``_STACK_ENTRIES`` entries, and at
+least one sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import maxplus
 from ._edgegraph import edge_weights, graph_order
-from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, power_log_perron
+from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, perron_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
 from .sft import Block, Sft, block_graph, topological_entropy
@@ -30,6 +41,10 @@ _INVARIANCE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _ENTROPY_SLACK = 1e-9
 _IDENTITY_TOL = 1e-9
+# Most entries of one stacked n x n table (2 MiB of float64): a grid of
+# the ray is solved in chunks of max(1, _STACK_ENTRIES // (2 n^2))
+# samples, as the Perron stack holds both sides of each.
+_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -51,13 +66,31 @@ class PressureResult:
 
 @dataclass(frozen=True)
 class _EigenSolve:
+    """Eigensolves of a stack of edge-weight rows on ``block_graph(sft,
+    order)``; row arrays carry the rows on their first axis.  Row ``s`` is
+    solved by slices ``2s`` (right side) and ``2s + 1`` (left side) of
+    the Perron stack, whose residuals and iteration counts are kept."""
+
     sft: Sft
     order: int
-    result: PressureResult
+    value: np.ndarray
+    maxplus_right: np.ndarray
     frame_logw: np.ndarray
     frame_right: np.ndarray
     # log pi = frame_left + frame_right (up to norm)
     frame_left: np.ndarray
+    residuals: np.ndarray
+    iterations: np.ndarray
+
+    def result(self, k: int) -> PressureResult:
+        sides = slice(2 * k, 2 * k + 2)
+        return PressureResult(
+            value=float(self.value[k]),
+            left_vector=self.frame_left[k] - self.maxplus_right[k],
+            right_vector=self.frame_right[k] + self.maxplus_right[k],
+            residual=max(self.residuals[sides].tolist()),
+            iterations=max(self.iterations[sides].tolist()),
+        )
 
 
 def _require_over(sft: Sft, phi: Potential):
@@ -65,96 +98,131 @@ def _require_over(sft: Sft, phi: Potential):
         raise MismatchedSystemError("potential is defined over a different subshift")
 
 
-def _longest_walks(n, tail, head, weights, target):
-    """Best weight of a walk from each vertex to ``target`` over the edges
-    ``tail -> head``, by float Bellman passes up to the first that changes
-    nothing; pinning ``target`` at 0 keeps rounding from creeping."""
-    dist = np.full(n, -np.inf)
-    dist[target] = 0.0
+def _longest_walks(n, tail_at, head_at, weights, target_at):
+    """Best weight of a walk from each vertex to its row's target over
+    the edges ``tail -> head``, for each row of a stack laid out flat
+    (row ``s`` holds entries ``s*n .. s*n + n - 1``; ``tail_at``,
+    ``head_at`` and ``target_at`` index that layout, ``weights`` is the
+    flat stack of edge weights), by float Bellman passes up to the first
+    that changes nothing in that row; pinning the target at 0 keeps
+    rounding from creeping."""
+    dist = np.full(len(target_at) * n, -np.inf)
+    dist[target_at] = 0.0
     for _ in range(n):
         step = dist.copy()
-        np.maximum.at(step, tail, weights + dist[head])
-        step[target] = 0.0
-        if np.array_equal(step, dist):
+        np.maximum.at(step, tail_at, weights + dist[head_at])
+        step[target_at] = 0.0
+        moved = step != dist
+        if not np.count_nonzero(moved):
             break
+        if len(target_at) > 1:
+            # a row that changed nothing keeps its walks: it is at its fixed point
+            changed = np.logical_or.reduce(moved.reshape(-1, n), axis=1)
+            if np.count_nonzero(changed) < len(changed):
+                step = np.where(np.repeat(changed, n), step, dist)
         dist = step
     return dist
 
 
 def _maxplus_frame(n, src, dst, w):
-    """Float max-plus conditioning of edge weights ``w`` on ``src -> dst``:
-    the maximum cycle mean ``beta`` by Karp's recurrence (Karp 1978) over
-    the edge arrays, in O(n E); a right max-plus eigenvector ``right`` of
-    ``w - beta``; the conjugated weights ``frame_w``, whose rows peak at
-    0; and a left max-plus eigenvector ``left`` of ``frame_w``."""
-    # level[k, v]: best weight of a k-edge walk from vertex 0 to v
-    level = np.full((n + 1, n), -np.inf)
-    level[0, 0] = 0.0
+    """Float max-plus conditioning of each row of edge weights ``w`` (a
+    stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
+    ``beta`` by Karp's recurrence (Karp 1978) over the edge arrays, in
+    O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
+    conjugated weights ``frame_w``, whose rows peak at 0; and a left
+    max-plus eigenvector ``left`` of ``frame_w``.  Each comes back as an
+    array over the rows."""
+    size = len(w)
+    rows = np.arange(size)
+    # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
+    src_at, dst_at, flat_w = src, dst, w.ravel()
+    if size > 1:
+        offset = (rows * n)[:, None]
+        src_at, dst_at = (offset + src).ravel(), (offset + dst).ravel()
+    # level[k, s*n + v]: best weight of a k-edge walk from vertex 0 to v in row s
+    level = np.full((n + 1, size * n), -np.inf)
+    level[0, ::n] = 0.0
     for k in range(1, n + 1):
-        np.maximum.at(level[k], dst, level[k - 1, src] + w)
-    reached = np.isfinite(level[:n])
-    gaps = np.where(reached, level[n] - np.where(reached, level[:n], 0.0), np.inf)
-    means = (gaps / np.arange(n, 0, -1)[:, None]).min(axis=0)
-    vertex = int(means.argmax())
-    beta = float(means[vertex])
+        np.maximum.at(level[k], dst_at, level[k - 1][src_at] + flat_w)
+    walks = level.reshape(n + 1, size, n)
+    reached = np.isfinite(walks[:n])
+    gaps = np.where(reached, walks[n] - np.where(reached, walks[:n], 0.0), np.inf)
+    means = (gaps / np.arange(n, 0, -1)[:, None, None]).min(axis=0)
+    vertex = means.argmax(axis=1)
+    beta = means[rows, vertex]
     # Every cycle on a best n-edge walk into that vertex is critical: walk
     # back over argmax parents to the first repeated vertex.
-    seen = set()
+    seen = np.zeros((size, n), dtype=bool)
+    walking = np.ones(size, dtype=bool)
     for k in range(n, 0, -1):
-        seen.add(vertex)
-        into = np.flatnonzero(dst == vertex)
-        vertex = int(src[into[(level[k - 1, src[into]] + w[into]).argmax()]])
-        if vertex in seen:
+        seen[rows, vertex] = True
+        score = (level[k - 1][src_at] + flat_w).reshape(size, -1)
+        score[dst != vertex[:, None]] = -np.inf
+        vertex = np.where(walking, src[score.argmax(axis=1)], vertex)
+        walking &= ~seen[rows, vertex]
+        if not np.count_nonzero(walking):
             break
-    right = _longest_walks(n, src, dst, w - beta, vertex)
-    frame_w = w - beta + right[dst] - right[src]
-    return beta, right, frame_w, _longest_walks(n, dst, src, frame_w, vertex)
+    target_at = rows * n + vertex
+    excess = flat_w - np.repeat(beta, len(src))
+    right = _longest_walks(n, src_at, dst_at, excess, target_at)
+    frame_w = excess + right[dst_at] - right[src_at]
+    left = _longest_walks(n, dst_at, src_at, frame_w, target_at)
+    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left.reshape(size, n)
 
 
-def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter) -> _EigenSolve:
-    """Eigensolve of the edge weights ``w`` on ``block_graph(sft, order)``."""
+def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter):
+    """Eigensolves of the rows of edge weights ``w`` on
+    ``block_graph(sft, order)``: the solves of the rows before the first
+    that fails, and that row's ``ConvergenceError`` (``None`` if none
+    fails)."""
     states, src, dst = block_graph(sft, order)
-    n = len(states)
+    n, size = len(states), len(w)
     # A conjugation keeps the spectrum and the enclosure is certified on the
     # conjugated matrix, so frame rounding cannot weaken it.  Conjugating the
     # transposed frame again, by its left eigenvector, keeps pi frame-sized.
+    # Both sides of every row go through one Perron stack.
     beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
-    frame = np.full((n, n), -np.inf)
-    frame[src, dst] = frame_w
-    frame_t = np.full((n, n), -np.inf)
-    frame_t[dst, src] = frame_w + left[src] - left[dst]
-
-    p_right, u, res_right, it_right = power_log_perron(frame, tol, max_iter)
-    _, v, res_left, it_left = power_log_perron(frame_t, tol, max_iter)
-    frame_left = v + left
-    result = PressureResult(
-        value=p_right + beta,
-        left_vector=frame_left - right,
-        right_vector=u + right,
-        residual=max(res_right, res_left),
-        iterations=max(it_right, it_left),
+    frames = np.full((2 * size, n, n), -np.inf)
+    frames[0::2, src, dst] = frame_w
+    frames[1::2, dst, src] = frame_w + left[:, src] - left[:, dst]
+    values, vectors, residuals, iterations, failures = perron_stack(frames, tol, max_iter)
+    k = min(failures, default=2 * size) // 2  # rows before the first failure
+    solve = _EigenSolve(
+        sft,
+        order,
+        value=values[0:2 * k:2] + beta[:k],
+        maxplus_right=right[:k],
+        frame_logw=frames[0:2 * k:2],
+        frame_right=vectors[0:2 * k:2],
+        frame_left=vectors[1:2 * k:2] + left[:k],
+        residuals=residuals[:2 * k],
+        iterations=iterations[:2 * k],
     )
-    return _EigenSolve(sft, order, result, frame, u, frame_left)
+    return solve, failures.get(2 * k) or failures.get(2 * k + 1)
 
 
 def _solve_potential(sft: Sft, phi: Potential, tol, max_iter) -> _EigenSolve:
     _require_over(sft, phi)
     order = graph_order(phi.memory)
-    return _solve_eigen(sft, order, edge_weights(phi, order), tol, max_iter)
+    solve, failure = _solve_eigen(sft, order, edge_weights(phi, order)[None], tol, max_iter)
+    if failure is not None:
+        raise failure
+    return solve
 
 
 def pressure(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> PressureResult:
     """Topological pressure of ``phi`` in nats."""
-    return _solve_potential(sft, phi, tol, max_iter).result
+    return _solve_potential(sft, phi, tol, max_iter).result(0)
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
     """A shift-invariant Markov measure on admissible ``order``-blocks.
 
-    Validated on construction: the kernel is row-stochastic and
-    supported on admissible transitions, the stationary vector is
-    invariant, and the entropy lies in ``[0, h(f)]``.
+    Validated on construction: the stationary vector and the kernel are
+    finite, the kernel is row-stochastic and supported on admissible
+    transitions, the stationary vector is an invariant probability
+    vector, and the entropy lies in ``[0, h(f)]``.
     """
 
     sft: Sft
@@ -163,46 +231,36 @@ class MarkovMeasure:
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        states, src, dst = block_graph(self.sft, self.order)
+        n = len(block_graph(self.sft, self.order)[0])
         pi = np.asarray(self.stationary, dtype=float).copy()
         kernel = np.asarray(self.kernel, dtype=float).copy()
-        n = len(states)
         if pi.shape != (n,) or kernel.shape != (n, n):
             raise ValidationError(
                 f"expected {n} states of order {self.order}, got stationary "
                 f"{pi.shape} and kernel {kernel.shape}"
             )
-        if (pi < 0).any() or abs(pi.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError("stationary vector is not a probability vector")
-        if (kernel < 0).any():
-            raise ValidationError("kernel has negative entries")
-        rows = kernel.sum(axis=1)
-        if np.abs(rows - 1.0).max() > _ROW_SUM_TOL:
-            raise ValidationError(
-                f"kernel rows sum to 1 only within {np.abs(rows - 1.0).max():.3g}"
-            )
-        allowed = np.zeros((n, n), dtype=bool)
-        allowed[src, dst] = True
-        if (kernel[~allowed] != 0).any():
-            raise ValidationError("kernel is supported outside admissible transitions")
-        drift = np.abs(pi @ kernel - pi).max()
-        if drift > _INVARIANCE_TOL:
-            raise ValidationError(f"stationary vector is not invariant (drift {drift:.3g})")
+        entropy, failure = _validate_measures(self.sft, self.order, pi[None], kernel[None])
+        if failure is not None:
+            raise failure
+        self._seal(pi, kernel, entropy[0])
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(kernel > 0, kernel * np.log(kernel), 0.0)
-        entropy = max(0.0, float(-(pi @ plogp.sum(axis=1))))
-        top = topological_entropy(self.sft)
-        if entropy > top + _ENTROPY_SLACK:
-            raise ValidationError(
-                f"entropy {entropy} exceeds topological entropy {top}"
-            )
+    @classmethod
+    def _validated(cls, sft: Sft, order: int, pi, kernel, entropy: float) -> MarkovMeasure:
+        """The measure of arrays that `_validate_measures` passed, with the
+        entropy it returned; not checked again."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "sft", sft)
+        object.__setattr__(mu, "order", order)
+        mu._seal(pi, kernel, entropy)
+        return mu
+
+    def _seal(self, pi, kernel, entropy):
         pi.flags.writeable = False
         kernel.flags.writeable = False
         object.__setattr__(self, "stationary", pi)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "_states", states)
-        object.__setattr__(self, "_entropy", entropy)
+        object.__setattr__(self, "_states", block_graph(self.sft, self.order)[0])
+        object.__setattr__(self, "_entropy", float(entropy))
 
     @property
     def states(self) -> tuple[Block, ...]:
@@ -225,9 +283,101 @@ class MarkovMeasure:
         return len({label[i] for i in np.flatnonzero(pi > 0).tolist()}) == 1
 
 
+def _dots(a, b):
+    """``a[s] @ b[s]`` for each row ``s`` of two stacks of vectors, one
+    dot product per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray):
+    """The checks of `MarkovMeasure` on a stack of stationary vectors
+    ``pi`` (T, n) and kernels ``kernel`` (T, n, n) on ``order``-blocks.
+
+    Returns the entropies of the slices before the first that fails a
+    check, and that slice's ``ValidationError`` for the first check it
+    fails (``None`` if every slice passes)."""
+    _, src, dst = block_graph(sft, order)
+    size = len(pi)
+    # The reductions run on every slice at once; a slice that fails a
+    # check is refused, so what the later ones make of it is moot.
+    with np.errstate(all="ignore"):
+        plogp = np.where(kernel > 0, kernel * np.log(kernel), 0.0)
+        dots = _dots(pi, np.add.reduce(plogp, axis=2))
+        deviation = np.maximum.reduce(np.abs(np.add.reduce(kernel, axis=2) - 1.0), axis=1)
+        drift = np.maximum.reduce(np.abs(np.matmul(pi[:, None, :], kernel)[:, 0] - pi), axis=1)
+    # An entry off the transitions is nonzero iff a slice has more nonzero
+    # entries than it has on the transitions.
+    stray = [False] * size
+    if np.count_nonzero(kernel) != np.count_nonzero(kernel[:, src, dst]):
+        stray = [np.count_nonzero(k) != np.count_nonzero(k[src, dst]) for k in kernel]
+    top = topological_entropy(sft)
+    entropy = []
+    # A finite sum has finite terms, so only a slice whose sum is not
+    # finite is searched for a non-finite entry.
+    for k, (total, low, low_kernel, rows, stray, moved, dot) in enumerate(zip(
+        np.add.reduce(pi, axis=1).tolist(),
+        np.minimum.reduce(pi, axis=1).tolist(),
+        np.minimum.reduce(kernel.reshape(size, -1), axis=1).tolist(),
+        deviation.tolist(),
+        stray,
+        drift.tolist(),
+        dots.tolist(),
+    )):
+        h = max(0.0, -dot)
+        if not math.isfinite(total) and not np.isfinite(pi[k]).all():
+            message = "stationary vector has a non-finite entry"
+        elif not math.isfinite(rows) and not np.isfinite(kernel[k]).all():
+            message = "kernel has a non-finite entry"
+        elif low < 0 or abs(total - 1.0) > _ROW_SUM_TOL:
+            message = "stationary vector is not a probability vector"
+        elif low_kernel < 0:
+            message = "kernel has negative entries"
+        elif rows > _ROW_SUM_TOL:
+            message = f"kernel rows sum to 1 only within {rows:.3g}"
+        elif stray:
+            message = "kernel is supported outside admissible transitions"
+        elif moved > _INVARIANCE_TOL:
+            message = f"stationary vector is not invariant (drift {moved:.3g})"
+        elif h > top + _ENTROPY_SLACK:
+            message = f"entropy {h} exceeds topological entropy {top}"
+        else:
+            entropy.append(h)
+            continue
+        return entropy, ValidationError(message)
+    return entropy, None
+
+
+def _equilibria(solve: _EigenSolve):
+    """Stationary vectors, kernels and entropies of the equilibrium states
+    of a stack of solves, validated: those of the slices before the first
+    that fails validation, and its ``ValidationError`` (or ``None``)."""
+    frame = solve.frame_logw
+    u = solve.frame_right
+    ln_kernel = frame + u[:, None, :] - u[:, :, None]
+    ln_kernel -= logsumexp(ln_kernel, axis=2)[:, :, None]
+    kernel = np.exp(ln_kernel)
+    kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
+
+    ln_pi = solve.frame_left + solve.frame_right
+    pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
+    pi /= np.add.reduce(pi, axis=1)[:, None]
+    pi = _polish_stationary(pi, kernel)
+    entropy, failure = _validate_measures(solve.sft, solve.order, pi, kernel)
+    k = len(entropy)
+    return pi[:k], kernel[:k], entropy, failure
+
+
+def _equilibrium(solve: _EigenSolve) -> MarkovMeasure:
+    """The equilibrium state of a stack of one solve."""
+    pi, kernel, entropy, failure = _equilibria(solve)
+    if failure is not None:
+        raise failure
+    return MarkovMeasure._validated(solve.sft, solve.order, pi[0], kernel[0], entropy[0])
+
+
 def equilibrium_state(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> MarkovMeasure:
     """The unique equilibrium state of ``phi`` as a Markov measure."""
-    return _measure_from_eigen(_solve_potential(sft, phi, tol, max_iter))
+    return _equilibrium(_solve_potential(sft, phi, tol, max_iter))
 
 
 def pressure_and_equilibrium(
@@ -235,63 +385,122 @@ def pressure_and_equilibrium(
 ) -> tuple[PressureResult, MarkovMeasure]:
     """Pressure and its equilibrium state from a single eigensolve."""
     solve = _solve_potential(sft, phi, tol, max_iter)
-    return solve.result, _measure_from_eigen(solve)
+    return solve.result(0), _equilibrium(solve)
 
 
-def _ray_equilibrium(
-    sft: Sft, psi: Potential, phi: Potential, t: float
-) -> tuple[PressureResult, MarkovMeasure]:
-    """Pressure and equilibrium state of ``psi + t * phi`` at the common
-    order, solved on the cached edge weights of both potentials: the
-    weights of ``combine(psi, phi, t)`` bit for bit, without building that
-    potential or its dense edge table."""
+@dataclass(frozen=True)
+class _RaySamples:
+    """Equilibrium quantities of ``psi + t * phi`` over a grid of ``t``,
+    as lists over the grid.  When ``failure`` is set, the lists stop
+    before the first point that failed and ``failure`` is its error."""
+
+    pressure: list[float]
+    entropy: list[float]
+    phi_avg: list[float]
+    psi_avg: list[float]
+    phi_var: list[float]
+    failure: Exception | None = None
+
+
+def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _RaySamples:
+    """Pressure, equilibrium entropy, the integrals of ``phi`` and ``psi``
+    and the asymptotic variance of ``phi`` at each point of ``ts`` on the
+    ray ``psi + t * phi``, solved as stacks at the common order on the
+    cached edge weights of both potentials: the weights of
+    ``combine(psi, phi, t)`` bit for bit, without building that potential
+    or its dense edge table."""
     _require_over(sft, psi)
     _require_over(sft, phi)
     order = max(graph_order(psi.memory), graph_order(phi.memory))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        w = edge_weights(psi, order) + t * edge_weights(phi, order)
-    if not np.isfinite(w).all():
-        raise ValidationError(f"psi + t * phi has a non-finite value at t = {t}")
-    solve = _solve_eigen(sft, order, w, DEFAULT_TOL, MAX_ITERATIONS)
-    return solve.result, _measure_from_eigen(solve)
-
-
-def _measure_from_eigen(solve: _EigenSolve) -> MarkovMeasure:
-    frame = solve.frame_logw
-    u = solve.frame_right
-    ln_kernel = frame + u[None, :] - u[:, None]
-    ln_kernel -= logsumexp(ln_kernel, axis=1)[:, None]
-    kernel = np.exp(ln_kernel)
-    kernel /= kernel.sum(axis=1)[:, None]
-
-    ln_pi = solve.frame_left + solve.frame_right
-    pi = np.exp(ln_pi - logsumexp(ln_pi))
-    pi /= pi.sum()
-    pi = _polish_stationary(pi, kernel)
-    return MarkovMeasure(solve.sft, solve.order, pi, kernel)
+    n = len(block_graph(sft, order)[0])
+    w_psi, w_phi = edge_weights(psi, order), edge_weights(phi, order)
+    chunk = max(1, _STACK_ENTRIES // (2 * n * n))
+    out = _RaySamples([], [], [], [], [])
+    for start in range(0, len(ts), chunk):
+        grid = np.array(ts[start:start + chunk], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            w = w_psi + grid[:, None] * w_phi
+        finite = np.isfinite(w).all(axis=1)
+        failure = None
+        if not finite.all():
+            k = int(finite.argmin())
+            failure = ValidationError(
+                f"psi + t * phi has a non-finite value at t = {ts[start + k]}"
+            )
+            w = w[:k]
+        if len(w):
+            # each stage sees only the slices that passed the one before,
+            # so a later failure is at an earlier point
+            solve, failed = _solve_eigen(sft, order, w, DEFAULT_TOL, MAX_ITERATIONS)
+            failure = failed or failure
+            pi, kernel, entropy, failed = _equilibria(solve)
+            failure = failed or failure
+            out.pressure.extend(solve.value[: len(pi)].tolist())
+            out.entropy.extend(entropy)
+            phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
+            out.phi_avg.extend(phi_avg)
+            out.psi_avg.extend(psi_avg)
+            out.phi_var.extend(_variances(sft, order, pi, kernel, w_phi).tolist())
+        if failure is not None:
+            return replace(out, failure=failure)
+    return out
 
 
 def _polish_stationary(pi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Kernel-power refinement; drift may oscillate when the subdominant
-    # eigenvalue is complex, so keep the best iterate seen.
-    def drift_of(vec):
-        return np.abs(vec @ kernel - vec).max()
-
-    best = current = pi
-    best_drift = drift_of(pi)
-    stale = 0
-    for _ in range(100_000):
-        if best_drift <= 1e-16 or stale >= 25:
-            break
-        current = current @ kernel
-        current = current / current.sum()
-        drift = drift_of(current)
-        if drift < best_drift:
+    """Kernel-power refinement of each row of a stack of stationary
+    vectors, each row on its own count of steps."""
+    # Drift may oscillate when the subdominant eigenvalue is complex, so
+    # keep the best iterate seen; a row stops at drift 1e-16 or after 25
+    # steps without a better one.  The product that measures an iterate's
+    # drift is also the next iterate before normalization.  Rows are kept
+    # as 1 x n matrices, so every product is a stacked vector-matrix one.
+    pi = pi[:, None, :]
+    product = np.matmul(pi, kernel)
+    drift = np.maximum.reduce(np.abs(product - pi), axis=2)
+    if np.maximum.reduce(drift, axis=None) <= 1e-16:  # False for nan too
+        return pi[:, 0]
+    refine = ~(drift[:, 0] <= 1e-16)
+    polished = pi[:, 0].copy()
+    # The stack holds the rows `live` with their kernels, products and best
+    # iterates.  A row that stops is no longer `waiting`: its best iterate
+    # is taken then, and it stays in the stack, its later steps unused,
+    # until a quarter of the stack is left.
+    live = np.flatnonzero(refine)
+    if live.size < len(pi):
+        kernel, product, pi, drift = kernel[live], product[live], pi[live], drift[live]
+    best, best_drift = pi, drift
+    last = np.zeros((live.size, 1), dtype=int)  # step of each row's best iterate
+    waiting, count = np.ones(live.size, dtype=bool), live.size
+    stop = 25  # the first step at which some row may stop
+    for step in range(1, 100_001):
+        current = product / np.add.reduce(product, axis=2, keepdims=True)
+        product = np.matmul(current, kernel)
+        drift = np.maximum.reduce(np.abs(product - current), axis=2)
+        better = drift < best_drift
+        improved = np.count_nonzero(better)
+        if improved == live.size:
             best, best_drift = current, drift
-            stale = 0
-        else:
-            stale += 1
-    return best
+            last.fill(step)
+            stop = step if min(drift.tolist())[0] <= 1e-16 else step + 25
+        elif improved:
+            best = np.where(better[:, :, None], current, best)
+            best_drift = np.where(better, drift, best_drift)
+            last[better] = step
+            stop = step if min(drift[better].tolist()) <= 1e-16 else int(last[waiting].min()) + 25
+        if step >= stop:
+            leave = waiting & ((last + 25 <= step) | (best_drift <= 1e-16))[:, 0]
+            polished[live[leave]] = best[leave, 0]
+            count -= np.count_nonzero(leave)
+            if not count:
+                return polished
+            waiting &= ~leave
+            if 4 * count <= live.size:
+                live, kernel, product, best, best_drift, last = (
+                    a[waiting] for a in (live, kernel, product, best, best_drift, last))
+                waiting = np.ones(count, dtype=bool)
+            stop = int(last[waiting].min()) + 25
+    polished[live[waiting]] = best[waiting, 0]
+    return polished
 
 
 def lift_markov_measure(mu: MarkovMeasure, order: int) -> MarkovMeasure:
@@ -323,11 +532,19 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
         raise MismatchedSystemError("potential and measure live on different subshifts")
     if phi.memory > mu.order + 1:
         mu = lift_markov_measure(mu, phi.memory - 1)
-    _, src, dst = block_graph(mu.sft, mu.order)
-    weight = mu.stationary[src] * mu.kernel[src, dst]
-    charged = weight > 0
-    # fsum is exactly rounded, so the order of the edges cannot matter.
-    return math.fsum((weight[charged] * edge_weights(phi, mu.order)[charged]).tolist())
+    return _integrals(mu.sft, mu.order, mu.stationary[None], mu.kernel[None],
+                      edge_weights(phi, mu.order))[0][0]
+
+
+def _integrals(sft: Sft, order: int, pi, kernel, *weights) -> list[list[float]]:
+    """Integral of each vector of edge weights of ``block_graph(sft,
+    order)`` in ``weights`` against each measure of a stack: one list over
+    the stack per vector."""
+    _, src, dst = block_graph(sft, order)
+    mass = pi[:, src] * kernel[:, src, dst]
+    # fsum is exactly rounded, so the order of the edges cannot matter, and
+    # it sums zeros to +0.0, so uncharged edges (zero terms) cannot either.
+    return [[math.fsum(row) for row in (mass * w).tolist()] for w in weights]
 
 
 def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
@@ -336,33 +553,53 @@ def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
     ``phi`` must live on the subshift of ``mu`` with memory at most
     ``mu.order + 1``, as it does when ``mu`` is the equilibrium state
     ``mu_t`` of ``psi + t * phi``; the result is then the second
-    derivative ``p''(t)`` of the pressure along the ray.
+    derivative ``p''(t)`` of the pressure along the ray.  See
+    `_variances`.
+    """
+    weights = edge_weights(phi, mu.order)
+    return float(_variances(mu.sft, mu.order, mu.stationary[None], mu.kernel[None], weights)[0])
 
-    With ``f`` the value of ``phi`` on each transition, ``g = (P * f) 1``
-    its one-step mean and ``m = pi g`` its average, the covariances of
-    all lags sum through the fundamental matrix ``(I - P + 1 pi)^-1``
-    (Kemeny and Snell): ``var = sum pi_i P_ij (f_ij - m)^2 + 2 pi (P * f) h``
-    with ``h`` solving ``(I - P + 1 pi) h = g - m``.
+
+def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
+    """Asymptotic variance of the edge weights ``weights`` of
+    ``block_graph(sft, order)`` under each measure of a stack.
+
+    With ``f`` the value of the weights on each transition,
+    ``g = (P * f) 1`` its one-step mean and ``m = pi g`` its average, the
+    covariances of all lags sum through the fundamental matrix
+    ``(I - P + 1 pi)^-1`` (Kemeny and Snell):
+    ``var = sum pi_i P_ij (f_ij - m)^2 + 2 pi (P * f) h`` with ``h``
+    solving ``(I - P + 1 pi) h = g - m``.
 
     The system is singular when ``P`` is reducible, as it becomes once
     the weights between two tied ground cycles underflow at large ``t``;
-    the variance is then ``nan``.  It is not clamped, so round-off can
-    leave it a few ulps below zero where it vanishes.
+    the variance of that slice alone is then ``nan``.  It is not clamped,
+    so round-off can leave it a few ulps below zero where it vanishes.
     """
-    kernel, pi = mu.kernel, mu.stationary
-    _, src, dst = block_graph(mu.sft, mu.order)
+    _, src, dst = block_graph(sft, order)
     f = np.zeros_like(kernel)
     # 0 wherever the kernel is 0, so no product there is a signed zero
-    f[src, dst] = np.where(kernel[src, dst] > 0, edge_weights(phi, mu.order), 0.0)
+    f[:, src, dst] = np.where(kernel[:, src, dst] > 0, weights, 0.0)
     weighted = kernel * f
-    g = weighted.sum(axis=1)
-    m = pi @ g
+    g = np.add.reduce(weighted, axis=2)
+    m = _dots(pi, g)
+    system = np.eye(pi.shape[1]) - kernel + pi[:, None, :]
+    rhs = (g - m[:, None])[:, :, None]
+    singular = []
     try:
-        h = np.linalg.solve(np.eye(len(pi)) - kernel + pi[None, :], g - m)
-    except np.linalg.LinAlgError:
-        return math.nan
-    spread = pi @ (kernel * (f - m) ** 2).sum(axis=1)
-    return float(spread + 2.0 * pi @ (weighted @ h))
+        h = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:  # some slice is singular: solve each alone
+        h = np.zeros_like(rhs)
+        for k, (a, b) in enumerate(zip(system, rhs)):
+            try:
+                h[k] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(k)
+    spread = _dots(pi, np.add.reduce(kernel * (f - m[:, None, None]) ** 2, axis=2))
+    variance = spread + _dots(2.0 * pi, np.matmul(weighted, h)[:, :, 0])
+    if singular:
+        variance[singular] = np.nan
+    return variance
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import _edgegraph, ergopt, paths, potentials, transfer
+from thermoshift import _edgegraph, _perron, ergopt, paths, potentials, transfer
 from thermoshift._edgegraph import edge_weights
 from thermoshift.cli import main
 from thermoshift.errors import ValidationError
@@ -73,19 +73,98 @@ def test_sample_at_matches_the_combine_route_bit_for_bit():
         psi_memory, phi_memory = rng.choice([1, 2, 3], size=2, replace=False).tolist()
         psi = random_potential(rng, sft, m, psi_memory)
         phi = random_potential(rng, sft, m, phi_memory)
-        for t in RAY_TEMPERATURES:
+        swept = ts.sweep(sft, psi, phi, RAY_TEMPERATURES)
+        for t, stacked in zip(RAY_TEMPERATURES, swept):
             sample = ts.sample_at(sft, psi, phi, t)
             result, mu = ts.pressure_and_equilibrium(sft, ts.combine(psi, phi, t))
             entropy = mu.entropy
             phi_avg = ts.integrate(mu, phi)
             want = (t, result.value, entropy, phi_avg,
                     entropy + ts.integrate(mu, psi), _asymptotic_variance(mu, phi))
-            got = (sample.t, sample.pressure, sample.entropy, sample.phi_avg,
-                   sample.psi_pressure, sample.phi_var)
-            assert bits(*got) == bits(*want), (trial, t)
+            assert sample_bits(sample) == bits(*want), (trial, t)
+            assert sample_bits(stacked) == bits(*want), (trial, t)
             assert bits(phi_avg, _asymptotic_variance(mu, phi)) == bits(
                 dense_integral(mu, phi), dense_variance(mu, phi)
             ), (trial, t)
+
+
+def sample_bits(sample):
+    return bits(sample.t, sample.pressure, sample.entropy, sample.phi_avg,
+                sample.psi_pressure, sample.phi_var)
+
+
+def assert_sweep_is_pointwise(sft, psi, phi, grid):
+    """One stacked sweep equals a sample_at call per point, bit for bit."""
+    swept = [sample_bits(s) for s in ts.sweep(sft, psi, phi, grid)]
+    assert swept == [sample_bits(ts.sample_at(sft, psi, phi, t)) for t in grid]
+
+
+def count_escalations(monkeypatch):
+    """Record the slices that leave the plain Perron phase."""
+    calls = []
+    escalate = _perron._escalate
+
+    def counted(*args):
+        calls.append(args[2])  # the plain-phase iteration count
+        return escalate(*args)
+
+    monkeypatch.setattr(_perron, "_escalate", counted)
+    return calls
+
+
+LAZY_CASE = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
+NEAR_TIED = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 0.0}
+
+
+@pytest.mark.parametrize("values, grid", [
+    # t = 10 leaves the plain phase for the lazy one (test_perron), the
+    # other points certify in the plain phase
+    (LAZY_CASE, (0.0, 1.0, 10.0, 12.0)),
+    # t = 100 is closed only by the squaring ladder (test_perron)
+    (NEAR_TIED, (1.0, 30.0, 100.0)),
+    # the two tied loops far out on the ray
+    ({(0, 0): 0.0, (1, 1): 0.0, (0, 1): -1.0, (1, 0): -1.0}, (1.0, 1000.0, 1e6)),
+])
+def test_a_sweep_with_escalating_slices_is_pointwise(full2, monkeypatch, values, grid):
+    phi = ts.Potential(full2, 2, values)
+    calls = count_escalations(monkeypatch)
+    ts.sweep(full2, ts.zero_potential(full2, 2), phi, grid)
+    assert calls  # some slice finished alone after the plain phase
+    assert len(calls) < 2 * len(grid)  # and some certified in it
+    assert_sweep_is_pointwise(full2, ts.zero_potential(full2, 2), phi, grid)
+
+
+@pytest.mark.parametrize("samples_per_chunk", [1, 3])
+def test_a_sweep_across_chunks_equals_one_chunk(golden, rng, monkeypatch, samples_per_chunk):
+    psi = ts.Potential(golden, 1, oracles.random_values(rng, golden.transitions, 1))
+    phi = ts.Potential(golden, 3, oracles.random_values(rng, golden.transitions, 3))
+    grid = np.linspace(0.0, 13.0, 14)
+    whole = [sample_bits(s) for s in ts.sweep(golden, psi, phi, grid)]
+    n = len(ts.admissible_blocks(golden, 2))
+    monkeypatch.setattr(transfer, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
+    solves = []
+    solve_eigen = transfer._solve_eigen
+
+    def counted(sft, order, w, *args):
+        solves.append(len(w))
+        return solve_eigen(sft, order, w, *args)
+
+    monkeypatch.setattr(transfer, "_solve_eigen", counted)
+    assert [sample_bits(s) for s in ts.sweep(golden, psi, phi, grid)] == whole
+    assert max(solves) == samples_per_chunk and sum(solves) == len(grid)
+
+
+def test_a_sweep_raises_the_error_of_its_first_failing_point(golden):
+    psi = ts.zero_potential(golden)
+    phi = ts.Potential(golden, 1, {(0,): 0.0, (1,): 1e150})
+    grid = [0.0, 1.0, 1e200, 1e300]  # t * phi overflows from the third point on
+    ts.sweep(golden, psi, phi, grid[:2])
+    with pytest.raises(ValidationError) as alone:
+        ts.sample_at(golden, psi, phi, 1e200)
+    with pytest.raises(ValidationError) as swept:
+        ts.sweep(golden, psi, phi, grid)
+    assert str(swept.value) == str(alone.value)
+    assert "non-finite value at t = 1e+200" in str(swept.value)
 
 
 def test_a_sweep_combines_nothing_and_builds_each_edge_vector_once(golden, monkeypatch):

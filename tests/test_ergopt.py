@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import maxplus
+from thermoshift import ergopt, maxplus
 from thermoshift.errors import ValidationError
 
 import oracles
@@ -411,3 +411,16 @@ def test_diagnostics_rejects_bad_grid(full2):
         ts.zero_temperature_diagnostics(full2, phi, [1.0, 0.5])
     with pytest.raises(ValidationError):
         ts.zero_temperature_diagnostics(full2, phi, [-1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_diagnostics_refuse_a_non_finite_t_before_solving(full2, monkeypatch, bad):
+    def no_solve(*args):
+        raise AssertionError("something was solved")
+
+    monkeypatch.setattr(ergopt, "_ray_samples", no_solve)
+    monkeypatch.setattr(ergopt, "max_ergodic_average", no_solve)
+    phi = ts.fixed_point_potential(full2, 0)
+    with pytest.raises(ValidationError, match=f"t_list must be finite, got {bad}") as refused:
+        ts.zero_temperature_diagnostics(full2, phi, [1.0, bad])
+    assert "psi" not in str(refused.value)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import paths
+from thermoshift import paths, transfer
+from thermoshift._edgegraph import edge_weights
 from thermoshift.errors import (
     AsymptoteUnreachableError,
     MonotonicityError,
@@ -66,6 +67,17 @@ def test_sweep_validates_grid(full2):
         ts.sweep(full2, psi, phi, [0.0, 0.0])
     with pytest.raises(ValidationError):
         ts.sweep(full2, psi, phi, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_refuses_a_non_finite_grid_point_before_solving(full2, monkeypatch, bad):
+    def no_solve(*args):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(paths, "_ray_samples", no_solve)
+    phi = ts.fixed_point_potential(full2, 0)
+    with pytest.raises(ValidationError, match=f"t_grid must be finite, got {bad}"):
+        ts.sweep(full2, ts.zero_potential(full2), phi, [0.0, 1.0, bad])
 
 
 def test_sample_invariants_along_sweep(golden, rng):
@@ -131,6 +143,21 @@ def test_phi_var_is_never_negative(full2, golden, full3, rng):
         samples = ts.sweep(sft, ts.zero_potential(sft), phi, np.linspace(0.0, 40.0, 41))
         # unclamped, so only round-off may take it below zero
         assert all(math.isfinite(s.phi_var) and s.phi_var >= -1e-14 for s in samples)
+
+
+def test_a_singular_variance_system_is_nan_in_its_own_slice_only(full2):
+    two_loops = ts.Potential(
+        full2, 2, {(0, 0): 0.0, (1, 1): 0.0, (0, 1): -1.0, (1, 0): -1.0}
+    )
+    weights = edge_weights(two_loops, 1)
+    pi = np.array([0.5, 0.5])
+    mixing = np.array([[0.75, 0.25], [0.25, 0.75]])
+    want = _asymptotic_variance(ts.MarkovMeasure(full2, 1, pi, mixing), two_loops)
+    assert math.isfinite(want)
+    for kernels, singular in (([np.eye(2), mixing], 0), ([mixing, np.eye(2)], 1)):
+        got = transfer._variances(full2, 1, np.array([pi, pi]), np.array(kernels), weights)
+        assert math.isnan(got[singular])
+        assert got[1 - singular].hex() == want.hex()
 
 
 def test_phi_var_is_nan_on_a_reducible_kernel(full2):

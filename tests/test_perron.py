@@ -109,3 +109,53 @@ def test_iterate_below_normal_range_is_a_typed_failure():
     logw = np.array([[0.0, 0.0], [-720.0, -720.0]])
     with pytest.raises(ts.errors.ConvergenceError, match="normal float range"):
         _perron.power_log_perron(logw)
+
+
+def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
+    # Two plain slices around one that leaves the plain phase early
+    # (the nearly periodic support above) and one whose first update
+    # leaves the normal range: each slice comes back as its lone solve,
+    # or with its lone solve's error.
+    values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
+    _, slow = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
+    lazy = np.log(slow) - np.log(slow).max(axis=1, keepdims=True)
+    plain = np.log(np.array([[0.5, 0.25], [0.75, 1.0]]))
+    unconditioned = np.array([[0.0, 0.0], [-720.0, -720.0]])
+    stack = np.array([plain, lazy, unconditioned, plain.T])
+    escalated = []
+    escalate = _perron._escalate
+
+    def recorded(e, *rest):
+        escalated.append(np.array_equal(e, np.exp(lazy)))
+        return escalate(e, *rest)
+
+    monkeypatch.setattr(_perron, "_escalate", recorded)
+    got_values, got_vectors, got_residuals, got_iterations, failures = _perron.perron_stack(stack)
+    assert list(failures) == [2]
+    with pytest.raises(ts.errors.ConvergenceError) as alone:
+        _perron.power_log_perron(unconditioned)
+    assert str(failures[2]) == str(alone.value)
+    for k in (0, 1, 3):
+        value, vector, residual, iterations = _perron.power_log_perron(stack[k])
+        assert got_values[k].hex() == value.hex()
+        assert got_vectors[k].tobytes() == vector.tobytes()
+        assert (got_residuals[k], got_iterations[k]) == (residual, iterations)
+    assert escalated == [True, True]  # the lazy slice, stacked and alone
+
+
+def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
+    # |lambda_2 / lambda_1| about 0.7: the residual shrinks by a steady
+    # factor, so the plain phase runs to the tolerance, well past the
+    # _PLAIN_STALL steps the escalation test looks back over, alone and
+    # next to a slice that certifies at once.
+    steady = np.log(np.array([[1.0, 0.3], [0.1, 1.0]]))
+    instant = np.log(np.array([[0.5, 0.75], [0.25, 1.0]]))  # equal row sums
+
+    def no_escalation(*args):
+        raise AssertionError("a steadily contracting slice left the plain phase")
+
+    monkeypatch.setattr(_perron, "_escalate", no_escalation)
+    iterations = _perron.power_log_perron(steady)[3]
+    assert iterations > 2 * _perron._PLAIN_STALL
+    stacked = _perron.perron_stack(np.array([instant, steady, steady.T]))[3]
+    assert stacked[1] == iterations and stacked[0] == 1

@@ -307,6 +307,18 @@ def test_markov_measure_validation(full2):
         ts.MarkovMeasure(full2, 1, [0.7, 0.5], [[0.5, 0.5], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_markov_measure_refuses_a_non_finite_stationary_vector(full2, bad):
+    with pytest.raises(ValidationError, match="stationary vector has a non-finite entry"):
+        ts.MarkovMeasure(full2, 1, np.array([bad, bad]), np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_markov_measure_refuses_a_non_finite_kernel(full2, bad):
+    with pytest.raises(ValidationError, match="kernel has a non-finite entry"):
+        ts.MarkovMeasure(full2, 1, np.array([0.5, 0.5]), np.array([[0.5, 0.5], [bad, bad]]))
+
+
 def test_markov_measure_rejects_forbidden_support(golden):
     with pytest.raises(ValidationError, match="support"):
         ts.MarkovMeasure(
