@@ -26,7 +26,8 @@ least one sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -388,8 +389,7 @@ def pressure_and_equilibrium(
     return solve.result(0), _equilibrium(solve)
 
 
-@dataclass(frozen=True)
-class _RaySamples:
+class _RaySamples(NamedTuple):
     """Equilibrium quantities of ``psi + t * phi`` over a grid of ``t``,
     as lists over the grid.  When ``failure`` is set, the lists stop
     before the first point that failed and ``failure`` is its error."""
@@ -442,7 +442,7 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
             out.psi_avg.extend(psi_avg)
             out.phi_var.extend(_variances(sft, order, pi, kernel, w_phi).tolist())
         if failure is not None:
-            return replace(out, failure=failure)
+            return out._replace(failure=failure)
     return out
 
 

@@ -403,7 +403,12 @@ def test_diagnostics_bounds_and_monotonicity(full2, golden):
         assert rows[-1].entropy <= 1e-3
 
 
-def test_diagnostics_rejects_bad_grid(full2):
+def test_diagnostics_rejects_bad_grid(full2, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("something was solved")
+
+    monkeypatch.setattr(ergopt, "_ray_samples", no_solve)
+    monkeypatch.setattr(ergopt, "max_ergodic_average", no_solve)
     phi = ts.fixed_point_potential(full2, 0)
     with pytest.raises(ValidationError):
         ts.zero_temperature_diagnostics(full2, phi, [])
@@ -411,16 +416,7 @@ def test_diagnostics_rejects_bad_grid(full2):
         ts.zero_temperature_diagnostics(full2, phi, [1.0, 0.5])
     with pytest.raises(ValidationError):
         ts.zero_temperature_diagnostics(full2, phi, [-1.0, 2.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_diagnostics_refuse_a_non_finite_t_before_solving(full2, monkeypatch, bad):
-    def no_solve(*args):
-        raise AssertionError("something was solved")
-
-    monkeypatch.setattr(ergopt, "_ray_samples", no_solve)
-    monkeypatch.setattr(ergopt, "max_ergodic_average", no_solve)
-    phi = ts.fixed_point_potential(full2, 0)
-    with pytest.raises(ValidationError, match=f"t_list must be finite, got {bad}") as refused:
-        ts.zero_temperature_diagnostics(full2, phi, [1.0, bad])
-    assert "psi" not in str(refused.value)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"t_list must be finite, got {bad}") as refused:
+            ts.zero_temperature_diagnostics(full2, phi, [1.0, bad])
+        assert "psi" not in str(refused.value)

@@ -58,7 +58,11 @@ def test_sweep_psi_equals_phi_identity(golden, rng):
     assert samples[0].psi_pressure == pytest.approx(samples[0].pressure, abs=1e-12)
 
 
-def test_sweep_validates_grid(full2):
+def test_sweep_validates_grid(full2, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(paths, "_ray_samples", no_solve)
     phi = ts.fixed_point_potential(full2, 0)
     psi = ts.zero_potential(full2)
     with pytest.raises(ValidationError):
@@ -67,17 +71,9 @@ def test_sweep_validates_grid(full2):
         ts.sweep(full2, psi, phi, [0.0, 0.0])
     with pytest.raises(ValidationError):
         ts.sweep(full2, psi, phi, [-1.0, 1.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_sweep_refuses_a_non_finite_grid_point_before_solving(full2, monkeypatch, bad):
-    def no_solve(*args):
-        raise AssertionError("a grid point was solved")
-
-    monkeypatch.setattr(paths, "_ray_samples", no_solve)
-    phi = ts.fixed_point_potential(full2, 0)
-    with pytest.raises(ValidationError, match=f"t_grid must be finite, got {bad}"):
-        ts.sweep(full2, ts.zero_potential(full2), phi, [0.0, 1.0, bad])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"t_grid must be finite, got {bad}"):
+            ts.sweep(full2, psi, phi, [0.0, 1.0, bad])
 
 
 def test_sample_invariants_along_sweep(golden, rng):
