@@ -11,7 +11,10 @@ by Newton steps safeguarded by bisection inside the bracket.
 
 A sweep solves its whole grid as stacks (see `transfer`), and each of its
 samples equals `sample_at` at that point bit for bit; `sample_at` is a
-sweep of one point.  The solvers probe one point at a time, since each
+sweep of one point.  A failing grid raises the error that `sample_at`
+raises at its first failing point, unless one chunk holds a point that
+fails validation before one whose eigensolve fails: the eigensolve's
+error is raised.  The solvers probe one point at a time, since each
 probe depends on the ones before it.
 """
 
@@ -80,8 +83,6 @@ class SolveReport:
 
 def _samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> list[PathSample]:
     ray = _ray_samples(sft, psi, phi, ts)
-    if ray.failure is not None:
-        raise ray.failure
     return [
         PathSample(t, p, h, a, h + b, v)
         for t, p, h, a, b, v in zip(

@@ -20,7 +20,14 @@ and matrix product is still taken per slice, and every iteration stops
 on its slice's own counts.  So a sample of a sweep equals
 ``paths.sample_at`` at its point.  A grid is solved in chunks whose
 largest stacked table holds at most ``_STACK_ENTRIES`` entries, and at
-least one sample.
+least one sample.  The stationary polish runs row by row, each row on
+its own count of steps.
+
+Each stage of a stacked solve raises the error of its first failing
+slice: the eigensolve its ``ConvergenceError``, the measure validation
+its ``ValidationError``.  A chunk is solved to the end before it is
+validated, so a later point's eigensolve failure is raised before an
+earlier point's validation failure.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ class _EigenSolve:
     order: int
     value: np.ndarray
     maxplus_right: np.ndarray
-    frame_logw: np.ndarray
+    # conjugated log-weights on the edges of block_graph, shape (T, E)
+    frame_w: np.ndarray
     frame_right: np.ndarray
     # log pi = frame_left + frame_right (up to norm)
     frame_left: np.ndarray
@@ -173,9 +181,8 @@ def _maxplus_frame(n, src, dst, w):
 
 def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter):
     """Eigensolves of the rows of edge weights ``w`` on
-    ``block_graph(sft, order)``: the solves of the rows before the first
-    that fails, and that row's ``ConvergenceError`` (``None`` if none
-    fails)."""
+    ``block_graph(sft, order)``.  Raises the ``ConvergenceError`` of the
+    first row that fails, its right side's before its left side's."""
     states, src, dst = block_graph(sft, order)
     n, size = len(states), len(w)
     # A conjugation keeps the spectrum and the enclosure is certified on the
@@ -187,28 +194,25 @@ def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter):
     frames[0::2, src, dst] = frame_w
     frames[1::2, dst, src] = frame_w + left[:, src] - left[:, dst]
     values, vectors, residuals, iterations, failures = perron_stack(frames, tol, max_iter)
-    k = min(failures, default=2 * size) // 2  # rows before the first failure
-    solve = _EigenSolve(
+    if failures:
+        raise failures[min(failures)]
+    return _EigenSolve(
         sft,
         order,
-        value=values[0:2 * k:2] + beta[:k],
-        maxplus_right=right[:k],
-        frame_logw=frames[0:2 * k:2],
-        frame_right=vectors[0:2 * k:2],
-        frame_left=vectors[1:2 * k:2] + left[:k],
-        residuals=residuals[:2 * k],
-        iterations=iterations[:2 * k],
+        value=values[0::2] + beta,
+        maxplus_right=right,
+        frame_w=frame_w,
+        frame_right=vectors[0::2],
+        frame_left=vectors[1::2] + left,
+        residuals=residuals,
+        iterations=iterations,
     )
-    return solve, failures.get(2 * k) or failures.get(2 * k + 1)
 
 
 def _solve_potential(sft: Sft, phi: Potential, tol, max_iter) -> _EigenSolve:
     _require_over(sft, phi)
     order = graph_order(phi.memory)
-    solve, failure = _solve_eigen(sft, order, edge_weights(phi, order)[None], tol, max_iter)
-    if failure is not None:
-        raise failure
-    return solve
+    return _solve_eigen(sft, order, edge_weights(phi, order)[None], tol, max_iter)
 
 
 def pressure(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> PressureResult:
@@ -240,9 +244,7 @@ class MarkovMeasure:
                 f"expected {n} states of order {self.order}, got stationary "
                 f"{pi.shape} and kernel {kernel.shape}"
             )
-        entropy, failure = _validate_measures(self.sft, self.order, pi[None], kernel[None])
-        if failure is not None:
-            raise failure
+        entropy = _validate_measures(self.sft, self.order, pi[None], kernel[None])
         self._seal(pi, kernel, entropy[0])
 
     @classmethod
@@ -294,9 +296,8 @@ def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray)
     """The checks of `MarkovMeasure` on a stack of stationary vectors
     ``pi`` (T, n) and kernels ``kernel`` (T, n, n) on ``order``-blocks.
 
-    Returns the entropies of the slices before the first that fails a
-    check, and that slice's ``ValidationError`` for the first check it
-    fails (``None`` if every slice passes)."""
+    Returns the entropies of the slices.  Raises the ``ValidationError``
+    of the first slice that fails a check, for the first check it fails."""
     _, src, dst = block_graph(sft, order)
     size = len(pi)
     # The reductions run on every slice at once; a slice that fails a
@@ -344,17 +345,17 @@ def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray)
         else:
             entropy.append(h)
             continue
-        return entropy, ValidationError(message)
-    return entropy, None
+        raise ValidationError(message)
+    return entropy
 
 
 def _equilibria(solve: _EigenSolve):
     """Stationary vectors, kernels and entropies of the equilibrium states
-    of a stack of solves, validated: those of the slices before the first
-    that fails validation, and its ``ValidationError`` (or ``None``)."""
-    frame = solve.frame_logw
+    of a stack of solves, validated by `_validate_measures`."""
+    _, src, dst = block_graph(solve.sft, solve.order)
     u = solve.frame_right
-    ln_kernel = frame + u[:, None, :] - u[:, :, None]
+    ln_kernel = np.full((len(u), u.shape[1], u.shape[1]), -np.inf)
+    ln_kernel[:, src, dst] = solve.frame_w + u[:, dst] - u[:, src]
     ln_kernel -= logsumexp(ln_kernel, axis=2)[:, :, None]
     kernel = np.exp(ln_kernel)
     kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
@@ -363,16 +364,12 @@ def _equilibria(solve: _EigenSolve):
     pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
     pi /= np.add.reduce(pi, axis=1)[:, None]
     pi = _polish_stationary(pi, kernel)
-    entropy, failure = _validate_measures(solve.sft, solve.order, pi, kernel)
-    k = len(entropy)
-    return pi[:k], kernel[:k], entropy, failure
+    return pi, kernel, _validate_measures(solve.sft, solve.order, pi, kernel)
 
 
 def _equilibrium(solve: _EigenSolve) -> MarkovMeasure:
     """The equilibrium state of a stack of one solve."""
-    pi, kernel, entropy, failure = _equilibria(solve)
-    if failure is not None:
-        raise failure
+    pi, kernel, entropy = _equilibria(solve)
     return MarkovMeasure._validated(solve.sft, solve.order, pi[0], kernel[0], entropy[0])
 
 
@@ -391,15 +388,13 @@ def pressure_and_equilibrium(
 
 class _RaySamples(NamedTuple):
     """Equilibrium quantities of ``psi + t * phi`` over a grid of ``t``,
-    as lists over the grid.  When ``failure`` is set, the lists stop
-    before the first point that failed and ``failure`` is its error."""
+    as lists over the grid."""
 
     pressure: list[float]
     entropy: list[float]
     phi_avg: list[float]
     psi_avg: list[float]
     phi_var: list[float]
-    failure: Exception | None = None
 
 
 def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _RaySamples:
@@ -408,7 +403,11 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
     ray ``psi + t * phi``, solved as stacks at the common order on the
     cached edge weights of both potentials: the weights of
     ``combine(psi, phi, t)`` bit for bit, without building that potential
-    or its dense edge table."""
+    or its dense edge table.
+
+    Chunk by chunk, raises the first error met: the eigensolve's, then the
+    validation's (see the module docstring), then that of a point whose
+    weights are not finite, once the points before it are solved."""
     _require_over(sft, psi)
     _require_over(sft, phi)
     order = max(graph_order(psi.memory), graph_order(phi.memory))
@@ -421,85 +420,42 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             w = w_psi + grid[:, None] * w_phi
         finite = np.isfinite(w).all(axis=1)
-        failure = None
-        if not finite.all():
-            k = int(finite.argmin())
-            failure = ValidationError(
-                f"psi + t * phi has a non-finite value at t = {ts[start + k]}"
-            )
-            w = w[:k]
-        if len(w):
-            # each stage sees only the slices that passed the one before,
-            # so a later failure is at an earlier point
-            solve, failed = _solve_eigen(sft, order, w, DEFAULT_TOL, MAX_ITERATIONS)
-            failure = failed or failure
-            pi, kernel, entropy, failed = _equilibria(solve)
-            failure = failed or failure
-            out.pressure.extend(solve.value[: len(pi)].tolist())
+        k = len(w) if finite.all() else int(finite.argmin())
+        if k:
+            solve = _solve_eigen(sft, order, w[:k], DEFAULT_TOL, MAX_ITERATIONS)
+            pi, kernel, entropy = _equilibria(solve)
+            out.pressure.extend(solve.value.tolist())
             out.entropy.extend(entropy)
             phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
             out.phi_avg.extend(phi_avg)
             out.psi_avg.extend(psi_avg)
             out.phi_var.extend(_variances(sft, order, pi, kernel, w_phi).tolist())
-        if failure is not None:
-            return out._replace(failure=failure)
+        if k < len(w):
+            raise ValidationError(f"psi + t * phi has a non-finite value at t = {ts[start + k]}")
     return out
 
 
 def _polish_stationary(pi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Kernel-power refinement of each row of a stack of stationary
-    vectors, each row on its own count of steps."""
+    vectors, one row at a time."""
     # Drift may oscillate when the subdominant eigenvalue is complex, so
     # keep the best iterate seen; a row stops at drift 1e-16 or after 25
     # steps without a better one.  The product that measures an iterate's
-    # drift is also the next iterate before normalization.  Rows are kept
-    # as 1 x n matrices, so every product is a stacked vector-matrix one.
-    pi = pi[:, None, :]
-    product = np.matmul(pi, kernel)
-    drift = np.maximum.reduce(np.abs(product - pi), axis=2)
-    if np.maximum.reduce(drift, axis=None) <= 1e-16:  # False for nan too
-        return pi[:, 0]
-    refine = ~(drift[:, 0] <= 1e-16)
-    polished = pi[:, 0].copy()
-    # The stack holds the rows `live` with their kernels, products and best
-    # iterates.  A row that stops is no longer `waiting`: its best iterate
-    # is taken then, and it stays in the stack, its later steps unused,
-    # until a quarter of the stack is left.
-    live = np.flatnonzero(refine)
-    if live.size < len(pi):
-        kernel, product, pi, drift = kernel[live], product[live], pi[live], drift[live]
-    best, best_drift = pi, drift
-    last = np.zeros((live.size, 1), dtype=int)  # step of each row's best iterate
-    waiting, count = np.ones(live.size, dtype=bool), live.size
-    stop = 25  # the first step at which some row may stop
-    for step in range(1, 100_001):
-        current = product / np.add.reduce(product, axis=2, keepdims=True)
-        product = np.matmul(current, kernel)
-        drift = np.maximum.reduce(np.abs(product - current), axis=2)
-        better = drift < best_drift
-        improved = np.count_nonzero(better)
-        if improved == live.size:
-            best, best_drift = current, drift
-            last.fill(step)
-            stop = step if min(drift.tolist())[0] <= 1e-16 else step + 25
-        elif improved:
-            best = np.where(better[:, :, None], current, best)
-            best_drift = np.where(better, drift, best_drift)
-            last[better] = step
-            stop = step if min(drift[better].tolist()) <= 1e-16 else int(last[waiting].min()) + 25
-        if step >= stop:
-            leave = waiting & ((last + 25 <= step) | (best_drift <= 1e-16))[:, 0]
-            polished[live[leave]] = best[leave, 0]
-            count -= np.count_nonzero(leave)
-            if not count:
-                return polished
-            waiting &= ~leave
-            if 4 * count <= live.size:
-                live, kernel, product, best, best_drift, last = (
-                    a[waiting] for a in (live, kernel, product, best, best_drift, last))
-                waiting = np.ones(count, dtype=bool)
-            stop = int(last[waiting].min()) + 25
-    polished[live[waiting]] = best[waiting, 0]
+    # drift is also the next iterate before normalization.  A row is kept
+    # as a 1 x n matrix, so every product is a vector-matrix one.
+    polished = np.empty_like(pi)
+    for row, (x, p) in enumerate(zip(pi[:, None, :], kernel)):
+        product = np.matmul(x, p)
+        best, best_drift = x, np.maximum.reduce(np.abs(product - x), axis=None)
+        step = last = 0
+        while best_drift > 1e-16 and step < last + 25 and step < 100_000:
+            step += 1
+            x = product / np.add.reduce(product, axis=1, keepdims=True)
+            product = np.matmul(x, p)
+            drift = np.maximum.reduce(np.abs(product - x), axis=None)
+            if drift < best_drift:
+                best, best_drift, last = x, drift, step
+        polished[row] = best[0]
     return polished
 
 

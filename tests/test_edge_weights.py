@@ -165,6 +165,9 @@ def test_a_sweep_raises_the_error_of_its_first_failing_point(golden):
         ts.sweep(golden, psi, phi, grid)
     assert str(swept.value) == str(alone.value)
     assert "non-finite value at t = 1e+200" in str(swept.value)
+    with pytest.raises(ValidationError) as diagnosed:
+        ts.zero_temperature_diagnostics(golden, phi, [1.0, 2.0, 1e200, 1e300])
+    assert str(diagnosed.value) == str(alone.value)
 
 
 def test_a_sweep_combines_nothing_and_builds_each_edge_vector_once(golden, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
+from thermoshift import transfer
 from thermoshift.errors import MismatchedSystemError, ValidationError
 
 import oracles
@@ -305,6 +306,20 @@ def test_markov_measure_validation(full2):
         ts.MarkovMeasure(full2, 1, [0.9, 0.1], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValidationError, match="probability"):
         ts.MarkovMeasure(full2, 1, [0.7, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_a_stack_of_measures_raises_the_error_of_its_first_failing_slice(full2):
+    pi = np.full((3, 2), 0.5)
+    kernel = np.full((3, 2, 2), 0.5)
+    kernel[1] = [[1.5, -0.5], [0.5, 0.5]]  # rows still sum to 1
+    pi[2] = [0.9, 0.1]  # moved to (0.5, 0.5) by the uniform kernel
+    with pytest.raises(ValidationError, match="kernel has negative entries"):
+        transfer._validate_measures(full2, 1, pi, kernel)
+    kernel[1] = 0.5
+    with pytest.raises(ValidationError, match="not invariant"):
+        transfer._validate_measures(full2, 1, pi, kernel)
+    pi[2] = 0.5
+    assert transfer._validate_measures(full2, 1, pi, kernel) == [math.log(2)] * 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
