@@ -34,13 +34,16 @@ from .transfer import _maxplus_frame, _ray_samples
 class MaximizationResult:
     """Outcome of maximizing the ergodic average of a potential.
 
-    ``beta`` is the maximal average; ``witness_cycle`` is one simple
-    cycle of the edge graph whose mean weight is exactly ``beta``;
-    ``critical_edges`` span the subgraph carrying every maximizing
-    measure; ``ground_entropy`` is the topological entropy of that
-    subgraph; ``unique_flag`` is True iff the subgraph is a single
-    simple cycle, in which case the maximizing measure is unique and
-    has zero entropy.
+    ``beta`` is the maximal average; ``critical_edges`` span the
+    subgraph carrying every maximizing measure; ``witness_cycle`` is the
+    simple cycle of that subgraph found by starting at its first state
+    (in ``states`` order) and following the first critical successor
+    until a state repeats, rotated to start at its first state; its mean
+    weight is exactly ``beta``.  ``ground_entropy`` is the topological
+    entropy of the critical subgraph; ``unique_flag`` is True iff the
+    witness uses every critical edge, i.e. the subgraph is a single
+    simple cycle, in which case the maximizing measure is unique and has
+    zero entropy.
     """
 
     beta: float
@@ -67,7 +70,7 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
         critical_edges=tuple((states[i], states[j]) for i, j in critical),
         witness_cycle=tuple(states[i] for i in data.witness),
         ground_entropy=ground,
-        unique_flag=maxplus.is_single_simple_cycle(data.critical),
+        unique_flag=len(data.witness) == len(data.critical),
         states=states,
     )
 
@@ -86,7 +89,9 @@ def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndar
     for positions in components.values():
         edges = [critical[e] for e in positions]
         w = weights[positions]
-        if maxplus.is_disjoint_simple_cycles(edges):
+        # a strongly connected component is a simple cycle iff it has as
+        # many edges as vertices
+        if len(edges) == len({i for i, _ in edges}):
             value = math.fsum(w.tolist()) / len(edges)
         else:
             pairs = np.array(edges)

@@ -6,7 +6,9 @@ the weights (for floats, which are dyadic rationals, the largest one), so
 every sum and comparison is a Python int operation, and
 `fractions.Fraction` appears only in the result.  The maximum cycle mean,
 the witness cycle and the critical subgraph are exact for any float edge
-weights.
+weights, and depend only on the graph and its weights: Karp's recurrence
+gives the mean, one Bellman pass the critical subgraph, and the witness
+is a fixed rule on that subgraph (`canonical_witness`).
 
 The graphs handled are strongly connected (they come from primitive
 subshifts), with at most one edge per ordered vertex pair.
@@ -21,27 +23,25 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class MaxPlusData:
-    """Spectral data of a max-plus matrix.
+    """Spectral data of a max-plus matrix; a function of the graph and its
+    weights only, not of the edge order.
 
     beta
         Maximum cycle mean.
     witness
-        One simple cycle of mean exactly ``beta`` (vertex list, closing
-        edge back to the first vertex implied).
+        The simple cycle ``canonical_witness(critical)`` (vertex list,
+        closing edge back to the first vertex implied); its mean is
+        exactly ``beta``.
     critical
         Edge set of the critical subgraph: edges that saturate the
         Bellman equation ``v_i = max_j (w_ij - beta + v_j)`` and lie on
         a cycle of saturating edges.  Every cycle made of these edges
         has mean exactly ``beta``.
-    eigenvector
-        A max-plus (right) eigenvector of the ``beta``-normalized
-        weights: best path weight from each vertex into the witness.
     """
 
     beta: Fraction
     witness: tuple[int, ...]
     critical: frozenset[tuple[int, int]]
-    eigenvector: tuple[Fraction, ...]
 
 
 def analyze(n_vertices: int, edges) -> MaxPlusData:
@@ -51,18 +51,16 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
     floats, Fractions or ints.
     """
     scale, scaled = _scaled_to_ints(edges)
-    beta_num, beta_den, witness = _karp_scaled(n_vertices, scaled)
+    beta_num, beta_den = _max_cycle_mean(n_vertices, scaled)
     # w - beta in units of 1 / (scale * beta_den)
     normalized = [(i, j, w * beta_den - beta_num) for i, j, w in scaled]
-    vec = bellman_longest_to(n_vertices, normalized, witness[0])
-    critical = critical_edges(n_vertices, normalized, vec)
-    unit = scale * beta_den
-    return MaxPlusData(
-        Fraction(beta_num, unit),
-        tuple(witness),
-        frozenset(critical),
-        tuple(Fraction(v, unit) for v in vec),
-    )
+    vec = bellman_longest_to(n_vertices, normalized, 0)
+    critical = frozenset(critical_edges(n_vertices, normalized, vec))
+    witness = canonical_witness(critical)
+    weight_of = {(i, j): w for i, j, w in normalized}
+    if sum(weight_of[e] for e in zip(witness, witness[1:] + witness[:1])) != 0:
+        raise AssertionError("witness cycle does not attain the maximum mean")
+    return MaxPlusData(Fraction(beta_num, scale * beta_den), witness, critical)
 
 
 def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
@@ -75,24 +73,16 @@ def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
     return scale, [(i, j, num * (scale // den)) for i, j, (num, den) in ratios]
 
 
-def _karp_scaled(n: int, edges) -> tuple[int, int, list[int]]:
-    """Karp's recurrence on int weights: the maximum cycle mean as a pair
-    ``(num, den)`` with ``den > 0``, in the units of the weights, and a
-    simple cycle attaining it.
-
-    On equal candidates the first edge in edge order wins, and the
-    vertices are scanned for the maximum in the order their first edge
-    reaches them at level ``n``, so the witness does not depend on how
-    the levels are stored.
-    """
+def _max_cycle_mean(n: int, edges) -> tuple[int, int]:
+    """Karp's recurrence (Karp 1978) on int weights: the maximum cycle
+    mean as a pair ``(num, den)`` with ``den > 0``, in the units of the
+    weights."""
     # level[k][v] = best weight of a walk 0 -> v with exactly k edges
-    # (None: no such walk); parent[k][v] = the vertex before v on it
+    # (None: no such walk)
     level: list[list[int | None]] = [[0] + [None] * (n - 1)]
-    parent: list[list[int]] = [[]]
     for _ in range(n):
         prev = level[-1]
         cur: list[int | None] = [None] * n
-        par = [0] * n
         for i, j, w in edges:
             p = prev[i]
             if p is not None:
@@ -100,9 +90,7 @@ def _karp_scaled(n: int, edges) -> tuple[int, int, list[int]]:
                 c = cur[j]
                 if c is None or cand > c:
                     cur[j] = cand
-                    par[j] = i
         level.append(cur)
-        parent.append(par)
     # Karp's formula counts only cycles reachable from vertex 0
     if any(all(lv[v] is None for lv in level[:n]) for v in range(n)):
         raise ValueError("a vertex is unreachable from vertex 0; graph not strongly connected")
@@ -110,11 +98,11 @@ def _karp_scaled(n: int, edges) -> tuple[int, int, list[int]]:
     # beta = max over v of min over k of (top - level[k][v]) / (n - k);
     # each ratio is kept as an int pair (numerator, positive denominator)
     # and compared by cross-multiplication.
-    before = level[n - 1]
-    order = dict.fromkeys(j for i, j, _ in edges if before[i] is not None)
-    beta_num = beta_den = best_v = None
-    for v in order:
+    beta_num = beta_den = None
+    for v in range(n):
         top = level[n][v]
+        if top is None:
+            continue
         low_num = low_den = None
         for k in range(n):
             lv = level[k][v]
@@ -123,40 +111,39 @@ def _karp_scaled(n: int, edges) -> tuple[int, int, list[int]]:
                 if low_num is None or num * low_den < low_num * den:
                     low_num, low_den = num, den
         if beta_num is None or low_num * beta_den > beta_num * low_den:
-            beta_num, beta_den, best_v = low_num, low_den, v
+            beta_num, beta_den = low_num, low_den
     if beta_num is None:
         raise ValueError("no vertex admits a walk of full length; graph not strongly connected")
+    return beta_num, beta_den
 
-    # Walk the parent chain back from (n, best_v); every cycle inside this
-    # walk has mean exactly beta, so the first repeated vertex closes a
-    # simple witness cycle.
-    verts = [best_v]
-    for k in range(n, 0, -1):
-        verts.append(parent[k][verts[-1]])
-    verts.reverse()
-    seen: dict[int, int] = {}
-    cycle: list[int] | None = None
-    for idx, v in enumerate(verts):
-        if v in seen:
-            cycle = verts[seen[v]:idx]
-            break
-        seen[v] = idx
-    if cycle is None:  # n+1 vertices over n states always repeat
-        raise AssertionError("walk of full length contained no cycle")
 
-    weight_of = {(i, j): w for i, j, w in edges}
-    total = sum(
-        weight_of[(cycle[m], cycle[(m + 1) % len(cycle)])] for m in range(len(cycle))
-    )
-    if total * beta_den != beta_num * len(cycle):
-        raise AssertionError("extracted cycle does not attain the maximum mean")
-    return beta_num, beta_den, cycle
+def canonical_witness(critical) -> tuple[int, ...]:
+    """The witness cycle of a critical edge set: from the smallest
+    critical vertex, follow the smallest critical successor until a
+    vertex repeats; the cycle that closes there, rotated to start at its
+    smallest vertex.  Every critical edge lies on a critical cycle, so
+    the walk never stalls."""
+    succ: dict[int, int] = {}
+    for i, j in critical:
+        if i not in succ or j < succ[i]:
+            succ[i] = j
+    walk = [min(succ)]
+    seen = {walk[0]: 0}
+    while (v := succ[walk[-1]]) not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+    cycle = walk[seen[v]:]
+    first = cycle.index(min(cycle))
+    return tuple(cycle[first:] + cycle[:first])
 
 
 def bellman_longest_to(n: int, normalized_edges, target: int) -> list:
     """Best path weight from every vertex to ``target`` under weights with
-    no positive cycles; this is a max-plus eigenvector when ``target``
-    lies on a critical cycle.  The weights may be ints or Fractions."""
+    no positive cycles.  On a strongly connected graph, for any
+    ``target``, every edge ``i -> j`` has ``v_i >= w_ij + v_j``, with
+    equality along every zero-weight cycle, so the saturating edges give
+    the same critical subgraph whichever target is used.  The weights may
+    be ints or Fractions."""
     dist: list = [None] * n
     dist[target] = 0
     for _ in range(n - 1):
@@ -227,39 +214,3 @@ def strongly_connected_components(n: int, edge_pairs) -> list[int]:
                     stack2.append(w)
         current += 1
     return label
-
-
-def degrees_within(edge_set) -> tuple[dict[int, int], dict[int, int]]:
-    """Out- and in-degree maps of the subgraph spanned by ``edge_set``."""
-    out_deg: dict[int, int] = {}
-    in_deg: dict[int, int] = {}
-    for i, j in edge_set:
-        out_deg[i] = out_deg.get(i, 0) + 1
-        in_deg[j] = in_deg.get(j, 0) + 1
-        out_deg.setdefault(j, 0)
-        in_deg.setdefault(i, 0)
-    return out_deg, in_deg
-
-
-def is_disjoint_simple_cycles(edge_set) -> bool:
-    """True iff the subgraph is a disjoint union of simple cycles."""
-    if not edge_set:
-        return False
-    out_deg, in_deg = degrees_within(edge_set)
-    return all(d == 1 for d in out_deg.values()) and all(
-        d == 1 for d in in_deg.values()
-    )
-
-
-def is_single_simple_cycle(edge_set) -> bool:
-    """True iff the subgraph is exactly one simple cycle."""
-    if not is_disjoint_simple_cycles(edge_set):
-        return False
-    succ = {i: j for i, j in edge_set}
-    start = next(iter(succ))
-    length = 1
-    v = succ[start]
-    while v != start:
-        v = succ[v]
-        length += 1
-    return length == len(succ)

@@ -113,22 +113,16 @@ def _longest_walks(n, tail_at, head_at, weights, target_at):
     (row ``s`` holds entries ``s*n .. s*n + n - 1``; ``tail_at``,
     ``head_at`` and ``target_at`` index that layout, ``weights`` is the
     flat stack of edge weights), by float Bellman passes up to the first
-    that changes nothing in that row; pinning the target at 0 keeps
-    rounding from creeping."""
+    that changes nothing; a row at its fixed point recomputes to the same
+    values, and pinning the target at 0 keeps rounding from creeping."""
     dist = np.full(len(target_at) * n, -np.inf)
     dist[target_at] = 0.0
     for _ in range(n):
         step = dist.copy()
         np.maximum.at(step, tail_at, weights + dist[head_at])
         step[target_at] = 0.0
-        moved = step != dist
-        if not np.count_nonzero(moved):
+        if not np.count_nonzero(step != dist):
             break
-        if len(target_at) > 1:
-            # a row that changed nothing keeps its walks: it is at its fixed point
-            changed = np.logical_or.reduce(moved.reshape(-1, n), axis=1)
-            if np.count_nonzero(changed) < len(changed):
-                step = np.where(np.repeat(changed, n), step, dist)
         dist = step
     return dist
 

@@ -180,11 +180,11 @@ def karp_fractions(n, edges):
 def analyze_fractions(n, edges):
     """The max-plus analysis carried out in ``Fraction``s: Karp by
     ``karp_fractions``, then Bellman passes for the best path weight from
-    every vertex into the witness's first vertex under ``w - beta``, and
-    the critical subgraph as the saturating edges inside one networkx
-    strongly connected component of the saturating subgraph.  Returns
-    ``(beta, witness, critical, eigenvector)``: the reference for the
-    package's integer passes."""
+    every vertex into the first vertex of Karp's witness under
+    ``w - beta``, and the critical subgraph as the saturating edges inside
+    one networkx strongly connected component of the saturating subgraph.
+    Returns ``(beta, critical)``: the reference for the package's integer
+    passes, which run into vertex 0 instead."""
     beta, witness = karp_fractions(n, edges)
     normalized = [(i, j, Fraction(w) - beta) for i, j, w in edges]
     dist = [None] * n
@@ -202,7 +202,14 @@ def analyze_fractions(n, edges):
     for label, vertices in enumerate(nx.strongly_connected_components(nx.DiGraph(saturated))):
         component.update(dict.fromkeys(vertices, label))
     critical = frozenset((i, j) for i, j in saturated if component[i] == component[j])
-    return beta, tuple(witness), critical, tuple(dist)
+    return beta, critical
+
+
+def has_one_simple_cycle(edge_pairs):
+    """True iff the digraph on ``edge_pairs`` has exactly one simple
+    cycle, counted by networkx enumeration (stopped at the second)."""
+    cycles = nx.simple_cycles(nx.DiGraph(list(edge_pairs)))
+    return sum(1 for _ in itertools.islice(cycles, 2)) == 1
 
 
 # --- closed forms ------------------------------------------------------------

@@ -391,3 +391,12 @@ def test_stdout_close_to_recording(case, capsys, monkeypatch):
         # within tol/2 of the truth, and slopes near 0.03 occur.
         probe_tol = 1e-11 if command.startswith("solve-") else 1e-13
         assert_numbers_close(got, want, command, probe_tol=probe_tol)
+
+
+def test_maximize_prints_the_canonical_witness(capsys, monkeypatch):
+    # The critical subgraph is the 2-cycle 1 <-> 2; the witness starts at
+    # its smallest vertex whatever route found the maximum.  Exact data, so
+    # the bytes do not depend on the platform.
+    monkeypatch.chdir(DATA)
+    assert main(["maximize", "witness.json", "--phi", "phi"]) == 0
+    assert capsys.readouterr().out == (DATA / "11-maximize.out").read_text()

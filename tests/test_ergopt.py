@@ -132,8 +132,9 @@ def test_integer_analysis_matches_fraction_reference(rng):
     assert graphs[-1][0] == 100
     for n, edges in graphs:
         data = maxplus.analyze(n, edges)
-        fields = (data.beta, data.witness, data.critical, data.eigenvector)
-        assert fields == oracles.analyze_fractions(n, edges)
+        beta, critical = oracles.analyze_fractions(n, edges)
+        assert (data.beta, data.critical) == (beta, critical)
+        assert data.witness == maxplus.canonical_witness(critical)
 
 
 def test_bellman_rejects_a_positive_cycle():
@@ -148,7 +149,7 @@ def test_bellman_rejects_a_positive_cycle():
         (2, [(0, 0, 1.0), (1, 1, 2.0)]),  # vertex 1 unreachable from 0
         (2, [(1, 0, 0.0), (0, 0, 0.0), (1, 1, 1.0)]),  # best cycle unreachable from 0
         (2, [(0, 1, 0.5)]),  # no cycle at all
-        (3, [(0, 1, 0.0), (1, 1, 1.0), (0, 2, 0.0), (2, 2, 0.5)]),  # 2 misses the witness
+        (3, [(0, 1, 0.0), (1, 1, 1.0), (0, 2, 0.0), (2, 2, 0.5)]),  # nothing returns to 0
     ],
 )
 def test_analyze_rejects_empty_or_not_strongly_connected_graphs(n, edges):
@@ -157,20 +158,53 @@ def test_analyze_rejects_empty_or_not_strongly_connected_graphs(n, edges):
 
 
 def test_integer_karp_matches_fraction_recurrence_and_enumeration(rng):
-    def karp(n, edges):
+    def check(n, edges):
         data = maxplus.analyze(n, [(i, j, Fraction(w)) for i, j, w in edges])
-        return data.beta, list(data.witness)
+        assert data.beta == oracles.karp_fractions(n, edges)[0]
+        critical = oracles.analyze_fractions(n, edges)[1]
+        assert data.witness == maxplus.canonical_witness(critical)
+        return data.beta
 
     for _ in range(60):
         n = int(rng.integers(1, 9))
         edges = random_strongly_connected_graph(rng, n)
-        beta, witness = karp(n, edges)
-        assert (beta, witness) == oracles.karp_fractions(n, edges)
-        assert beta == oracles.max_cycle_mean_enumeration(n, edges)
+        assert check(n, edges) == oracles.max_cycle_mean_enumeration(n, edges)
     for _ in range(5):  # beyond the reach of cycle enumeration
         n = int(rng.integers(30, 65))
-        edges = random_strongly_connected_graph(rng, n)
-        assert karp(n, edges) == oracles.karp_fractions(n, edges)
+        check(n, random_strongly_connected_graph(rng, n))
+
+
+@pytest.mark.parametrize(
+    "critical, witness",
+    [
+        ({(4, 4)}, (4,)),
+        ({(0, 2), (2, 0), (2, 1), (1, 2)}, (0, 2)),
+        ({(0, 2), (2, 1), (1, 2), (2, 3), (3, 0)}, (1, 2)),  # the walk from 0 closes at 2
+        ({(3, 1), (1, 5), (5, 3), (5, 6), (6, 5)}, (1, 5, 3)),
+    ],
+)
+def test_canonical_witness_follows_smallest_successors(critical, witness):
+    assert maxplus.canonical_witness(critical) == witness
+
+
+def test_analysis_does_not_depend_on_edge_order(rng):
+    graphs = []
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        graphs.append((n, random_strongly_connected_graph(rng, n)))
+        graphs.append((n, random_strongly_connected_graph(rng, n, EXTREME_PALETTE)))
+        graphs.append((n, random_strongly_connected_graph(rng, n, (-0.5, 0.0, 0.25))))
+    sft = ts.full_shift(4)
+    blocks = oracles.admissible_words(sft.transitions, 3)
+    for _ in range(5):
+        ties = {b: float(rng.choice([-0.5, 0.0, 0.25])) for b in blocks}
+        states, _, edges = oracles.dense_edge_table(sft.transitions, 3, ties)
+        graphs.append((len(states), edges))
+    for n, edges in graphs:
+        expected = maxplus.analyze(n, sorted(edges))
+        for _ in range(3):
+            shuffled = [edges[k] for k in rng.permutation(len(edges))]
+            assert maxplus.analyze(n, shuffled) == expected
 
 
 def test_witness_cycle_mean_is_exactly_beta(rng):
@@ -276,7 +310,8 @@ def test_ground_values_match_dense_eigensolve(rng):
         states, w_psi = oracles.dense_weighted_matrix(m, memory, psi_values)
         index = {b: i for i, b in enumerate(states)}
         critical = [(index[b], index[c]) for b, c in result.critical_edges]
-        non_cycle += not maxplus.is_disjoint_simple_cycles(critical)
+        non_cycle += max(d for _, d in nx.DiGraph(critical).out_degree()) > 1
+        assert result.unique_flag == oracles.has_one_simple_cycle(critical)
         ones = (w_psi > 0).astype(float)
         assert result.ground_entropy == pytest.approx(
             oracles.restricted_log_radius(ones, critical), abs=1e-12
