@@ -1,20 +1,29 @@
-"""Certified Perron eigenvalue solver.
+"""Certified Perron eigensolve of edge-weighted graphs.
 
-Power iteration ``x <- E x`` on ``E = exp(logw)``, formed once per solve.
-Callers condition ``logw`` by a max-plus diagonal scaling first, so every
-row peaks near 0 and the iterates stay in the normal float range; an
-iterate that leaves it raises ``ConvergenceError``.  The Collatz-Wielandt
-enclosure ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in
-logs, certifies the result.
+`solve_stack` is the one entry: rows of edge weights on one graph, such
+as ``psi + t * phi`` for a grid of ``t``, the zero weights of a
+subshift's transitions, or a critical component's weights.  Each row is
+conjugated by a float max-plus eigenvector of its log-weights first
+(tropical diagonal scaling, `_maxplus_frame`), so every row of the
+matrix peaks near 0 and the iterates stay in the normal float range at
+any temperature; an iterate that leaves it raises ``ConvergenceError``.
+Both Perron sides of every row then go through one `perron_stack`.
 
-Plain iteration is tried first, on a whole stack of matrices at once
-(`perron_stack`).  When its enclosure stalls, or contracts too slowly to
-reach the tolerance within its budget, updates switch to the lazy matrix
-``E + I`` (same eigenvectors), which mixes the phases of nearly periodic
-supports such as a bare ground cycle.  If that stalls too (two cycle
-families with nearly tied means), the lazy matrix is squared repeatedly,
-so the gap ratio squares with every step.  Both later phases run on one
-matrix at a time.
+Power iteration ``x <- E x`` runs on ``E = exp(logw)``, formed once per
+solve.  The Collatz-Wielandt enclosure
+``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in logs,
+certifies the result to the fixed tolerance ``TOL``.  A conjugation
+keeps the spectrum and the enclosure is certified on the conjugated
+matrix, so frame rounding cannot weaken it.
+
+Plain iteration is tried first, on the whole stack of matrices at once.
+When its enclosure stalls, or contracts too slowly to reach the
+tolerance within its budget, updates switch to the lazy matrix ``E + I``
+(same eigenvectors), which mixes the phases of nearly periodic supports
+such as a bare ground cycle.  If that stalls too (two cycle families
+with nearly tied means), the lazy matrix is squared repeatedly, so the
+gap ratio squares with every step.  Both later phases run on one matrix
+at a time.
 
 ``logsumexp``, a numpy transcription of ``scipy.special.logsumexp``,
 serves the measure assembly.
@@ -22,12 +31,13 @@ serves the measure assembly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConvergenceError
 
-DEFAULT_TOL = 1e-13
-MAX_ITERATIONS = 10**6
+TOL = 1e-13
 _PLAIN_BUDGET = 2000
 _PLAIN_STALL = 40
 _LAZY_BUDGET = 2000
@@ -59,6 +69,114 @@ def logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
+@dataclass(frozen=True)
+class EigenSolve:
+    """Eigensolves of a stack of edge-weight rows on one graph; row arrays
+    carry the rows on their first axis.  Row ``s`` is solved by slices
+    ``2s`` (right side) and ``2s + 1`` (left side) of the Perron stack,
+    whose residuals and iteration counts are kept."""
+
+    value: np.ndarray
+    maxplus_right: np.ndarray
+    # conjugated log-weights on the edges, shape (T, E)
+    frame_w: np.ndarray
+    frame_right: np.ndarray
+    # log pi = frame_left + frame_right (up to norm)
+    frame_left: np.ndarray
+    residuals: np.ndarray
+    iterations: np.ndarray
+
+
+def solve_stack(n: int, src, dst, w: np.ndarray) -> EigenSolve:
+    """Log Perron values and vectors of the rows of edge weights ``w``
+    (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
+    ``n`` vertices.  Raises the ``ConvergenceError`` of the first row that
+    fails, its right side's before its left side's."""
+    size = len(w)
+    # Conjugating the transposed frame again, by its left eigenvector,
+    # keeps pi frame-sized.
+    beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
+    frames = np.full((2 * size, n, n), -np.inf)
+    frames[0::2, src, dst] = frame_w
+    frames[1::2, dst, src] = frame_w + left[:, src] - left[:, dst]
+    values, vectors, residuals, iterations = perron_stack(frames)
+    return EigenSolve(
+        value=values[0::2] + beta,
+        maxplus_right=right,
+        frame_w=frame_w,
+        frame_right=vectors[0::2],
+        frame_left=vectors[1::2] + left,
+        residuals=residuals,
+        iterations=iterations,
+    )
+
+
+def _longest_walks(n, tail_at, head_at, weights, target_at):
+    """Best weight of a walk from each vertex to its row's target over
+    the edges ``tail -> head``, for each row of a stack laid out flat
+    (row ``s`` holds entries ``s*n .. s*n + n - 1``; ``tail_at``,
+    ``head_at`` and ``target_at`` index that layout, ``weights`` is the
+    flat stack of edge weights), by float Bellman passes up to the first
+    that changes nothing; a row at its fixed point recomputes to the same
+    values, and pinning the target at 0 keeps rounding from creeping."""
+    dist = np.full(len(target_at) * n, -np.inf)
+    dist[target_at] = 0.0
+    for _ in range(n):
+        step = dist.copy()
+        np.maximum.at(step, tail_at, weights + dist[head_at])
+        step[target_at] = 0.0
+        if not np.count_nonzero(step != dist):
+            break
+        dist = step
+    return dist
+
+
+def _maxplus_frame(n, src, dst, w):
+    """Float max-plus conditioning of each row of edge weights ``w`` (a
+    stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
+    ``beta`` by Karp's recurrence (Karp 1978) over the edge arrays, in
+    O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
+    conjugated weights ``frame_w``, whose rows peak at 0; and a left
+    max-plus eigenvector ``left`` of ``frame_w``.  Each comes back as an
+    array over the rows."""
+    size = len(w)
+    rows = np.arange(size)
+    # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
+    src_at, dst_at, flat_w = src, dst, w.ravel()
+    if size > 1:
+        offset = (rows * n)[:, None]
+        src_at, dst_at = (offset + src).ravel(), (offset + dst).ravel()
+    # level[k, s*n + v]: best weight of a k-edge walk from vertex 0 to v in row s
+    level = np.full((n + 1, size * n), -np.inf)
+    level[0, ::n] = 0.0
+    for k in range(1, n + 1):
+        np.maximum.at(level[k], dst_at, level[k - 1][src_at] + flat_w)
+    walks = level.reshape(n + 1, size, n)
+    reached = np.isfinite(walks[:n])
+    gaps = np.where(reached, walks[n] - np.where(reached, walks[:n], 0.0), np.inf)
+    means = (gaps / np.arange(n, 0, -1)[:, None, None]).min(axis=0)
+    vertex = means.argmax(axis=1)
+    beta = means[rows, vertex]
+    # Every cycle on a best n-edge walk into that vertex is critical: walk
+    # back over argmax parents to the first repeated vertex.
+    seen = np.zeros((size, n), dtype=bool)
+    walking = np.ones(size, dtype=bool)
+    for k in range(n, 0, -1):
+        seen[rows, vertex] = True
+        score = (level[k - 1][src_at] + flat_w).reshape(size, -1)
+        score[dst != vertex[:, None]] = -np.inf
+        vertex = np.where(walking, src[score.argmax(axis=1)], vertex)
+        walking &= ~seen[rows, vertex]
+        if not np.count_nonzero(walking):
+            break
+    target_at = rows * n + vertex
+    excess = flat_w - np.repeat(beta, len(src))
+    right = _longest_walks(n, src_at, dst_at, excess, target_at)
+    frame_w = excess + right[dst_at] - right[src_at]
+    left = _longest_walks(n, dst_at, src_at, frame_w, target_at)
+    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left.reshape(size, n)
+
+
 def _normalized(y, iterations):
     """``y`` scaled to ``max = 1``; refuses an entry below the normal range."""
     x = y / y.max()
@@ -84,36 +202,24 @@ def _certify(e, x):
     return (hi + lo) / 2.0, (hi - lo) / 2.0, y
 
 
-def power_log_perron(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
-    """Dominant log-eigenvalue and log right eigenvector of ``exp(logw)``.
+def perron_stack(logw):
+    """Dominant log-eigenvalue and log right eigenvector of ``exp`` of
+    each slice of a stack ``logw`` of shape ``(S, n, n)``, each slice bit
+    for bit as if solved alone.
 
-    ``logw`` holds log-weights, ``-inf`` on missing edges; the support
-    must be irreducible and every row must peak near 0.  Returns
-    ``(value, log_vector, residual, iterations)``: ``value`` encloses the
-    log Perron eigenvalue to ``residual``, and ``log_vector`` has
-    ``max = 0``.  Raises ``ConvergenceError`` if the enclosure cannot be
-    brought to ``tol`` (or at least to the floating-point noise floor)
-    within the budgets, or if an iterate leaves the normal float range.
-    """
-    values, vectors, residuals, iterations, failures = perron_stack(
-        np.asarray(logw, dtype=float)[None], tol, max_iter
-    )
-    if failures:
-        raise failures[0]
-    return float(values[0]), vectors[0], float(residuals[0]), int(iterations[0])
-
-
-def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
-    """`power_log_perron` on each slice of a stack ``logw`` of shape
-    ``(S, n, n)``, each slice bit for bit as if solved alone.
+    ``logw`` holds log-weights, ``-inf`` on missing edges; the support of
+    each slice must be irreducible and every row must peak near 0.
+    Returns ``(values, log_vectors, residuals, iterations)`` as arrays
+    over the slices: ``values`` enclose the log Perron eigenvalues to
+    ``residuals``, and each log vector has ``max = 0``.
 
     The plain phase runs on the whole stack, one stacked product per
     step, and a slice leaves it once it certifies.  A slice that
     escalates finishes alone in the lazy phase and the squaring ladder,
-    from its own iterate and iteration count.  Returns ``(values,
-    log_vectors, residuals, iterations)`` as arrays over the slices, and
-    a dict from each failed slice to its ``ConvergenceError``; the arrays
-    are undefined at a failed slice.
+    from its own iterate and iteration count.  Raises the
+    ``ConvergenceError`` of the first slice whose enclosure cannot be
+    brought to ``TOL`` (or at least to the floating-point noise floor)
+    within the budgets, or whose iterate leaves the normal float range.
     """
     e = np.exp(logw)
     size, n = e.shape[:2]
@@ -122,10 +228,9 @@ def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     vectors = np.empty((size, n))
     iterations = np.empty(size, dtype=int)
     failures = {}
-    half_tol = tol / 2.0
+    half_tol = TOL / 2.0
 
     # plain phase: the certifying product is also the update
-    plain_budget = min(_PLAIN_BUDGET, max_iter)
     ring = _PLAIN_STALL + 1
     history = np.empty((ring, size))  # the residuals of the last `ring` steps
     # The stack holds the slices `live` with their matrices and iterates.
@@ -135,7 +240,7 @@ def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
     waiting, count = np.ones(size, dtype=bool), size
     escalated = []  # (slice, iterate, iterations, value, residual)
     steps = 0
-    while count and steps < plain_budget:
+    while count and steps < _PLAIN_BUDGET:
         steps += 1
         y = np.matmul(stack, x[:, :, None])[:, :, 0]
         d = np.log(y / x)
@@ -154,7 +259,7 @@ def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
             # Escalate as soon as the residual has not shrunk over the
             # last _PLAIN_STALL steps, or its contraction over them,
             # carried over the rest of the budget, cannot reach tol.
-            exponent = (plain_budget - steps) / _PLAIN_STALL
+            exponent = (_PLAIN_BUDGET - steps) / _PLAIN_STALL
             oldest = history[(steps + 1) % ring].tolist()
             open_ = (waiting & ~leave).tolist()
             for j, r in enumerate(residual.tolist()):
@@ -188,12 +293,12 @@ def perron_stack(logw, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS):
 
     for s, *plain_end in escalated:
         try:
-            values[s], vectors[s], residuals[s], iterations[s] = _escalate(
-                e[s], *plain_end, tol, max_iter
-            )
+            values[s], vectors[s], residuals[s], iterations[s] = _escalate(e[s], *plain_end)
         except ConvergenceError as exc:
             failures[s] = exc
-    return values, vectors, residuals, iterations, failures
+    if failures:
+        raise failures[min(failures)]
+    return values, vectors, residuals, iterations
 
 
 def _compact(keep, *arrays):
@@ -203,18 +308,16 @@ def _compact(keep, *arrays):
     return (*(a[keep] for a in rows), history[:, keep], np.ones(np.count_nonzero(keep), dtype=bool))
 
 
-def _escalate(e, x, iterations, value, residual, tol, max_iter):
+def _escalate(e, x, iterations, value, residual):
     """The lazy phase and the squaring ladder of one matrix ``e``, from the
     plain phase's last iterate ``x``, count, value and residual."""
-    half_tol = tol / 2.0
+    half_tol = TOL / 2.0
 
     # lazy phase: update with E + I, certify on E
     lazy = e + np.eye(len(e))
     best = residual
     since_best = 0
     for _ in range(_LAZY_BUDGET):
-        if iterations >= max_iter:
-            break
         iterations += 1
         x = _normalized(lazy @ x, iterations)
         value, residual, _ = _certify(e, x)
@@ -230,8 +333,6 @@ def _escalate(e, x, iterations, value, residual, tol, max_iter):
     # squaring ladder on the lazy matrix
     squared = lazy
     for _ in range(_MAX_SQUARINGS):
-        if iterations >= max_iter:
-            break
         iterations += 1
         squared = squared @ squared
         squared /= squared.max()
@@ -244,5 +345,5 @@ def _escalate(e, x, iterations, value, residual, tol, max_iter):
         return value, np.log(x), residual, iterations
     raise ConvergenceError(
         f"Perron enclosure stalled at half-width {residual:g} "
-        f"(tolerance {tol:g}, {iterations} iterations)"
+        f"(tolerance {TOL:g}, {iterations} iterations)"
     )

@@ -11,7 +11,7 @@ result (see `maxplus`), once per potential and vertex order (see
 
 The ground entropy and the ground-state bound are pressures on the
 critical subgraph: exact on its simple cycles, and elsewhere Perron values
-in a float max-plus frame, certified as every eigensolve in `transfer`.
+from `_perron.solve_stack`, certified as every eigensolve.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from . import maxplus
 from ._edgegraph import edge_weights, graph_order, maxplus_data
-from ._perron import power_log_perron
+from ._perron import solve_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, zero_potential
 from .sft import Block, Sft, block_graph, topological_entropy
-from .transfer import _maxplus_frame, _ray_samples
+from .transfer import _ray_samples
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
 def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndarray) -> float:
     """Largest pressure of the edge ``weights``, aligned with ``critical``,
     over the strongly connected components of the ``critical`` edges: the
-    exact mean on a simple cycle, else the certified Perron value in a
-    float max-plus frame, as in `transfer`."""
+    exact mean on a simple cycle, else the certified Perron value of
+    `solve_stack`, as every eigensolve."""
     label = maxplus.strongly_connected_components(n, critical)
     components: dict[int, list[int]] = {}
     for e, (i, _) in enumerate(critical):
@@ -97,11 +97,7 @@ def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndar
             pairs = np.array(edges)
             vertices, local = np.unique(pairs, return_inverse=True)
             src, dst = local.reshape(pairs.shape).T
-            m = len(vertices)
-            beta, _, frame_w, _ = _maxplus_frame(m, src, dst, w[None])
-            frame = np.full((m, m), -np.inf)
-            frame[src, dst] = frame_w[0]
-            value = power_log_perron(frame)[0] + float(beta[0])
+            value = float(solve_stack(len(vertices), src, dst, w[None]).value[0])
         best = max(best, value)
     return best
 

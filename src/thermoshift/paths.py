@@ -36,7 +36,7 @@ from .errors import (
 )
 from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
-from .transfer import _ray_samples, integrate, pressure, pressure_and_equilibrium
+from .transfer import _IDENTITY_TOL, _ray_samples, integrate, pressure, pressure_and_equilibrium
 
 SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
@@ -350,7 +350,6 @@ def equilibrium_continuity_check(
     phi: Potential,
     eta: Potential,
     n_max: int,
-    identity_tol: float = 1e-9,
     final_tol: float | None = None,
 ) -> ContinuityReport:
     """Compare equilibrium states of ``phi + eta/n`` against that of ``phi``.
@@ -358,8 +357,9 @@ def equilibrium_continuity_check(
     Distances must shrink monotonically as ``n`` grows through powers of
     ten up to ``n_max`` (first-order perturbation theory gives a
     ``1/n`` rate), and every perturbed measure must satisfy its own
-    variational identity to ``identity_tol``.  When ``final_tol`` is
-    given, the distances at ``n_max`` must also land below it.
+    variational identity to 1e-9, the bound of
+    `variational_identity_check`.  When ``final_tol`` is given, the
+    distances at ``n_max`` must also land below it.
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
@@ -380,7 +380,7 @@ def equilibrium_continuity_check(
         perturbed = combine(phi, eta, 1.0 / n)
         result, mu = pressure_and_equilibrium(sft, perturbed)
         gap = abs(result.value - (mu.entropy + integrate(mu, perturbed)))
-        if gap > identity_tol:
+        if gap > _IDENTITY_TOL:
             raise CheckFailedError(
                 f"perturbed equilibrium at n={n} misses its variational "
                 f"identity by {gap}"

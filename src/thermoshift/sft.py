@@ -103,10 +103,10 @@ class Sft:
     def _topological_entropy(self) -> float:
         # Solved on first use rather than at construction, so building an
         # Sft (for instance a higher-block recoding) costs no eigensolve.
-        from ._perron import power_log_perron
+        from ._perron import solve_stack
 
-        logw = np.where(self.transitions > 0, 0.0, -np.inf)
-        return power_log_perron(logw)[0]
+        states, src, dst = block_graph(self, 1)
+        return float(solve_stack(len(states), src, dst, np.zeros((1, len(src)))).value[0])
 
 
 def wielandt_bound(n: int) -> int:

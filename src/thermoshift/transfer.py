@@ -6,22 +6,24 @@ equilibrium state is the Markov measure built from the left and right
 Perron vectors (kernel ``P_ij = A_ij e^{w_ij} r_j / (lambda r_i)``,
 stationary ``pi_i ~ l_i r_i``).
 
-Every eigensolve conjugates the matrix by a float max-plus eigenvector
-of its log-weights first (tropical diagonal scaling), which keeps every
-quantity of moderate size at any temperature, and then iterates in the
-linear domain.
+Every eigensolve is `_perron.solve_stack`: a float max-plus frame of
+the log-weights (tropical diagonal scaling), which keeps every quantity
+of moderate size at any temperature, then a linear-domain Perron
+iteration of both sides, certified to the fixed tolerance
+``_perron.TOL``.
 
 Solves run on stacks: rows of edge weights on one graph, such as
-``psi + t * phi`` for a whole grid of ``t``, go through one max-plus
-frame, one Perron loop (both sides of every row) and one measure
-assembly with a leading stack axis; a single potential is a stack of
-one.  Each slice equals its solve alone bit for bit: every dot product
-and matrix product is still taken per slice, and every iteration stops
-on its slice's own counts.  So a sample of a sweep equals
-``paths.sample_at`` at its point.  A grid is solved in chunks whose
-largest stacked table holds at most ``_STACK_ENTRIES`` entries, and at
-least one sample.  The stationary polish runs row by row, each row on
-its own count of steps.
+``psi + t * phi`` for a whole grid of ``t``, go through one
+`solve_stack` and one measure assembly with a leading stack axis; a
+single potential is a stack of one.  Each slice equals its solve alone
+bit for bit: every dot product and matrix product is still taken per
+slice, and every iteration stops on its slice's own counts.  So a
+sample of a sweep equals ``paths.sample_at`` at its point.  A grid is
+solved in chunks whose largest stacked table holds at most
+``_STACK_ENTRIES`` entries, and at least one sample.  The stationary
+polish runs row by row, each row on its own count of steps.  Every
+measure is validated once: `MarkovMeasure` on construction, a grid's
+by `_validate_measures` on the whole chunk.
 
 Each stage of a stacked solve raises the error of its first failing
 slice: the eigensolve its ``ConvergenceError``, the measure validation
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import maxplus
 from ._edgegraph import edge_weights, graph_order
-from ._perron import DEFAULT_TOL, MAX_ITERATIONS, logsumexp, perron_stack
+from ._perron import EigenSolve, logsumexp, solve_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
 from .sft import Block, Sft, block_graph, topological_entropy
@@ -49,6 +51,7 @@ _INVARIANCE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _ENTROPY_SLACK = 1e-9
 _IDENTITY_TOL = 1e-9
+_LIPSCHITZ_SLACK = 1e-12
 # Most entries of one stacked n x n table (2 MiB of float64): a grid of
 # the ray is solved in chunks of max(1, _STACK_ENTRIES // (2 n^2))
 # samples, as the Perron stack holds both sides of each.
@@ -72,146 +75,32 @@ class PressureResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class _EigenSolve:
-    """Eigensolves of a stack of edge-weight rows on ``block_graph(sft,
-    order)``; row arrays carry the rows on their first axis.  Row ``s`` is
-    solved by slices ``2s`` (right side) and ``2s + 1`` (left side) of
-    the Perron stack, whose residuals and iteration counts are kept."""
-
-    sft: Sft
-    order: int
-    value: np.ndarray
-    maxplus_right: np.ndarray
-    # conjugated log-weights on the edges of block_graph, shape (T, E)
-    frame_w: np.ndarray
-    frame_right: np.ndarray
-    # log pi = frame_left + frame_right (up to norm)
-    frame_left: np.ndarray
-    residuals: np.ndarray
-    iterations: np.ndarray
-
-    def result(self, k: int) -> PressureResult:
-        sides = slice(2 * k, 2 * k + 2)
-        return PressureResult(
-            value=float(self.value[k]),
-            left_vector=self.frame_left[k] - self.maxplus_right[k],
-            right_vector=self.frame_right[k] + self.maxplus_right[k],
-            residual=max(self.residuals[sides].tolist()),
-            iterations=max(self.iterations[sides].tolist()),
-        )
-
-
 def _require_over(sft: Sft, phi: Potential):
     if phi.sft != sft:
         raise MismatchedSystemError("potential is defined over a different subshift")
 
 
-def _longest_walks(n, tail_at, head_at, weights, target_at):
-    """Best weight of a walk from each vertex to its row's target over
-    the edges ``tail -> head``, for each row of a stack laid out flat
-    (row ``s`` holds entries ``s*n .. s*n + n - 1``; ``tail_at``,
-    ``head_at`` and ``target_at`` index that layout, ``weights`` is the
-    flat stack of edge weights), by float Bellman passes up to the first
-    that changes nothing; a row at its fixed point recomputes to the same
-    values, and pinning the target at 0 keeps rounding from creeping."""
-    dist = np.full(len(target_at) * n, -np.inf)
-    dist[target_at] = 0.0
-    for _ in range(n):
-        step = dist.copy()
-        np.maximum.at(step, tail_at, weights + dist[head_at])
-        step[target_at] = 0.0
-        if not np.count_nonzero(step != dist):
-            break
-        dist = step
-    return dist
-
-
-def _maxplus_frame(n, src, dst, w):
-    """Float max-plus conditioning of each row of edge weights ``w`` (a
-    stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
-    ``beta`` by Karp's recurrence (Karp 1978) over the edge arrays, in
-    O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
-    conjugated weights ``frame_w``, whose rows peak at 0; and a left
-    max-plus eigenvector ``left`` of ``frame_w``.  Each comes back as an
-    array over the rows."""
-    size = len(w)
-    rows = np.arange(size)
-    # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
-    src_at, dst_at, flat_w = src, dst, w.ravel()
-    if size > 1:
-        offset = (rows * n)[:, None]
-        src_at, dst_at = (offset + src).ravel(), (offset + dst).ravel()
-    # level[k, s*n + v]: best weight of a k-edge walk from vertex 0 to v in row s
-    level = np.full((n + 1, size * n), -np.inf)
-    level[0, ::n] = 0.0
-    for k in range(1, n + 1):
-        np.maximum.at(level[k], dst_at, level[k - 1][src_at] + flat_w)
-    walks = level.reshape(n + 1, size, n)
-    reached = np.isfinite(walks[:n])
-    gaps = np.where(reached, walks[n] - np.where(reached, walks[:n], 0.0), np.inf)
-    means = (gaps / np.arange(n, 0, -1)[:, None, None]).min(axis=0)
-    vertex = means.argmax(axis=1)
-    beta = means[rows, vertex]
-    # Every cycle on a best n-edge walk into that vertex is critical: walk
-    # back over argmax parents to the first repeated vertex.
-    seen = np.zeros((size, n), dtype=bool)
-    walking = np.ones(size, dtype=bool)
-    for k in range(n, 0, -1):
-        seen[rows, vertex] = True
-        score = (level[k - 1][src_at] + flat_w).reshape(size, -1)
-        score[dst != vertex[:, None]] = -np.inf
-        vertex = np.where(walking, src[score.argmax(axis=1)], vertex)
-        walking &= ~seen[rows, vertex]
-        if not np.count_nonzero(walking):
-            break
-    target_at = rows * n + vertex
-    excess = flat_w - np.repeat(beta, len(src))
-    right = _longest_walks(n, src_at, dst_at, excess, target_at)
-    frame_w = excess + right[dst_at] - right[src_at]
-    left = _longest_walks(n, dst_at, src_at, frame_w, target_at)
-    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left.reshape(size, n)
-
-
-def _solve_eigen(sft: Sft, order: int, w: np.ndarray, tol, max_iter):
-    """Eigensolves of the rows of edge weights ``w`` on
-    ``block_graph(sft, order)``.  Raises the ``ConvergenceError`` of the
-    first row that fails, its right side's before its left side's."""
+def _solve_potential(sft: Sft, phi: Potential) -> EigenSolve:
+    _require_over(sft, phi)
+    order = graph_order(phi.memory)
     states, src, dst = block_graph(sft, order)
-    n, size = len(states), len(w)
-    # A conjugation keeps the spectrum and the enclosure is certified on the
-    # conjugated matrix, so frame rounding cannot weaken it.  Conjugating the
-    # transposed frame again, by its left eigenvector, keeps pi frame-sized.
-    # Both sides of every row go through one Perron stack.
-    beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
-    frames = np.full((2 * size, n, n), -np.inf)
-    frames[0::2, src, dst] = frame_w
-    frames[1::2, dst, src] = frame_w + left[:, src] - left[:, dst]
-    values, vectors, residuals, iterations, failures = perron_stack(frames, tol, max_iter)
-    if failures:
-        raise failures[min(failures)]
-    return _EigenSolve(
-        sft,
-        order,
-        value=values[0::2] + beta,
-        maxplus_right=right,
-        frame_w=frame_w,
-        frame_right=vectors[0::2],
-        frame_left=vectors[1::2] + left,
-        residuals=residuals,
-        iterations=iterations,
+    return solve_stack(len(states), src, dst, edge_weights(phi, order)[None])
+
+
+def _pressure_result(solve: EigenSolve) -> PressureResult:
+    """The pressure of a stack of one solve."""
+    return PressureResult(
+        value=float(solve.value[0]),
+        left_vector=solve.frame_left[0] - solve.maxplus_right[0],
+        right_vector=solve.frame_right[0] + solve.maxplus_right[0],
+        residual=max(solve.residuals.tolist()),
+        iterations=max(solve.iterations.tolist()),
     )
 
 
-def _solve_potential(sft: Sft, phi: Potential, tol, max_iter) -> _EigenSolve:
-    _require_over(sft, phi)
-    order = graph_order(phi.memory)
-    return _solve_eigen(sft, order, edge_weights(phi, order)[None], tol, max_iter)
-
-
-def pressure(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> PressureResult:
+def pressure(sft: Sft, phi: Potential) -> PressureResult:
     """Topological pressure of ``phi`` in nats."""
-    return _solve_potential(sft, phi, tol, max_iter).result(0)
+    return _pressure_result(_solve_potential(sft, phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +119,8 @@ class MarkovMeasure:
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = len(block_graph(self.sft, self.order)[0])
+        states = block_graph(self.sft, self.order)[0]
+        n = len(states)
         pi = np.asarray(self.stationary, dtype=float).copy()
         kernel = np.asarray(self.kernel, dtype=float).copy()
         if pi.shape != (n,) or kernel.shape != (n, n):
@@ -239,25 +129,12 @@ class MarkovMeasure:
                 f"{pi.shape} and kernel {kernel.shape}"
             )
         entropy = _validate_measures(self.sft, self.order, pi[None], kernel[None])
-        self._seal(pi, kernel, entropy[0])
-
-    @classmethod
-    def _validated(cls, sft: Sft, order: int, pi, kernel, entropy: float) -> MarkovMeasure:
-        """The measure of arrays that `_validate_measures` passed, with the
-        entropy it returned; not checked again."""
-        mu = object.__new__(cls)
-        object.__setattr__(mu, "sft", sft)
-        object.__setattr__(mu, "order", order)
-        mu._seal(pi, kernel, entropy)
-        return mu
-
-    def _seal(self, pi, kernel, entropy):
         pi.flags.writeable = False
         kernel.flags.writeable = False
         object.__setattr__(self, "stationary", pi)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "_states", block_graph(self.sft, self.order)[0])
-        object.__setattr__(self, "_entropy", float(entropy))
+        object.__setattr__(self, "_states", states)
+        object.__setattr__(self, "_entropy", float(entropy[0]))
 
     @property
     def states(self) -> tuple[Block, ...]:
@@ -343,10 +220,10 @@ def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray)
     return entropy
 
 
-def _equilibria(solve: _EigenSolve):
-    """Stationary vectors, kernels and entropies of the equilibrium states
-    of a stack of solves, validated by `_validate_measures`."""
-    _, src, dst = block_graph(solve.sft, solve.order)
+def _equilibria(sft: Sft, order: int, solve: EigenSolve):
+    """Stationary vectors and kernels of the equilibrium states of a stack
+    of solves on ``block_graph(sft, order)``, not yet validated."""
+    _, src, dst = block_graph(sft, order)
     u = solve.frame_right
     ln_kernel = np.full((len(u), u.shape[1], u.shape[1]), -np.inf)
     ln_kernel[:, src, dst] = solve.frame_w + u[:, dst] - u[:, src]
@@ -357,27 +234,24 @@ def _equilibria(solve: _EigenSolve):
     ln_pi = solve.frame_left + solve.frame_right
     pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
     pi /= np.add.reduce(pi, axis=1)[:, None]
-    pi = _polish_stationary(pi, kernel)
-    return pi, kernel, _validate_measures(solve.sft, solve.order, pi, kernel)
+    return _polish_stationary(pi, kernel), kernel
 
 
-def _equilibrium(solve: _EigenSolve) -> MarkovMeasure:
+def _equilibrium(sft: Sft, order: int, solve: EigenSolve) -> MarkovMeasure:
     """The equilibrium state of a stack of one solve."""
-    pi, kernel, entropy = _equilibria(solve)
-    return MarkovMeasure._validated(solve.sft, solve.order, pi[0], kernel[0], entropy[0])
+    pi, kernel = _equilibria(sft, order, solve)
+    return MarkovMeasure(sft, order, pi[0], kernel[0])
 
 
-def equilibrium_state(sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS) -> MarkovMeasure:
+def equilibrium_state(sft: Sft, phi: Potential) -> MarkovMeasure:
     """The unique equilibrium state of ``phi`` as a Markov measure."""
-    return _equilibrium(_solve_potential(sft, phi, tol, max_iter))
+    return _equilibrium(sft, graph_order(phi.memory), _solve_potential(sft, phi))
 
 
-def pressure_and_equilibrium(
-    sft: Sft, phi: Potential, tol=DEFAULT_TOL, max_iter=MAX_ITERATIONS
-) -> tuple[PressureResult, MarkovMeasure]:
+def pressure_and_equilibrium(sft: Sft, phi: Potential) -> tuple[PressureResult, MarkovMeasure]:
     """Pressure and its equilibrium state from a single eigensolve."""
-    solve = _solve_potential(sft, phi, tol, max_iter)
-    return solve.result(0), _equilibrium(solve)
+    solve = _solve_potential(sft, phi)
+    return _pressure_result(solve), _equilibrium(sft, graph_order(phi.memory), solve)
 
 
 class _RaySamples(NamedTuple):
@@ -405,7 +279,8 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
     _require_over(sft, psi)
     _require_over(sft, phi)
     order = max(graph_order(psi.memory), graph_order(phi.memory))
-    n = len(block_graph(sft, order)[0])
+    states, src, dst = block_graph(sft, order)
+    n = len(states)
     w_psi, w_phi = edge_weights(psi, order), edge_weights(phi, order)
     chunk = max(1, _STACK_ENTRIES // (2 * n * n))
     out = _RaySamples([], [], [], [], [])
@@ -416,10 +291,10 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
         finite = np.isfinite(w).all(axis=1)
         k = len(w) if finite.all() else int(finite.argmin())
         if k:
-            solve = _solve_eigen(sft, order, w[:k], DEFAULT_TOL, MAX_ITERATIONS)
-            pi, kernel, entropy = _equilibria(solve)
+            solve = solve_stack(n, src, dst, w[:k])
+            pi, kernel = _equilibria(sft, order, solve)
             out.pressure.extend(solve.value.tolist())
-            out.entropy.extend(entropy)
+            out.entropy.extend(_validate_measures(sft, order, pi, kernel))
             phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
             out.phi_avg.extend(phi_avg)
             out.psi_avg.extend(psi_avg)
@@ -579,15 +454,16 @@ class LipschitzReport:
     ok: bool
 
 
-def lipschitz_check(sft: Sft, phi: Potential, psi: Potential, slack: float = 1e-12) -> LipschitzReport:
-    """Verify that pressure is 1-Lipschitz for the sup norm."""
+def lipschitz_check(sft: Sft, phi: Potential, psi: Potential) -> LipschitzReport:
+    """Verify that pressure is 1-Lipschitz for the sup norm, up to
+    ``_LIPSCHITZ_SLACK``."""
     _require_over(sft, phi)
     _require_over(sft, psi)
     gap = abs(pressure(sft, phi).value - pressure(sft, psi).value)
     bound = sup_norm(combine(phi, psi, -1.0))
-    ok = gap <= bound + slack
+    ok = gap <= bound + _LIPSCHITZ_SLACK
     if not ok:
         raise CheckFailedError(
-            f"pressure gap {gap} exceeds sup-norm bound {bound} beyond slack {slack}"
+            f"pressure gap {gap} exceeds sup-norm bound {bound} beyond slack {_LIPSCHITZ_SLACK}"
         )
     return LipschitzReport(gap, bound, ok)

@@ -11,7 +11,7 @@ import numpy as np
 import thermoshift as ts
 from thermoshift._edgegraph import edge_weights, graph_order, maxplus_data
 from thermoshift.sft import block_graph
-from thermoshift.transfer import _maxplus_frame
+from thermoshift._perron import _maxplus_frame
 
 import oracles
 

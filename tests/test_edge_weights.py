@@ -143,13 +143,13 @@ def test_a_sweep_across_chunks_equals_one_chunk(golden, rng, monkeypatch, sample
     n = len(ts.admissible_blocks(golden, 2))
     monkeypatch.setattr(transfer, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
     solves = []
-    solve_eigen = transfer._solve_eigen
+    solve_stack = transfer.solve_stack
 
-    def counted(sft, order, w, *args):
+    def counted(n, src, dst, w):
         solves.append(len(w))
-        return solve_eigen(sft, order, w, *args)
+        return solve_stack(n, src, dst, w)
 
-    monkeypatch.setattr(transfer, "_solve_eigen", counted)
+    monkeypatch.setattr(transfer, "solve_stack", counted)
     assert [sample_bits(s) for s in ts.sweep(golden, psi, phi, grid)] == whole
     assert max(solves) == samples_per_chunk and sum(solves) == len(grid)
 

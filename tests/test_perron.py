@@ -100,7 +100,7 @@ def test_near_tied_loops_certify_within_tolerance(full2, detune, t):
     values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): -detune}
     result = ts.pressure(full2, ray(full2, ts.Potential(full2, 2, values), t))
     assert abs(result.value - math.log1p(math.exp(-t))) <= 1e-13
-    assert result.residual <= _perron.DEFAULT_TOL / 2
+    assert result.residual <= _perron.TOL / 2
 
 
 def test_iterate_below_normal_range_is_a_typed_failure():
@@ -108,20 +108,22 @@ def test_iterate_below_normal_range_is_a_typed_failure():
     # update leaves a subnormal entry, which is refused, not iterated on.
     logw = np.array([[0.0, 0.0], [-720.0, -720.0]])
     with pytest.raises(ts.errors.ConvergenceError, match="normal float range"):
-        _perron.power_log_perron(logw)
+        _perron.perron_stack(logw[None])
 
 
 def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
-    # Two plain slices around one that leaves the plain phase early
-    # (the nearly periodic support above) and one whose first update
-    # leaves the normal range: each slice comes back as its lone solve,
-    # or with its lone solve's error.
+    # Two plain slices around one that leaves the plain phase early (the
+    # nearly periodic support above): each slice comes back as its lone
+    # solve.  Slices whose first update leaves the normal range fail the
+    # stack with the lone solve's error of the first of them, whatever
+    # the slices around them do.
     values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
     _, slow = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
     lazy = np.log(slow) - np.log(slow).max(axis=1, keepdims=True)
     plain = np.log(np.array([[0.5, 0.25], [0.75, 1.0]]))
     unconditioned = np.array([[0.0, 0.0], [-720.0, -720.0]])
-    stack = np.array([plain, lazy, unconditioned, plain.T])
+    deeper = np.array([[0.0, 0.0], [-740.0, -740.0]])
+    stack = np.array([plain, lazy, plain.T])
     escalated = []
     escalate = _perron._escalate
 
@@ -130,17 +132,24 @@ def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
         return escalate(e, *rest)
 
     monkeypatch.setattr(_perron, "_escalate", recorded)
-    got_values, got_vectors, got_residuals, got_iterations, failures = _perron.perron_stack(stack)
-    assert list(failures) == [2]
-    with pytest.raises(ts.errors.ConvergenceError) as alone:
-        _perron.power_log_perron(unconditioned)
-    assert str(failures[2]) == str(alone.value)
-    for k in (0, 1, 3):
-        value, vector, residual, iterations = _perron.power_log_perron(stack[k])
-        assert got_values[k].hex() == value.hex()
-        assert got_vectors[k].tobytes() == vector.tobytes()
-        assert (got_residuals[k], got_iterations[k]) == (residual, iterations)
+    got = _perron.perron_stack(stack)
+    for k in range(len(stack)):
+        alone = _perron.perron_stack(stack[k][None])
+        for stacked, lone in zip(got, alone):
+            assert stacked[k].tobytes() == lone[0].tobytes()
     assert escalated == [True, True]  # the lazy slice, stacked and alone
+
+    errors = []
+    for failing in (unconditioned, deeper):
+        with pytest.raises(ts.errors.ConvergenceError) as alone:
+            _perron.perron_stack(failing[None])
+        errors.append(str(alone.value))
+    assert errors[0] != errors[1]
+    for mixed, first in (([plain, lazy, unconditioned, plain.T, deeper], 0),
+                         ([plain, deeper, lazy, unconditioned], 1)):
+        with pytest.raises(ts.errors.ConvergenceError) as stacked:
+            _perron.perron_stack(np.array(mixed))
+        assert str(stacked.value) == errors[first]
 
 
 def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
@@ -155,7 +164,7 @@ def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
         raise AssertionError("a steadily contracting slice left the plain phase")
 
     monkeypatch.setattr(_perron, "_escalate", no_escalation)
-    iterations = _perron.power_log_perron(steady)[3]
+    iterations = _perron.perron_stack(steady[None])[3][0]
     assert iterations > 2 * _perron._PLAIN_STALL
     stacked = _perron.perron_stack(np.array([instant, steady, steady.T]))[3]
     assert stacked[1] == iterations and stacked[0] == 1

@@ -147,14 +147,14 @@ def test_recode_preserves_entropy(rng, full2, golden, full3):
 
 def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     calls = []
-    original = _perron.power_log_perron
+    original = _perron.solve_stack
 
-    def counting(logw, *args, **kwargs):
-        calls.append(logw.shape)
-        return original(logw, *args, **kwargs)
+    def counting(n, src, dst, w):
+        calls.append(w.shape)
+        return original(n, src, dst, w)
 
     m = oracles.random_primitive_transitions(rng)
-    monkeypatch.setattr(_perron, "power_log_perron", counting)
+    monkeypatch.setattr(_perron, "solve_stack", counting)
     sft = ts.build_sft(len(m), m)
     assert calls == []  # nothing is solved at construction
     first = ts.topological_entropy(sft)
@@ -163,8 +163,24 @@ def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     # an equal but distinct Sft solves afresh, to the same bits
     assert ts.topological_entropy(ts.build_sft(len(m), m)) == first
     assert len(calls) == 2
-    uncached = original(np.where(np.asarray(m) > 0, 0.0, -np.inf))[0]
+    # and to the bits of one Perron solve of the 0/-inf transition table
+    uncached = _perron.perron_stack(np.where(np.asarray(m) > 0, 0.0, -np.inf)[None])[0][0]
     assert first == uncached
+
+
+def test_entropy_pressure_and_ground_entropy_agree_bit_for_bit(golden, rng):
+    # The entropy, the pressure of the zero potential and its ground
+    # entropy (every edge is critical) are one eigensolve of the same
+    # zero weights on the transitions.
+    systems = [golden] + [ts.full_shift(k) for k in range(1, 13)]
+    for _ in range(60):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=8)
+        systems.append(ts.build_sft(len(m), m))
+    for sft in systems:
+        zero = ts.zero_potential(sft)
+        h = ts.topological_entropy(sft).hex()
+        assert ts.pressure(sft, zero).value.hex() == h
+        assert ts.max_ergodic_average(sft, zero).ground_entropy.hex() == h
 
 
 def test_recode_block_length_zero(golden):
