@@ -265,6 +265,15 @@ class _RaySamples(NamedTuple):
     phi_var: list[float]
 
 
+def _ray_graph(sft: Sft, psi: Potential, phi: Potential):
+    """The common order of ``psi`` and ``phi`` and the block graph of that
+    order, on which the ray ``psi + t * phi`` is solved."""
+    _require_over(sft, psi)
+    _require_over(sft, phi)
+    order = max(graph_order(psi.memory), graph_order(phi.memory))
+    return order, block_graph(sft, order)
+
+
 def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _RaySamples:
     """Pressure, equilibrium entropy, the integrals of ``phi`` and ``psi``
     and the asymptotic variance of ``phi`` at each point of ``ts`` on the
@@ -276,10 +285,7 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
     Chunk by chunk, raises the first error met: the eigensolve's, then the
     validation's (see the module docstring), then that of a point whose
     weights are not finite, once the points before it are solved."""
-    _require_over(sft, psi)
-    _require_over(sft, phi)
-    order = max(graph_order(psi.memory), graph_order(phi.memory))
-    states, src, dst = block_graph(sft, order)
+    order, (states, src, dst) = _ray_graph(sft, psi, phi)
     n = len(states)
     w_psi, w_phi = edge_weights(psi, order), edge_weights(phi, order)
     chunk = max(1, _STACK_ENTRIES // (2 * n * n))

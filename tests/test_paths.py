@@ -9,9 +9,11 @@ from thermoshift import paths, transfer
 from thermoshift._edgegraph import edge_weights
 from thermoshift.errors import (
     AsymptoteUnreachableError,
+    ConvergenceError,
     MonotonicityError,
     NonUniqueGroundStateError,
     TargetOutOfRangeError,
+    ThermoshiftError,
     ValidationError,
 )
 from thermoshift.transfer import _asymptotic_variance
@@ -277,7 +279,7 @@ def test_solvers_refuse_bad_t_max(golden, monkeypatch, t_max):
     def no_probe(*args):
         raise AssertionError("a probe ran")
 
-    monkeypatch.setattr(paths, "sample_at", no_probe)
+    monkeypatch.setattr(paths, "_samples", no_probe)
     with pytest.raises(ValidationError, match="t_max"):
         ts.solve_intermediate_entropy(golden, phi, 0.3, t_max=t_max)
     with pytest.raises(ValidationError, match="t_max"):
@@ -373,10 +375,10 @@ def test_newton_steps_leaving_the_bracket_fall_back_to_midpoints(
 ):
     # a vanishing second derivative sends every Newton step out of the
     # bracket, so only midpoints are probed
-    sample_at = paths.sample_at
+    samples = paths._samples
     monkeypatch.setattr(
-        paths, "sample_at",
-        lambda *args: dataclasses.replace(sample_at(*args), phi_var=1e-300),
+        paths, "_samples",
+        lambda *args: [dataclasses.replace(s, phi_var=1e-300) for s in samples(*args)],
     )
     report = golden_entropy_solve(golden)
     assert_newton_solve(report, lambda s: s.entropy, (1.0, 2.0), 45)
@@ -449,6 +451,175 @@ def test_solve_pressure_out_of_range(full2):
         ts.solve_intermediate_pressure(full2, psi, phi, top + 0.1)
     with pytest.raises(TargetOutOfRangeError):
         ts.solve_intermediate_pressure(full2, psi, phi, -0.5)
+
+
+# --- look-ahead scan --------------------------------------------------------------
+
+
+def sample_bits(s):
+    return tuple(float(x).hex() for x in (s.t, s.pressure, s.entropy, s.phi_avg,
+                                          s.psi_pressure, s.phi_var))
+
+
+def solve_outcome(solve):
+    """Every field of the report bit for bit, or the type, message and
+    trace of the error raised."""
+    try:
+        r = solve()
+    except ThermoshiftError as exc:
+        trace = getattr(exc, "trace", ())
+        return type(exc), str(exc), [sample_bits(s) for s in trace]
+    return (
+        tuple(float(x).hex() for x in (r.target, r.t_found, r.achieved, r.residual, *r.bracket)),
+        r.iterations,
+        [sample_bits(s) for s in r.trace],
+    )
+
+
+def recorded_stacks(monkeypatch):
+    """Record every stack of points the solvers evaluate."""
+    stacks = []
+    samples = paths._samples
+
+    def recorded(sft, psi, phi, ts_):
+        stacks.append(list(ts_))
+        return samples(sft, psi, phi, ts_)
+
+    monkeypatch.setattr(paths, "_samples", recorded)
+    return stacks
+
+
+def ray_family_solves(full2, golden, full3, rng):
+    """(label, look-ahead ray, solve) for the ray families: Bernoulli and
+    golden fixed-point entropy, full_shift(3) pressure, and seeded small
+    random systems; each family includes the t = 0 endpoint and a scan
+    cut short by t_max, and the pressure families their refusing scan."""
+    zero2, zero_g = ts.zero_potential(full2), ts.zero_potential(golden)
+    bern = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+    for t in (0.0, 0.7, 3.7, 9.0):
+        a = bernoulli_entropy(t) if t else LN2
+        yield f"bernoulli a={a}", (full2, zero2, bern), (
+            lambda a=a: ts.solve_intermediate_entropy(full2, bern, a))
+    yield "bernoulli short", (full2, zero2, bern), (
+        lambda: ts.solve_intermediate_entropy(full2, bern, 0.1, t_max=0.3))
+    pin0 = ts.fixed_point_potential(golden, 0)
+    for a in (math.log(GOLDEN_RATIO), 0.45, 0.3, 0.24, 1e-3):
+        yield f"golden a={a}", (golden, zero_g, pin0), (
+            lambda a=a: ts.solve_intermediate_entropy(golden, pin0, a))
+    psi3 = ts.Potential(full3, 1, oracles.random_values(rng, full3.transitions, 1))
+    phi3 = ts.Potential(full3, 2, oracles.random_values(rng, full3.transitions, 2))
+    alpha = ts.ground_state_pressure_bound(full3, psi3, phi3)
+    targets = [ts.pressure(full3, psi3).value, alpha, 0.5 * (alpha + ts.pressure(full3, psi3).value)]
+    targets += [ts.sample_at(full3, psi3, phi3, t).psi_pressure for t in (0.3, 2.3, 3.1, 40.0)]
+    for b in targets:
+        yield f"full3 b={b}", (full3, psi3, phi3), (
+            lambda b=b: ts.solve_intermediate_pressure(full3, psi3, phi3, b))
+    yield "full3 short", (full3, psi3, phi3), (
+        lambda: ts.solve_intermediate_pressure(full3, psi3, phi3, targets[-1], t_max=5.0))
+    for trial in range(8):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+        sft = ts.build_sft(len(m), m)
+        zero = ts.zero_potential(sft)
+        psi = ts.Potential(sft, 1, oracles.random_values(rng, m, 1))
+        phi = ts.Potential(sft, 2, oracles.random_values(rng, m, 2))
+        t = float(rng.uniform(0.2, 20.0))
+        a = ts.sample_at(sft, zero, phi, t).entropy
+        yield f"random {trial} a={a}", (sft, zero, phi), (
+            lambda sft=sft, phi=phi, a=a: ts.solve_intermediate_entropy(sft, phi, a))
+        b = ts.sample_at(sft, psi, phi, t).psi_pressure
+        yield f"random {trial} b={b}", (sft, psi, phi), (
+            lambda sft=sft, psi=psi, phi=phi, b=b: ts.solve_intermediate_pressure(sft, psi, phi, b))
+
+
+def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng, monkeypatch):
+    cases = 0
+    for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
+        assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 4, label
+        with monkeypatch.context() as m:
+            stacks = recorded_stacks(m)
+            ahead = solve_outcome(solve)
+        assert max(map(len, stacks)) > 1, label
+        with monkeypatch.context() as m:
+            m.setattr(paths, "_LOOK_AHEAD", 1)
+            stacks = recorded_stacks(m)
+            one_at_a_time = solve_outcome(solve)
+        assert max(map(len, stacks)) == 1, label
+        assert ahead == one_at_a_time, label
+        cases += 1
+    assert cases == 34
+
+
+def test_the_look_ahead_is_one_above_32_block_states(full2):
+    # memory m puts the ray on the 2^(m-1) blocks of length m - 1
+    zero = ts.zero_potential(full2)
+    assert paths._look_ahead(full2, zero, ts.zero_potential(full2, 6)) == 4
+    assert paths._look_ahead(full2, ts.zero_potential(full2, 7), zero) == 1
+
+
+def test_a_scan_stack_ends_past_the_root_of_the_newton_tangent(golden, monkeypatch):
+    stacks = recorded_stacks(monkeypatch)
+    report = golden_entropy_solve(golden)
+    assert report.bracket == (1.0, 2.0)
+    # the tangent at t = 0.5 meets the target between 1 and 2
+    assert stacks[:2] == [[0.0, 0.125, 0.25, 0.5], [1.0, 2.0]]
+    assert max(map(len, stacks[2:])) == 1
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, ValidationError])
+def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, monkeypatch, error):
+    # the bracket of this solve is (1, 2); the stack [1, 2, 4] fails, as
+    # would the point 4 alone, which a scan one point at a time never probes
+    phi = ts.fixed_point_potential(golden, 0)
+    solve = lambda: ts.solve_intermediate_entropy(golden, phi, 0.1)  # noqa: E731
+    expected = solve_outcome(solve)
+    assert expected[0][-2:] == (1.0.hex(), 2.0.hex())
+    failed = []
+    samples = paths._samples
+
+    def failing_past_the_bracket(sft, psi, phi, ts_):
+        if 4.0 in ts_:
+            failed.append(ts_)
+            raise error("past the bracket")
+        return samples(sft, psi, phi, ts_)
+
+    monkeypatch.setattr(paths, "_samples", failing_past_the_bracket)
+    assert solve_outcome(solve) == expected
+    assert failed == [[1.0, 2.0, 4.0]]
+
+
+def test_a_failing_scan_raises_the_error_of_its_first_failing_point(golden, monkeypatch):
+    samples = paths._samples
+
+    def failing_at_4(sft, psi, phi, ts_):
+        if 4.0 in ts_:
+            raise ConvergenceError(f"failed on {ts_}")
+        return samples(sft, psi, phi, ts_)
+
+    monkeypatch.setattr(paths, "_samples", failing_at_4)
+    phi = ts.fixed_point_potential(golden, 0)
+    solve = lambda: ts.solve_intermediate_entropy(golden, phi, 1e-3)  # noqa: E731
+    ahead = solve_outcome(solve)
+    monkeypatch.setattr(paths, "_LOOK_AHEAD", 1)
+    assert ahead == solve_outcome(solve) == (ConvergenceError, "failed on [4.0]", [])
+
+
+def test_a_refusing_scan_raises_the_error_of_its_first_failing_point(monkeypatch):
+    # tied maximizing classes: the eigensolve fails from t = 4096 on, the
+    # last point of the refusing scan's stack [512, 1024, 2048, 4096]
+    sft = ts.build_sft(3, [[1, 1, 1], [0, 1, 1], [1, 0, 1]])
+    values = dict.fromkeys(["000", "001", "011", "012", "022", "111", "112", "120", "201"], 0.25)
+    values.update(dict.fromkeys(["002", "020", "122", "202", "220", "222"], -0.5), **{"200": 0.0})
+    phi = ts.Potential(sft, 3, {tuple(map(int, w)): v for w, v in values.items()})
+    zero = ts.zero_potential(sft)
+    alpha = ts.ground_state_pressure_bound(sft, zero, phi)
+    solve = lambda: ts.solve_intermediate_pressure(sft, zero, phi, alpha)  # noqa: E731
+    stacks = recorded_stacks(monkeypatch)
+    ahead = solve_outcome(solve)
+    fallback = [[512.0, 1024.0, 2048.0, 4096.0], [512.0], [1024.0], [2048.0], [4096.0]]
+    assert stacks[-5:] == fallback
+    monkeypatch.setattr(paths, "_LOOK_AHEAD", 1)
+    assert ahead == solve_outcome(solve)
+    assert ahead[0] is ConvergenceError and "left the normal float range" in ahead[1]
 
 
 # --- grid continuity --------------------------------------------------------------
