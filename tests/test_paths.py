@@ -492,8 +492,8 @@ def recorded_stacks(monkeypatch):
 def ray_family_solves(full2, golden, full3, rng):
     """(label, look-ahead ray, solve) for the ray families: Bernoulli and
     golden fixed-point entropy, full_shift(3) pressure, and seeded small
-    random systems; each family includes the t = 0 endpoint and a scan
-    cut short by t_max, and the pressure families their refusing scan."""
+    random systems; among them t = 0 endpoints, scans cut short by t_max
+    and the refusing scan of a target at alpha."""
     zero2, zero_g = ts.zero_potential(full2), ts.zero_potential(golden)
     bern = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
     for t in (0.0, 0.7, 3.7, 9.0):
