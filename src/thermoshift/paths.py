@@ -23,10 +23,11 @@ the first scan point at or past the root of the Newton tangent at the
 last point solved, so few points are solved past the bracket.  A stack
 that fails is solved again one point at a time, so a solve reports and
 raises what probing one point at a time would.  The look-ahead is 4 on
-block graphs of at most 32 states, where a probe costs mostly numpy call
-overhead, and 1 above, where a probe is compute-bound and stacking saves
-nothing.  The Newton steps that close the bracket probe one point at a
-time, since each depends on the ones before it.
+block graphs of at most 32 states and 1 above: timed against a
+look-ahead of 1 on full shifts, stacks of four made solves faster up to
+32 states, about as fast at 64-128 and slower at 256.  The Newton steps that
+close the bracket probe one point at a time, since each depends on the
+ones before it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ SCAN_STEP = 0.125
 SCAN_T_MAX = SCAN_STEP * 2**20
 _ENDPOINT_GUARD = 1e-12
 # Points solved as one stack by the bracketing scans, on block graphs of
-# at most _LOOK_AHEAD_STATES states; larger graphs scan one point at a time.
+# at most _LOOK_AHEAD_STATES states; larger graphs scan one point at a time,
+# as stacks there timed about as fast (64-128 states) or slower (256).
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_STATES = 32
 
