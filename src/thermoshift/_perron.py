@@ -7,6 +7,8 @@ conjugated by a float max-plus eigenvector of its log-weights first
 (tropical diagonal scaling, `_maxplus_frame`), so every row of the
 matrix peaks near 0 and the iterates stay in the normal float range at
 any temperature; an iterate that leaves it raises ``ConvergenceError``.
+A stack of all-zero weights has the zero frame, so it runs no Karp
+levels and no Bellman pass.
 Both Perron sides of every row then go through one `perron_stack`.
 
 Power iteration ``x <- E x`` runs on ``E = exp(logw)``, formed once per
@@ -138,8 +140,16 @@ def _maxplus_frame(n, src, dst, w):
     O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
     conjugated weights ``frame_w``, whose rows peak at 0; and a left
     max-plus eigenvector ``left`` of ``frame_w``.  Each comes back as an
-    array over the rows."""
+    array over the rows.
+
+    A stack whose weights are all zero, such as a subshift's transitions,
+    takes the closed form: every cycle mean is 0 and so is every longest
+    walk, which is what Karp's levels and both Bellman passes compute
+    there (``+0.0`` even from ``-0.0`` weights).  Any nonzero weight in
+    the stack sends every row down the general path."""
     size = len(w)
+    if not w.any():
+        return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), np.zeros((size, n))
     rows = np.arange(size)
     # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
     src_at, dst_at, flat_w = src, dst, w.ravel()

@@ -21,9 +21,11 @@ slice, and every iteration stops on its slice's own counts.  So a
 sample of a sweep equals ``paths.sample_at`` at its point.  A grid is
 solved in chunks whose largest stacked table holds at most
 ``_STACK_ENTRIES`` entries, and at least one sample.  The stationary
-polish runs row by row, each row on its own count of steps.  Every
-measure is validated once: `MarkovMeasure` on construction, a grid's
-by `_validate_measures` on the whole chunk.
+polish runs row by row, each row on its own count of steps; a row
+whose iterates start to cycle stops at the first repeat, as no later
+step could find a better one.  Every measure is validated once:
+`MarkovMeasure` on construction, a grid's by `_validate_measures` on
+the whole chunk.
 
 Each stage of a stacked solve raises the error of its first failing
 slice: the eigensolve its ``ConvergenceError``, the measure validation
@@ -314,22 +316,32 @@ def _polish_stationary(pi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Kernel-power refinement of each row of a stack of stationary
     vectors, one row at a time."""
     # Drift may oscillate when the subdominant eigenvalue is complex, so
-    # keep the best iterate seen; a row stops at drift 1e-16 or after 25
-    # steps without a better one.  The product that measures an iterate's
-    # drift is also the next iterate before normalization.  A row is kept
-    # as a 1 x n matrix, so every product is a vector-matrix one.
+    # keep the best iterate seen; a row stops at drift 1e-16, after 25
+    # steps without a better one, or at the first iterate that repeats,
+    # byte for byte, one seen since the last better one: the steps are a
+    # fixed map, so from there they only cycle through drifts that were
+    # no better, and the 25-step rule would return the same best.  The
+    # product that measures an iterate's drift is also the next iterate
+    # before normalization.  A row is kept as a 1 x n matrix, so every
+    # product is a vector-matrix one.
     polished = np.empty_like(pi)
     for row, (x, p) in enumerate(zip(pi[:, None, :], kernel)):
         product = np.matmul(x, p)
         best, best_drift = x, np.maximum.reduce(np.abs(product - x), axis=None)
         step = last = 0
+        seen = set()
         while best_drift > 1e-16 and step < last + 25 and step < 100_000:
             step += 1
             x = product / np.add.reduce(product, axis=1, keepdims=True)
+            key = x.tobytes()
+            if key in seen:
+                break
+            seen.add(key)
             product = np.matmul(x, p)
             drift = np.maximum.reduce(np.abs(product - x), axis=None)
             if drift < best_drift:
                 best, best_drift, last = x, drift, step
+                seen.clear()
         polished[row] = best[0]
     return polished
 

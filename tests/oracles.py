@@ -264,3 +264,28 @@ def random_stochastic_kernel(rng, transitions, order):
                 kernel[i, index[b[1:] + (s,)]] = rng.uniform(0.1, 1.0)
     kernel /= kernel.sum(axis=1, keepdims=True)
     return states, kernel, stationary_from_kernel(kernel)
+
+
+# --- reference loops ---------------------------------------------------------
+
+def polish_stationary_25_stale(pi, kernel):
+    """Kernel-power refinement of each row of a stack of stationary
+    vectors by the plain stop rule: keep the iterate of least drift
+    ``max|x P - x|`` seen, and stop a row at drift 1e-16 or after 25
+    steps without a better one.  The same operations in the same order as
+    ``transfer._polish_stationary``, without its stop at a repeated
+    iterate."""
+    polished = np.empty_like(pi)
+    for row, (x, p) in enumerate(zip(pi[:, None, :], kernel)):
+        product = np.matmul(x, p)
+        best, best_drift = x, np.maximum.reduce(np.abs(product - x), axis=None)
+        step = last = 0
+        while best_drift > 1e-16 and step < last + 25 and step < 100_000:
+            step += 1
+            x = product / np.add.reduce(product, axis=1, keepdims=True)
+            product = np.matmul(x, p)
+            drift = np.maximum.reduce(np.abs(product - x), axis=None)
+            if drift < best_drift:
+                best, best_drift, last = x, drift, step
+        polished[row] = best[0]
+    return polished

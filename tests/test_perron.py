@@ -168,3 +168,43 @@ def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
     assert iterations > 2 * _perron._PLAIN_STALL
     stacked = _perron.perron_stack(np.array([instant, steady, steady.T]))[3]
     assert stacked[1] == iterations and stacked[0] == 1
+
+
+def frame_graphs():
+    """Strongly connected block graphs: the golden mean, full shifts on 2
+    to 12 symbols and seeded random primitive systems, at orders 1 and 2."""
+    systems = [ts.golden_mean_shift(), *(ts.full_shift(k) for k in range(2, 13))]
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        m = oracles.random_primitive_transitions(rng)
+        systems.append(ts.build_sft(len(m), m))
+    for sft in systems:
+        for order in (1, 2):
+            yield ts.sft.block_graph(sft, order)
+
+
+def test_all_zero_weights_take_the_closed_form_frame(monkeypatch):
+    # Rows are independent in the flat layout, so a zero row stacked
+    # beside a nonzero row runs Karp's levels and both Bellman passes and
+    # must come out as the closed form of the zero row alone, bit for bit,
+    # from +0.0 and -0.0 weights alike.
+    rng = np.random.default_rng(5)
+    for states, src, dst in frame_graphs():
+        n, edges = len(states), len(src)
+        for zero in (0.0, -0.0):
+            zeros = np.full((1, edges), zero)
+            closed = _perron._maxplus_frame(n, src, dst, zeros)
+            assert [a.shape for a in closed] == [(1,), (1, n), (1, edges), (1, n)]
+            mixed = np.concatenate([zeros, rng.normal(size=(1, edges))])
+            general = _perron._maxplus_frame(n, src, dst, mixed)
+            for c, g in zip(closed, general):
+                assert c.tobytes() == g[:1].tobytes(), (n, zero)
+
+    def no_pass(*args):
+        raise AssertionError("an all-zero stack ran a Bellman pass")
+
+    monkeypatch.setattr(_perron, "_longest_walks", no_pass)
+    states, src, dst = ts.sft.block_graph(ts.full_shift(3), 2)
+    beta, right, frame_w, left = _perron._maxplus_frame(len(states), src, dst, np.zeros((4, len(src))))
+    assert beta.shape == (4,) and frame_w.shape == (4, len(src))
+    assert not beta.any() and not right.any() and not frame_w.any() and not left.any()

@@ -386,3 +386,73 @@ def test_lipschitz_random_pairs(rng):
 def test_lipschitz_rejects_mismatched(full2, golden):
     with pytest.raises(MismatchedSystemError):
         ts.lipschitz_check(full2, ts.zero_potential(full2), ts.zero_potential(golden))
+
+
+# --- stationary polish ---------------------------------------------------------
+
+
+class CountingKernel(np.ndarray):
+    """A kernel stack that counts the matrix products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingKernel.products += 1
+        inputs = [i.view(np.ndarray) if isinstance(i, CountingKernel) else i for i in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def assert_polish_matches_reference(pi, kernel):
+    got = transfer._polish_stationary(pi, kernel)
+    assert got.tobytes() == oracles.polish_stationary_25_stale(pi, kernel).tobytes()
+
+
+def test_polish_stops_at_a_repeated_iterate_of_a_periodic_kernel():
+    # On a ground 3-cycle the kernel is a permutation: the steps only
+    # rotate the start vector, so its iterates repeat after 3 steps, where
+    # the 25-stale-step rule takes 25.  The start carries the 1e-14
+    # relative error of a low-temperature Perron solve.
+    cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    for error in (1.1e-14, 2.2e-14, 1e-13, 1e-6, 0.1):
+        pi = np.array([[1 / 3 + error, 1 / 3 - error, 1 / 3]])
+        CountingKernel.products = 0
+        polished = transfer._polish_stationary(pi, cycle[None].view(CountingKernel))
+        assert polished.tobytes() == oracles.polish_stationary_25_stale(pi, cycle[None]).tobytes()
+        # Wider starts round their sums apart, so a cycle closes a few
+        # steps later, still before the 26 products of the 25-step rule.
+        assert CountingKernel.products <= (4 if error < 1e-13 else 25)
+
+
+def test_polish_matches_the_25_stale_step_rule_on_a_long_sweep(monkeypatch, golden):
+    stacks = []
+    polish = transfer._polish_stationary
+
+    def recorded(pi, kernel):
+        stacks.append((pi, kernel))
+        return polish(pi, kernel)
+
+    monkeypatch.setattr(transfer, "_polish_stationary", recorded)
+    zero, phi = ts.zero_potential(golden), ts.fixed_point_potential(golden, 0)
+    ts.sweep(golden, zero, phi, np.linspace(0, 30, 1001))
+    monkeypatch.undo()
+    assert sum(len(pi) for pi, _ in stacks) == 1001
+    for pi, kernel in stacks:
+        assert_polish_matches_reference(pi, kernel)
+
+
+def test_polish_matches_the_25_stale_step_rule_on_random_kernels():
+    # Widely spread weights mix slowly: rows go stale for up to 25 steps
+    # before a better iterate turns up.
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+        order = int(rng.integers(1, 4))
+        words = oracles.admissible_words(m, order + 1)
+        values = dict(zip(words, (3.0 * rng.normal(size=len(words))).tolist()))
+        kernel = np.exp(oracles.dense_edge_table(m, order + 1, values, order)[1])
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        pi = oracles.stationary_from_kernel(kernel)
+        starts = pi * (1 + rng.normal(size=(3, len(pi))) * [[0.0], [1e-14], [1e-9]])
+        starts /= starts.sum(axis=1, keepdims=True)
+        assert_polish_matches_reference(starts, np.repeat(kernel[None], 3, axis=0))
