@@ -9,11 +9,15 @@ and cycle computations happen on this graph.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from . import maxplus
 from .potentials import Potential
 from .sft import block_graph
+
+if TYPE_CHECKING:
+    from . import maxplus
 
 
 def graph_order(memory: int) -> int:
@@ -56,6 +60,8 @@ def maxplus_data(phi: Potential, order: int) -> maxplus.MaxPlusData:
     first calls may both run the analysis, which is harmless."""
     data = phi._maxplus_data.get(order)
     if data is None:
+        from . import maxplus  # here, so that a pressure loads no max-plus code
+
         states, src, dst = block_graph(phi.sft, order)
         weights = edge_weights(phi, order)
         data = phi._maxplus_data[order] = maxplus.analyze(

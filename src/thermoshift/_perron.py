@@ -9,7 +9,8 @@ matrix peaks near 0 and the iterates stay in the normal float range at
 any temperature; an iterate that leaves it raises ``ConvergenceError``.
 A stack of all-zero weights has the zero frame, so it runs no Karp
 levels and no Bellman pass.
-Both Perron sides of every row then go through one `perron_stack`.
+Both Perron sides of every row then go through one `perron_stack`; a
+caller that reads only the values asks for the right sides alone.
 
 Power iteration ``x <- E x`` runs on ``E = exp(logw)``, formed once per
 solve.  The Collatz-Wielandt enclosure
@@ -76,7 +77,8 @@ class EigenSolve:
     """Eigensolves of a stack of edge-weight rows on one graph; row arrays
     carry the rows on their first axis.  Row ``s`` is solved by slices
     ``2s`` (right side) and ``2s + 1`` (left side) of the Perron stack,
-    whose residuals and iteration counts are kept."""
+    whose residuals and iteration counts are kept; a right-only solve
+    solves row ``s`` by slice ``s`` and has no ``frame_left``."""
 
     value: np.ndarray
     maxplus_right: np.ndarray
@@ -84,30 +86,37 @@ class EigenSolve:
     frame_w: np.ndarray
     frame_right: np.ndarray
     # log pi = frame_left + frame_right (up to norm)
-    frame_left: np.ndarray
+    frame_left: np.ndarray | None
     residuals: np.ndarray
     iterations: np.ndarray
 
 
-def solve_stack(n: int, src, dst, w: np.ndarray) -> EigenSolve:
+def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenSolve:
     """Log Perron values and vectors of the rows of edge weights ``w``
     (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
     ``n`` vertices.  Raises the ``ConvergenceError`` of the first row that
-    fails, its right side's before its left side's."""
+    fails, its right side's before its left side's.
+
+    With ``left=False`` neither the left Bellman pass nor the left Perron
+    slices run, for callers that read only ``value``: every field but
+    ``frame_left`` equals that of the right side of the two-sided solve
+    bit for bit, and only right sides can fail."""
     size = len(w)
+    sides = 2 if left else 1
     # Conjugating the transposed frame again, by its left eigenvector,
     # keeps pi frame-sized.
-    beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
-    frames = np.full((2 * size, n, n), -np.inf)
-    frames[0::2, src, dst] = frame_w
-    frames[1::2, dst, src] = frame_w + left[:, src] - left[:, dst]
+    beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
+    frames = np.full((sides * size, n, n), -np.inf)
+    frames[0::sides, src, dst] = frame_w
+    if left:
+        frames[1::2, dst, src] = frame_w + left_frame[:, src] - left_frame[:, dst]
     values, vectors, residuals, iterations = perron_stack(frames)
     return EigenSolve(
-        value=values[0::2] + beta,
+        value=values[0::sides] + beta,
         maxplus_right=right,
         frame_w=frame_w,
-        frame_right=vectors[0::2],
-        frame_left=vectors[1::2] + left,
+        frame_right=vectors[0::sides],
+        frame_left=vectors[1::2] + left_frame if left else None,
         residuals=residuals,
         iterations=iterations,
     )
@@ -133,14 +142,14 @@ def _longest_walks(n, tail_at, head_at, weights, target_at):
     return dist
 
 
-def _maxplus_frame(n, src, dst, w):
+def _maxplus_frame(n, src, dst, w, with_left=True):
     """Float max-plus conditioning of each row of edge weights ``w`` (a
     stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
     ``beta`` by Karp's recurrence (Karp 1978) over the edge arrays, in
     O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
     conjugated weights ``frame_w``, whose rows peak at 0; and a left
-    max-plus eigenvector ``left`` of ``frame_w``.  Each comes back as an
-    array over the rows.
+    max-plus eigenvector ``left`` of ``frame_w``, or None when not
+    ``with_left``.  Each comes back as an array over the rows.
 
     A stack whose weights are all zero, such as a subshift's transitions,
     takes the closed form: every cycle mean is 0 and so is every longest
@@ -149,7 +158,8 @@ def _maxplus_frame(n, src, dst, w):
     the stack sends every row down the general path."""
     size = len(w)
     if not w.any():
-        return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), np.zeros((size, n))
+        left = np.zeros((size, n)) if with_left else None
+        return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), left
     rows = np.arange(size)
     # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
     src_at, dst_at, flat_w = src, dst, w.ravel()
@@ -183,8 +193,10 @@ def _maxplus_frame(n, src, dst, w):
     excess = flat_w - np.repeat(beta, len(src))
     right = _longest_walks(n, src_at, dst_at, excess, target_at)
     frame_w = excess + right[dst_at] - right[src_at]
-    left = _longest_walks(n, dst_at, src_at, frame_w, target_at)
-    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left.reshape(size, n)
+    left = None
+    if with_left:
+        left = _longest_walks(n, dst_at, src_at, frame_w, target_at).reshape(size, n)
+    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left
 
 
 def _normalized(y, iterations):

@@ -4,6 +4,11 @@ Results go to stdout only and diagnostics to stderr only, so output can
 be piped into plotting or analysis tools.  Exit codes: 0 success,
 2 usage error, 3 configuration error, 4 solver domain error (target out
 of range or unreachable), 5 convergence or consistency failure.
+
+Only the layers every command uses (`config`, `errors`, `potentials` and
+`sft`) are imported with this module; each command imports the rest of
+what it runs when it runs, so ``entropy`` never loads `transfer`,
+``maximize`` never loads `paths` and ``path`` never loads `ergopt`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,22 +30,11 @@ from .errors import (
     SolveError,
     ValidationError,
 )
-from .ergopt import max_ergodic_average
-from .paths import (
-    PathSample,
-    entropy_monotonicity_check,
-    solve_intermediate_entropy,
-    solve_intermediate_pressure,
-    sweep,
-)
 from .potentials import Potential, zero_potential
 from .sft import topological_entropy
-from .transfer import (
-    lipschitz_check,
-    pressure,
-    pressure_and_equilibrium,
-    variational_identity_check,
-)
+
+if TYPE_CHECKING:
+    from .paths import PathSample
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,6 +159,8 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         return _dump({f"entropy_{suffix}": value}), EXIT_OK
 
     if args.command == "pressure":
+        from .transfer import pressure
+
         phi = _lookup(config, args.phi)
         result = pressure(sft, phi)
         return _dump(
@@ -175,6 +172,8 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         ), EXIT_OK
 
     if args.command == "equilibrium":
+        from .transfer import pressure_and_equilibrium
+
         phi = _lookup(config, args.phi)
         result, mu = pressure_and_equilibrium(sft, phi)
         return _dump(
@@ -189,6 +188,8 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         ), EXIT_OK
 
     if args.command == "maximize":
+        from .ergopt import max_ergodic_average
+
         phi = _lookup(config, args.phi)
         result = max_ergodic_average(sft, phi)
         fmt = lambda b: block_to_str(b, sft.alphabet_size)
@@ -203,6 +204,8 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         ), EXIT_OK
 
     if args.command == "path":
+        from .paths import sweep
+
         phi = _lookup(config, args.phi)
         psi = _lookup(config, args.psi)
         samples = sweep(sft, psi, phi, _grid(args))
@@ -221,11 +224,15 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         return _dump({"samples": [_sample_dict(s, bits) for s in samples]}), EXIT_OK
 
     if args.command == "solve-entropy":
+        from .paths import solve_intermediate_entropy
+
         phi = _lookup(config, args.phi)
         report = solve_intermediate_entropy(sft, phi, args.target, tol=args.tol)
         return _dump(_report_dict(report, bits)), EXIT_OK
 
     if args.command == "solve-pressure":
+        from .paths import solve_intermediate_pressure
+
         phi = _lookup(config, args.phi)
         psi = _lookup(config, args.psi)
         report = solve_intermediate_pressure(sft, psi, phi, args.target, tol=args.tol)
@@ -258,6 +265,9 @@ def _report_dict(report, bits: bool) -> dict:
 
 
 def _run_checks(config: SystemConfig, args: argparse.Namespace) -> tuple[str, int]:
+    from .paths import entropy_monotonicity_check, sweep
+    from .transfer import lipschitz_check, variational_identity_check
+
     sft = config.sft
     grid = _grid(args)
     checks = []

@@ -27,7 +27,6 @@ from ._perron import solve_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, zero_potential
 from .sft import Block, Sft, block_graph, topological_entropy
-from .transfer import _ray_samples
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndar
     """Largest pressure of the edge ``weights``, aligned with ``critical``,
     over the strongly connected components of the ``critical`` edges: the
     exact mean on a simple cycle, else the certified Perron value of
-    `solve_stack`, as every eigensolve."""
+    `solve_stack` on the right side alone, as only the value is read."""
     label = maxplus.strongly_connected_components(n, critical)
     components: dict[int, list[int]] = {}
     for e, (i, _) in enumerate(critical):
@@ -97,7 +96,7 @@ def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndar
             pairs = np.array(edges)
             vertices, local = np.unique(pairs, return_inverse=True)
             src, dst = local.reshape(pairs.shape).T
-            value = float(solve_stack(len(vertices), src, dst, w[None]).value[0])
+            value = float(solve_stack(len(vertices), src, dst, w[None], left=False).value[0])
         best = max(best, value)
     return best
 
@@ -150,6 +149,8 @@ def zero_temperature_diagnostics(
             raise ValidationError(f"t_list must be finite, got {t}")
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("t_list must be positive and strictly increasing")
+
+    from .transfer import _ray_samples  # here, so that maximizing loads no transfer
 
     beta = max_ergodic_average(sft, phi).beta
     h_top = topological_entropy(sft)

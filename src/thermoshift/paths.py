@@ -38,7 +38,6 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .ergopt import ground_state_pressure_bound, max_ergodic_average
 from .errors import (
     AsymptoteUnreachableError,
     CheckFailedError,
@@ -338,6 +337,8 @@ def solve_intermediate_entropy(
         return AsymptoteUnreachableError("unreachable")
 
     if abs(a - h_top) > tol:  # not the t = 0 endpoint: certify reachability
+        from .ergopt import max_ergodic_average  # here, so that a sweep loads no ergopt
+
         maximization = max_ergodic_average(sft, phi)
         if a <= maximization.ground_entropy + _ENDPOINT_GUARD:
             raise AsymptoteUnreachableError(
@@ -379,6 +380,8 @@ def solve_intermediate_pressure(
     """
     _check_positive("tol", tol)
     _check_positive("t_max", t_max)
+    from .ergopt import ground_state_pressure_bound  # here, so that a sweep loads no ergopt
+
     alpha = ground_state_pressure_bound(sft, psi, phi)
     top = pressure(sft, psi).value
     if not target <= top + _ENDPOINT_GUARD:  # nan fails too

@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import maxplus
 from ._edgegraph import edge_weights, graph_order
 from ._perron import EigenSolve, logsumexp, solve_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
@@ -150,6 +149,8 @@ class MarkovMeasure:
     def has_strongly_connected_support(self) -> bool:
         """True iff the charged states and transitions form one strongly
         connected component (so the measure is ergodic)."""
+        from . import maxplus  # here, so that a pressure loads no max-plus code
+
         _, src, dst = block_graph(self.sft, self.order)
         pi = self.stationary
         charged = (pi[src] * self.kernel[src, dst] > 0) & (pi[dst] > 0)

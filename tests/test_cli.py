@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import thermoshift as ts
-from thermoshift import cli
+from thermoshift import transfer
 from thermoshift.cli import CSV_HEADER, main
 from thermoshift.errors import CheckFailedError
 
@@ -316,7 +316,7 @@ def test_check_reports_a_failed_library_check(monkeypatch, capsys):
     def failing(sft, phi, psi):
         raise CheckFailedError("pressure gap exceeds the sup-norm bound")
 
-    monkeypatch.setattr(cli, "lipschitz_check", failing)
+    monkeypatch.setattr(transfer, "lipschitz_check", failing)
     config = str(pathlib.Path(__file__).parent / "data" / "golden.json")
     assert main(["check", config, "--t-max", "2", "--steps", "5"]) == 5
     payload = json.loads(capsys.readouterr().out)  # one JSON object
@@ -400,3 +400,73 @@ def test_maximize_prints_the_canonical_witness(capsys, monkeypatch):
     monkeypatch.chdir(DATA)
     assert main(["maximize", "witness.json", "--phi", "phi"]) == 0
     assert capsys.readouterr().out == (DATA / "11-maximize.out").read_text()
+
+
+# What each command may load beyond the standard library and numpy: the
+# package modules, and `fractions`, which only the exact max-plus
+# analysis needs.  The eight commands are the first recording of each.
+_BASE = {"cli", "config", "errors", "potentials", "sft", "_perron"}
+_RAY = _BASE | {"transfer", "_edgegraph", "paths"}
+_EVERYTHING = _RAY | {"ergopt", "maxplus", "fractions"}
+MAY_LOAD = {
+    "entropy": _BASE,
+    "pressure": _BASE | {"transfer", "_edgegraph"},
+    "equilibrium": _BASE | {"transfer", "_edgegraph"},
+    "maximize": _BASE | {"ergopt", "_edgegraph", "maxplus", "fractions"},
+    "path": _RAY,
+    "check": _RAY,
+    "solve-entropy": _EVERYTHING,
+    "solve-pressure": _EVERYTHING,
+}
+FIRST_RECORDING = {}
+for _case in RECORDED:
+    FIRST_RECORDING.setdefault(_case["argv"][0], _case["argv"])
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+from thermoshift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def child_report(code, *args):
+    """The JSON that a child interpreter running ``code`` prints last."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", sorted(MAY_LOAD))
+def test_a_command_loads_only_the_layers_it_runs(command):
+    argv = FIRST_RECORDING[command]
+    code, modules = child_report(LOAD_PROBE, command, str(DATA / argv[1]), *argv[2:])
+    assert code == 0
+    ours = {m.split(".", 1)[1] for m in modules if m.startswith("thermoshift.")}
+    ours |= {"fractions"} & set(modules)
+    assert ours <= MAY_LOAD[command], sorted(ours - MAY_LOAD[command])
+    assert "cli" in ours and "_perron" in ours
+
+
+NAMESPACE_PROBE = """
+import json, pkgutil, sys
+import thermoshift as ts
+first = sorted(m for m in sys.modules if m.startswith("thermoshift"))
+names = [m.name for m in pkgutil.iter_modules(ts.__path__) if m.name != "__main__"]
+unbound = [m for m in names if getattr(ts, m) is not sys.modules["thermoshift." + m]]
+modules = [getattr(ts, m) for m in names]
+unresolved = [name for name in ts.__all__ if name not in names
+              and not any(getattr(m, name, None) is getattr(ts, name) for m in modules)]
+unlisted = sorted(set(ts.__all__) - set(dir(ts)))
+print(json.dumps([first, names, unbound, unresolved, unlisted]))
+"""
+
+
+def test_import_loads_only_errors_and_every_name_resolves():
+    first, submodules, unbound, unresolved, unlisted = child_report(NAMESPACE_PROBE)
+    assert first == ["thermoshift", "thermoshift.errors"]
+    assert {"cli", "paths", "sft", "transfer", "_perron"} <= set(submodules)
+    assert unbound == []  # every submodule resolves as an attribute
+    assert unresolved == []  # every name in __all__ is its module's object
+    assert unlisted == []  # dir() lists __all__

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import ergopt, maxplus
+from thermoshift import ergopt, maxplus, transfer
 from thermoshift.errors import ValidationError
 
 import oracles
@@ -442,7 +442,7 @@ def test_diagnostics_rejects_bad_grid(full2, monkeypatch):
     def no_solve(*args):
         raise AssertionError("something was solved")
 
-    monkeypatch.setattr(ergopt, "_ray_samples", no_solve)
+    monkeypatch.setattr(transfer, "_ray_samples", no_solve)
     monkeypatch.setattr(ergopt, "max_ergodic_average", no_solve)
     phi = ts.fixed_point_potential(full2, 0)
     with pytest.raises(ValidationError):

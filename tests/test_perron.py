@@ -208,3 +208,44 @@ def test_all_zero_weights_take_the_closed_form_frame(monkeypatch):
     beta, right, frame_w, left = _perron._maxplus_frame(len(states), src, dst, np.zeros((4, len(src))))
     assert beta.shape == (4,) and frame_w.shape == (4, len(src))
     assert not beta.any() and not right.any() and not frame_w.any() and not left.any()
+
+
+def test_right_only_solve_equals_the_two_sided_value(monkeypatch):
+    # A zero row takes the closed-form frame and random rows the general
+    # one; the right-only solve runs one Bellman pass and one Perron slice
+    # per row, and every field it returns is the two-sided solve's.
+    rng = np.random.default_rng(23)
+    systems = [ts.golden_mean_shift(), *(ts.full_shift(k) for k in range(1, 13))]
+    for _ in range(60):
+        m = oracles.random_primitive_transitions(rng)
+        systems.append(ts.build_sft(len(m), m))
+    graphs = [ts.sft.block_graph(sft, 1) for sft in systems]
+    # the critical subgraph of period_two_critical_potential in
+    # test_ergopt.py: one component on 0, 1, 2 that is not a simple cycle
+    graphs.append(((0, 1, 2), np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])))
+    walks, slices = [], []
+    longest_walks, perron_stack = _perron._longest_walks, _perron.perron_stack
+
+    def counted_walks(*args):
+        walks.append(args)
+        return longest_walks(*args)
+
+    def counted_slices(frames):
+        slices.append(len(frames))
+        return perron_stack(frames)
+
+    monkeypatch.setattr(_perron, "_longest_walks", counted_walks)
+    monkeypatch.setattr(_perron, "perron_stack", counted_slices)
+    for states, src, dst in graphs:
+        n, edges = len(states), len(src)
+        for w in (np.zeros((1, edges)), rng.normal(size=(3, edges))):
+            both = _perron.solve_stack(n, src, dst, w)
+            del walks[:], slices[:]
+            right = _perron.solve_stack(n, src, dst, w, left=False)
+            assert (len(walks), slices) == (1 if w.any() else 0, [len(w)])
+            assert right.value.tobytes() == both.value.tobytes(), n
+            for name in ("maxplus_right", "frame_w", "frame_right"):
+                assert getattr(right, name).tobytes() == getattr(both, name).tobytes(), name
+            assert right.residuals.tobytes() == both.residuals[0::2].tobytes()
+            assert right.iterations.tobytes() == both.iterations[0::2].tobytes()
+            assert right.frame_left is None
