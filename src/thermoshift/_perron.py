@@ -12,8 +12,10 @@ levels and no Bellman pass.
 Both Perron sides of every row then go through one `perron_stack`; a
 caller that reads only the values asks for the right sides alone.
 
-Power iteration ``x <- E x`` runs on ``E = exp(logw)``, formed once per
-solve.  The Collatz-Wielandt enclosure
+Power iteration ``x <- E x`` runs on the linear-domain table ``E``,
+formed once per solve: ``exp`` of the conjugated log-weights is taken on
+the edge arrays alone and scattered into a zero-filled dense table, so
+no transcendental runs over its padding.  The Collatz-Wielandt enclosure
 ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in logs,
 certifies the result to the fixed tolerance ``TOL``.  A conjugation
 keeps the spectrum and the enclosure is certified on the conjugated
@@ -29,7 +31,8 @@ gap ratio squares with every step.  Both later phases run on one matrix
 at a time.
 
 ``logsumexp``, a numpy transcription of ``scipy.special.logsumexp``,
-serves the measure assembly.
+normalizes the stationary vectors of the measure assembly, which runs
+its operations on the edge arrays for the kernels.
 """
 
 from __future__ import annotations
@@ -106,10 +109,10 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     # Conjugating the transposed frame again, by its left eigenvector,
     # keeps pi frame-sized.
     beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
-    frames = np.full((sides * size, n, n), -np.inf)
-    frames[0::sides, src, dst] = frame_w
+    frames = np.zeros((sides * size, n, n))
+    frames[0::sides, src, dst] = np.exp(frame_w)
     if left:
-        frames[1::2, dst, src] = frame_w + left_frame[:, src] - left_frame[:, dst]
+        frames[1::2, dst, src] = np.exp(frame_w + left_frame[:, src] - left_frame[:, dst])
     values, vectors, residuals, iterations = perron_stack(frames)
     return EigenSolve(
         value=values[0::sides] + beta,
@@ -224,13 +227,13 @@ def _certify(e, x):
     return (hi + lo) / 2.0, (hi - lo) / 2.0, y
 
 
-def perron_stack(logw):
-    """Dominant log-eigenvalue and log right eigenvector of ``exp`` of
-    each slice of a stack ``logw`` of shape ``(S, n, n)``, each slice bit
-    for bit as if solved alone.
+def perron_stack(e):
+    """Dominant log-eigenvalue and log right eigenvector of each slice of
+    a stack ``e`` of shape ``(S, n, n)``, each slice bit for bit as if
+    solved alone.
 
-    ``logw`` holds log-weights, ``-inf`` on missing edges; the support of
-    each slice must be irreducible and every row must peak near 0.
+    ``e`` holds linear-domain weights, 0 on missing edges; the support of
+    each slice must be irreducible and every row must peak near 1.
     Returns ``(values, log_vectors, residuals, iterations)`` as arrays
     over the slices: ``values`` enclose the log Perron eigenvalues to
     ``residuals``, and each log vector has ``max = 0``.
@@ -243,18 +246,18 @@ def perron_stack(logw):
     brought to ``TOL`` (or at least to the floating-point noise floor)
     within the budgets, or whose iterate leaves the normal float range.
     """
-    e = np.exp(logw)
     size, n = e.shape[:2]
     values = np.empty(size)
     residuals = np.empty(size)
     vectors = np.empty((size, n))
     iterations = np.empty(size, dtype=int)
     failures = {}
-    half_tol = TOL / 2.0
 
-    # plain phase: the certifying product is also the update
+    # plain phase: the certifying product is also the update.  It keeps
+    # the spread hi - lo, twice the residual (halving is exact), and
+    # compares it with TOL.
     ring = _PLAIN_STALL + 1
-    history = np.empty((ring, size))  # the residuals of the last `ring` steps
+    history = np.empty((ring, size))  # the spreads of the last `ring` steps
     # The stack holds the slices `live` with their matrices and iterates.
     # A slice with a verdict stops `waiting` but stays in the stack, its
     # steps unused, until a quarter of the stack is left to wait.
@@ -267,15 +270,15 @@ def perron_stack(logw):
         y = np.matmul(stack, x[:, :, None])[:, :, 0]
         d = np.log(y / x)
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
-        residual = (hi - lo) / 2.0
-        history[steps % ring] = residual
-        leave = residual <= half_tol
+        spread = hi - lo
+        history[steps % ring] = spread
+        leave = spread <= TOL
         if count < live.size:
             leave &= waiting
         leaving = np.count_nonzero(leave)
         if leaving:
             done = live[leave]
-            values[done], residuals[done] = (hi[leave] + lo[leave]) / 2.0, residual[leave]
+            values[done], residuals[done] = (hi + lo)[leave] / 2.0, spread[leave] / 2.0
             vectors[done], iterations[done] = np.log(x[leave]), steps
         if steps > _PLAIN_STALL and leaving < count:
             # Escalate as soon as the residual has not shrunk over the
@@ -283,35 +286,38 @@ def perron_stack(logw):
             # carried over the rest of the budget, cannot reach tol.
             exponent = (_PLAIN_BUDGET - steps) / _PLAIN_STALL
             oldest = history[(steps + 1) % ring].tolist()
-            open_ = (waiting & ~leave).tolist()
-            for j, r in enumerate(residual.tolist()):
+            open_ = (waiting & ~leave).tolist() if leaving else waiting.tolist()
+            stalled = []
+            for j, width in enumerate(spread.tolist()):
                 if open_[j]:
-                    ratio = r / oldest[j]
-                    if ratio >= 1.0 or r * ratio ** exponent > half_tol:
-                        escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, r))
-                        leave[j] = True
-                        leaving += 1
+                    ratio = width / oldest[j]
+                    if ratio >= 1.0 or width * ratio ** exponent > TOL:
+                        escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, width / 2.0))
+                        stalled.append(j)
+            if stalled:
+                leave[stalled] = True
+                leaving += len(stalled)
         if leaving:
             count -= leaving
             if not count:
                 break
             waiting &= ~leave
             if 4 * count <= live.size:
-                live, stack, y, hi, lo, residual, history, waiting = _compact(
-                    waiting, live, stack, y, hi, lo, residual, history)
+                live, stack, y, hi, lo, spread, history, waiting = _compact(
+                    waiting, live, stack, y, hi, lo, spread, history)
         x = y / np.maximum.reduce(y, axis=1, keepdims=True)
         if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
             smallest = np.minimum.reduce(x, axis=1)
             normal = smallest >= _SMALLEST_NORMAL
             for j in np.flatnonzero(waiting & ~normal).tolist():
                 failures[int(live[j])] = _left_normal_range(smallest[j], steps)
-            live, stack, x, hi, lo, residual, history, waiting = _compact(
-                waiting & normal, live, stack, x, hi, lo, residual, history)
+            live, stack, x, hi, lo, spread, history, waiting = _compact(
+                waiting & normal, live, stack, x, hi, lo, spread, history)
             count = live.size
     # a plain budget spent without a verdict escalates from the last update
     if count:
         for j in np.flatnonzero(waiting).tolist():
-            escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, float(residual[j])))
+            escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, float(spread[j]) / 2.0))
 
     for s, *plain_end in escalated:
         try:
@@ -325,7 +331,7 @@ def perron_stack(logw):
 
 def _compact(keep, *arrays):
     """The rows ``keep`` of each array (the columns of the last, the
-    residual history), and an all-True waiting mask for them."""
+    spread history), and an all-True waiting mask for them."""
     *rows, history = arrays
     return (*(a[keep] for a in rows), history[:, keep], np.ones(np.count_nonzero(keep), dtype=bool))
 

@@ -82,6 +82,7 @@ class Sft:
         m.flags.writeable = False
         object.__setattr__(self, "transitions", m)
         object.__setattr__(self, "_block_graphs", {})
+        object.__setattr__(self, "_out_edge_starts", {})
 
     def __eq__(self, other):
         if other is self:
@@ -118,13 +119,15 @@ def wielandt_bound(n: int) -> int:
 def _is_primitive(m: np.ndarray) -> bool:
     # A is primitive iff A**w is positive for the Wielandt exponent w; repeated
     # squaring reaches an exponent >= w in O(log w) boolean matrix products.
+    # The 0/1 squares run in float64, which has a BLAS product (int32 has
+    # none); their entries count at most n paths, exactly.
     bound = wielandt_bound(m.shape[0])
-    power = (m > 0).astype(np.int32)
+    power = (m > 0).astype(float)
     exponent = 1
     while exponent < bound:
         if power.all():
             return True
-        power = ((power @ power) > 0).astype(np.int32)
+        power = ((power @ power) > 0).astype(float)
         exponent *= 2
     return bool(power.all())
 
@@ -213,6 +216,20 @@ def block_graph(sft: Sft, k: int) -> tuple[tuple[Block, ...], np.ndarray, np.nda
         dst.flags.writeable = False
         graph = sft._block_graphs[k] = (states, src, dst)
     return graph
+
+
+def out_edge_starts(sft: Sft, k: int) -> np.ndarray:
+    """Read-only index of the first out-edge of each state of
+    ``block_graph(sft, k)``, cached on ``sft``: the edges are listed by
+    source and every state has one, so state ``i`` leaves by the edges
+    ``starts[i]`` up to the next state's start (the segments of
+    ``np.add.reduceat``)."""
+    starts = sft._out_edge_starts.get(k)
+    if starts is None:
+        states, src, _ = block_graph(sft, k)
+        starts = sft._out_edge_starts[k] = np.searchsorted(src, np.arange(len(states)))
+        starts.flags.writeable = False
+    return starts
 
 
 def recode_to_edge_shift(sft: Sft, k: int) -> tuple[Sft, dict[Block, int]]:

@@ -12,6 +12,13 @@ of moderate size at any temperature, then a linear-domain Perron
 iteration of both sides, certified to the fixed tolerance
 ``_perron.TOL``.
 
+The kernels live in dense ``n x n`` tables that are 0 off the edges.
+Every exp and log of the measure assembly and of its validation runs on
+the edge entries alone (p log p on the positive entries), and the
+results are scattered into zero-filled tables; every row sum is still
+taken over the dense row, so numpy's pairwise summation groups the same
+terms as over a table padded with ``-inf`` before ``exp``, bit for bit.
+
 Solves run on stacks: rows of edge weights on one graph, such as
 ``psi + t * phi`` for a whole grid of ``t``, go through one
 `solve_stack` and one measure assembly with a leading stack axis; a
@@ -46,7 +53,7 @@ from ._edgegraph import edge_weights, graph_order
 from ._perron import EigenSolve, logsumexp, solve_stack
 from .errors import CheckFailedError, MismatchedSystemError, ValidationError
 from .potentials import Potential, combine, sup_norm
-from .sft import Block, Sft, block_graph, topological_entropy
+from .sft import Block, Sft, block_graph, out_edge_starts, topological_entropy
 
 _INVARIANCE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
@@ -177,7 +184,12 @@ def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray)
     # The reductions run on every slice at once; a slice that fails a
     # check is refused, so what the later ones make of it is moot.
     with np.errstate(all="ignore"):
-        plogp = np.where(kernel > 0, kernel * np.log(kernel), 0.0)
+        # p log p on the positive entries alone, 0 elsewhere: no log runs
+        # over the zero padding
+        positive = kernel > 0
+        plogp = np.zeros(kernel.shape)
+        np.log(kernel, out=plogp, where=positive)
+        np.multiply(kernel, plogp, out=plogp, where=positive)
         dots = _dots(pi, np.add.reduce(plogp, axis=2))
         deviation = np.maximum.reduce(np.abs(np.add.reduce(kernel, axis=2) - 1.0), axis=1)
         drift = np.maximum.reduce(np.abs(np.matmul(pi[:, None, :], kernel)[:, 0] - pi), axis=1)
@@ -228,10 +240,23 @@ def _equilibria(sft: Sft, order: int, solve: EigenSolve):
     of solves on ``block_graph(sft, order)``, not yet validated."""
     _, src, dst = block_graph(sft, order)
     u = solve.frame_right
-    ln_kernel = np.full((len(u), u.shape[1], u.shape[1]), -np.inf)
-    ln_kernel[:, src, dst] = solve.frame_w + u[:, dst] - u[:, src]
-    ln_kernel -= logsumexp(ln_kernel, axis=2)[:, :, None]
-    kernel = np.exp(ln_kernel)
+    size, n = u.shape
+    # The operations of `logsumexp` over each row of the log kernel, with
+    # every exp and log taken on the edges and every sum over the dense
+    # row, as numpy groups its terms by position: a -inf padding would
+    # only add exp(-inf) = 0 there.  Each row has an edge and every log
+    # weight is finite, so each row's maximum is finite and is its shift.
+    ln_kernel = solve.frame_w + u[:, dst] - u[:, src]
+    starts = out_edge_starts(sft, order)
+    row_max = np.maximum.reduceat(ln_kernel, starts, axis=1)
+    shift = row_max[:, src]
+    top = ln_kernel == shift
+    m = np.add.reduceat(top, starts, axis=1, dtype=float)
+    kernel = np.zeros((size, n, n))
+    kernel[:, src, dst] = np.exp(np.where(top, -np.inf, ln_kernel) - shift)
+    rest = np.add.reduce(kernel, axis=2)
+    ln_kernel -= (np.log1p(rest / m) + np.log(m) + row_max)[:, src]
+    kernel[:, src, dst] = np.exp(ln_kernel)
     kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
 
     ln_pi = solve.frame_left + solve.frame_right

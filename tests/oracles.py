@@ -15,6 +15,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 
 # --- combinatorics -----------------------------------------------------------
@@ -40,6 +41,36 @@ def primitive_by_sequential_powers(transitions) -> bool:
             return True
         power = (power.astype(int) @ m.astype(int)) > 0
     return False
+
+
+def primitive_by_int_squaring(transitions) -> bool:
+    """Primitivity by repeated squaring of the 0/1 matrix in int32 up to
+    an exponent at least the Wielandt bound: the rule the package runs in
+    float64."""
+    m = np.asarray(transitions)
+    bound = (m.shape[0] - 1) ** 2 + 1
+    power = (m > 0).astype(np.int32)
+    exponent = 1
+    while exponent < bound:
+        if power.all():
+            return True
+        power = ((power @ power) > 0).astype(np.int32)
+        exponent *= 2
+    return bool(power.all())
+
+
+def periodic_transitions(rng, n, period):
+    """A random irreducible 0/1 matrix of the given period on ``n``
+    symbols: symbols fall into ``period`` nonempty classes, and each
+    symbol leads only into the next class, to at least one symbol."""
+    classes = np.concatenate([np.arange(period), rng.integers(0, period, n - period)])
+    rng.shuffle(classes)
+    m = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        targets = np.flatnonzero(classes == (classes[i] + 1) % period)
+        m[i, targets] = rng.random(len(targets)) < 0.7
+        m[i, rng.choice(targets)] = 1
+    return m
 
 
 # --- dense spectral route ----------------------------------------------------
@@ -121,6 +152,49 @@ def dense_gibbs(transitions, memory, values, t=1.0):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
     entropy = float(-(pi @ plogp.sum(axis=1)))
     return math.log(lam), states, P, pi, entropy
+
+
+# --- dense tables ------------------------------------------------------------
+#
+# The measure assembly as it ran on whole n x n tables: log tables padded
+# with -inf off the edges, exp, log and logsumexp over every entry.  The
+# package takes exp and log on the edges alone and keeps the dense sums;
+# these are the references it must equal bit for bit.
+
+def dense_perron_tables(n, src, dst, frame_w, left_frame=None):
+    """The linear-domain Perron stack of a solve: the conjugated
+    log-weights ``frame_w`` (T, E) of each row on ``src -> dst`` (and,
+    given the left frame, the transposed weights conjugated by it) in a
+    -inf padded table, exponentiated whole."""
+    sides = 1 if left_frame is None else 2
+    logw = np.full((sides * len(frame_w), n, n), -np.inf)
+    logw[0::sides, src, dst] = frame_w
+    if left_frame is not None:
+        logw[1::2, dst, src] = frame_w + left_frame[:, src] - left_frame[:, dst]
+    return np.exp(logw)
+
+
+def dense_kernels(n, src, dst, frame_w, frame_right):
+    """Equilibrium kernels ``P_ij = e^{w_ij} r_j / (lambda r_i)`` of a stack
+    of frame solves, normalized by a dense scipy ``logsumexp`` of each row
+    of the -inf padded log kernel, then exponentiated whole and divided by
+    the row sums."""
+    u = frame_right
+    ln_kernel = np.full((len(u), n, n), -np.inf)
+    ln_kernel[:, src, dst] = frame_w + u[:, dst] - u[:, src]
+    ln_kernel -= logsumexp(ln_kernel, axis=2)[:, :, None]
+    kernel = np.exp(ln_kernel)
+    kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
+    return kernel
+
+
+def dense_entropies(pi, kernel):
+    """Entropy ``-sum_i pi_i sum_j P_ij log P_ij`` (0 log 0 = 0, clamped at
+    0) of each measure of a stack, with p log p over the whole table."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(kernel > 0, kernel * np.log(kernel), 0.0)
+    dots = np.matmul(pi[:, None, :], np.add.reduce(plogp, axis=2)[:, :, None])[:, 0, 0]
+    return [max(0.0, -dot) for dot in dots.tolist()]
 
 
 # --- cycle enumeration -------------------------------------------------------

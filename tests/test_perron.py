@@ -108,7 +108,7 @@ def test_iterate_below_normal_range_is_a_typed_failure():
     # update leaves a subnormal entry, which is refused, not iterated on.
     logw = np.array([[0.0, 0.0], [-720.0, -720.0]])
     with pytest.raises(ts.errors.ConvergenceError, match="normal float range"):
-        _perron.perron_stack(logw[None])
+        _perron.perron_stack(np.exp(logw)[None])
 
 
 def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
@@ -132,9 +132,9 @@ def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
         return escalate(e, *rest)
 
     monkeypatch.setattr(_perron, "_escalate", recorded)
-    got = _perron.perron_stack(stack)
+    got = _perron.perron_stack(np.exp(stack))
     for k in range(len(stack)):
-        alone = _perron.perron_stack(stack[k][None])
+        alone = _perron.perron_stack(np.exp(stack[k])[None])
         for stacked, lone in zip(got, alone):
             assert stacked[k].tobytes() == lone[0].tobytes()
     assert escalated == [True, True]  # the lazy slice, stacked and alone
@@ -142,13 +142,13 @@ def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
     errors = []
     for failing in (unconditioned, deeper):
         with pytest.raises(ts.errors.ConvergenceError) as alone:
-            _perron.perron_stack(failing[None])
+            _perron.perron_stack(np.exp(failing)[None])
         errors.append(str(alone.value))
     assert errors[0] != errors[1]
     for mixed, first in (([plain, lazy, unconditioned, plain.T, deeper], 0),
                          ([plain, deeper, lazy, unconditioned], 1)):
         with pytest.raises(ts.errors.ConvergenceError) as stacked:
-            _perron.perron_stack(np.array(mixed))
+            _perron.perron_stack(np.exp(mixed))
         assert str(stacked.value) == errors[first]
 
 
@@ -164,9 +164,9 @@ def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
         raise AssertionError("a steadily contracting slice left the plain phase")
 
     monkeypatch.setattr(_perron, "_escalate", no_escalation)
-    iterations = _perron.perron_stack(steady[None])[3][0]
+    iterations = _perron.perron_stack(np.exp(steady)[None])[3][0]
     assert iterations > 2 * _perron._PLAIN_STALL
-    stacked = _perron.perron_stack(np.array([instant, steady, steady.T]))[3]
+    stacked = _perron.perron_stack(np.exp([instant, steady, steady.T]))[3]
     assert stacked[1] == iterations and stacked[0] == 1
 
 

@@ -163,8 +163,8 @@ def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     # an equal but distinct Sft solves afresh, to the same bits
     assert ts.topological_entropy(ts.build_sft(len(m), m)) == first
     assert len(calls) == 2
-    # and to the bits of one Perron solve of the 0/-inf transition table
-    uncached = _perron.perron_stack(np.where(np.asarray(m) > 0, 0.0, -np.inf)[None])[0][0]
+    # and to the bits of one Perron solve of exp of the 0/-inf transition table
+    uncached = _perron.perron_stack(np.exp(np.where(np.asarray(m) > 0, 0.0, -np.inf))[None])[0][0]
     assert first == uncached
 
 
@@ -277,6 +277,29 @@ def test_primitivity_agrees_with_sequential_powers(rng):
             rejected += 1
         assert got == expected
     assert accepted > 10 and rejected > 10  # both branches exercised
+
+
+def test_float_squaring_agrees_with_the_int32_rule():
+    # Counts of paths stay below n in float64, so the booleans after each
+    # `> 0` are the int32 ones, on primitive, imprimitive and periodic
+    # matrices up to the sizes where the BLAS product pays.
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for n in (2, 3, 5, 8, 13, 40, 96):
+        for density in (0.1, 0.3, 0.7):
+            m = (rng.random((n, n)) < density).astype(np.int8)
+            verdicts.append(ts.sft._is_primitive(m))
+            assert verdicts[-1] == oracles.primitive_by_int_squaring(m), (n, density)
+        for period in (2, 3, 5):
+            if period <= n:
+                m = oracles.periodic_transitions(rng, n, period)
+                assert not ts.sft._is_primitive(m) and not oracles.primitive_by_int_squaring(m)
+    assert any(verdicts) and not all(verdicts)
+    # a cycle with one chord has the Wielandt exponent itself
+    n = 24
+    m = np.roll(np.eye(n, dtype=np.int8), 1, axis=1)
+    m[n - 1, 1] = 1
+    assert ts.sft._is_primitive(m) and oracles.primitive_by_int_squaring(m)
 
 
 def test_sft_equality_and_hash(full2, golden):

@@ -456,3 +456,52 @@ def test_polish_matches_the_25_stale_step_rule_on_random_kernels():
         starts = pi * (1 + rng.normal(size=(3, len(pi))) * [[0.0], [1e-14], [1e-9]])
         starts /= starts.sum(axis=1, keepdims=True)
         assert_polish_matches_reference(starts, np.repeat(kernel[None], 3, axis=0))
+
+
+# --- edge-only transcendentals -------------------------------------------------
+
+def dense_path_graphs():
+    """The golden mean, the full shifts on 2 to 12 symbols (whose dense
+    rows reach 8 and more entries) and seeded random primitive systems,
+    each at orders 1 and 2."""
+    systems = [ts.golden_mean_shift(), *(ts.full_shift(k) for k in range(2, 13))]
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        m = oracles.random_primitive_transitions(rng)
+        systems.append(ts.build_sft(len(m), m))
+    for sft in systems:
+        for order in (1, 2):
+            yield sft, order
+
+
+def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
+    # Stacks over t in {0, 1, 1e4}: at 1e4 kernel entries underflow to 0,
+    # so p log p meets zeros on the edges.  The Perron stack is compared
+    # as handed to perron_stack, the kernels and entropies as returned.
+    rng = np.random.default_rng(31)
+    perron_stack = ts._perron.perron_stack
+    tables = []
+
+    def recorded(e):
+        tables.append(e)
+        return perron_stack(e)
+
+    monkeypatch.setattr(ts._perron, "perron_stack", recorded)
+    underflow = 0
+    for sft, order in dense_path_graphs():
+        states, src, dst = ts.sft.block_graph(sft, order)
+        n = len(states)
+        w = np.array([0.0, 1.0, 1e4])[:, None] * rng.normal(size=len(src))
+        for left in (False, True):  # the two-sided solve is kept
+            del tables[:]
+            solve = ts._perron.solve_stack(n, src, dst, w, left=left)
+            _, _, frame_w, left_frame = ts._perron._maxplus_frame(n, src, dst, w, left)
+            dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
+            assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), (n, left)
+        pi, kernel = transfer._equilibria(sft, order, solve)
+        assert kernel.tobytes() == oracles.dense_kernels(
+            n, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
+        entropy = transfer._validate_measures(sft, order, pi, kernel)
+        assert np.array(entropy).tobytes() == np.array(oracles.dense_entropies(pi, kernel)).tobytes(), n
+        underflow += np.count_nonzero(kernel[:, src, dst] == 0.0)
+    assert underflow  # the zeros of p log p were met on the edges
