@@ -20,10 +20,10 @@ if TYPE_CHECKING:
     from . import maxplus
 
 
-def graph_order(memory: int) -> int:
-    """Vertex block length needed to carry a memory-``memory`` potential
-    on edges."""
-    return max(memory - 1, 1)
+def graph_order(*memories: int) -> int:
+    """Vertex block length needed to carry potentials of every memory in
+    ``memories`` on edges."""
+    return max(max(memories) - 1, 1)
 
 
 def edge_weights(phi: Potential, order: int) -> np.ndarray:

@@ -29,10 +29,6 @@ such as a bare ground cycle.  If that stalls too (two cycle families
 with nearly tied means), the lazy matrix is squared repeatedly, so the
 gap ratio squares with every step.  Both later phases run on one matrix
 at a time.
-
-``logsumexp``, a numpy transcription of ``scipy.special.logsumexp``,
-normalizes the stationary vectors of the measure assembly, which runs
-its operations on the edge arrays for the kernels.
 """
 
 from __future__ import annotations
@@ -51,28 +47,6 @@ _LAZY_STALL = 80
 _MAX_SQUARINGS = 60
 _NOISE_FLOOR_ACCEPT = 1e-12
 _SMALLEST_NORMAL = np.finfo(float).tiny
-
-
-def logsumexp(a, axis=None):
-    """``log(sum(exp(a)))`` over ``axis`` (every axis when ``None``).
-
-    The maximal terms are split off before the sum (Blanchard, Higham and
-    Higham 2021): with ``m`` of them at ``a_max``, the result is
-    ``log1p(sum(exp(a - a_max)) over the rest / m) + log(m) + a_max``.
-    These are the operations of ``scipy.special.logsumexp``, in the same
-    order, so the results agree bit for bit.  A slice whose entries are
-    all ``-inf`` reduces to ``-inf``: it is shifted by 0 instead of its
-    maximum.
-    """
-    a = np.asarray(a, dtype=float)
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    a_max = a.max(axis=axis, keepdims=True)
-    top = a == a_max
-    m = top.sum(axis=axis, keepdims=True, dtype=float)
-    shift = np.where(np.isfinite(a_max), a_max, 0.0)
-    rest = np.exp(np.where(top, -np.inf, a) - shift).sum(axis=axis, keepdims=True)
-    out = np.log1p(rest / m) + np.log(m) + a_max
-    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass(frozen=True)

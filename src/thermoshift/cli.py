@@ -132,6 +132,8 @@ def _unit(value: float, bits: bool) -> float:
 
 
 def _sample_dict(sample: PathSample, bits: bool) -> dict:
+    """A path sample in its output units; the keys are in `CSV_HEADER`
+    order, so a CSV row is the values."""
     return {
         "t": sample.t,
         "pressure": _unit(sample.pressure, bits),
@@ -212,14 +214,7 @@ def run_command(args: argparse.Namespace) -> tuple[str, int]:
         if args.csv:
             lines = [CSV_HEADER]
             for s in samples:
-                row = (
-                    s.t,
-                    _unit(s.pressure, bits),
-                    _unit(s.entropy, bits),
-                    _unit(s.phi_avg, bits),
-                    _unit(s.psi_pressure, bits),
-                )
-                lines.append(",".join(f"{x:.17g}" for x in row))
+                lines.append(",".join(f"{x:.17g}" for x in _sample_dict(s, bits).values()))
             return "\n".join(lines) + "\n", EXIT_OK
         return _dump({"samples": [_sample_dict(s, bits) for s in samples]}), EXIT_OK
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import maxplus
 from ._edgegraph import edge_weights, graph_order, maxplus_data
 from ._perron import solve_stack
-from .errors import CheckFailedError, MismatchedSystemError, ValidationError
-from .potentials import Potential, zero_potential
+from .errors import CheckFailedError
+from .potentials import Potential, _require_over, zero_potential
 from .sft import Block, Sft, block_graph, topological_entropy
 
 
@@ -56,8 +56,7 @@ class MaximizationResult:
 def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     """Maximal space average of ``phi`` over invariant measures, with the
     critical subgraph that supports every maximizing measure."""
-    if phi.sft != sft:
-        raise MismatchedSystemError("potential is defined over a different subshift")
+    _require_over(sft, phi)
     order = graph_order(phi.memory)
     states = block_graph(sft, order)[0]
     n = len(states)
@@ -110,9 +109,8 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     subgraph that is a simple cycle; otherwise the certified Perron value
     of the ``psi``-weighted component in a max-plus frame.
     """
-    if psi.sft != sft or phi.sft != sft:
-        raise MismatchedSystemError("potentials must live on the given subshift")
-    order = max(graph_order(psi.memory), graph_order(phi.memory))
+    _require_over(sft, psi, phi)
+    order = graph_order(psi.memory, phi.memory)
     states, src, dst = block_graph(sft, order)
     n = len(states)
     critical = list(maxplus_data(phi, order).critical)
@@ -141,17 +139,9 @@ def zero_temperature_diagnostics(
     nonnegative, bounded by ``h(f) / t`` and non-increasing in ``t``;
     violations beyond round-off signal a numerical fault and raise.
     """
-    ts = [float(t) for t in t_list]
-    if not ts:
-        raise ValidationError("t_list must be nonempty")
-    for t in ts:
-        if not math.isfinite(t):
-            raise ValidationError(f"t_list must be finite, got {t}")
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("t_list must be positive and strictly increasing")
+    from .transfer import _checked_grid, _ray_samples  # here, so that maximizing loads no transfer
 
-    from .transfer import _ray_samples  # here, so that maximizing loads no transfer
-
+    ts = _checked_grid("t_list", t_list, positive=True)
     beta = max_ergodic_average(sft, phi).beta
     h_top = topological_entropy(sft)
     # every t in one stacked solve, which raises a failed point's error

@@ -51,9 +51,10 @@ from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
 from .transfer import (
     _IDENTITY_TOL,
+    _checked_grid,
+    _identity_gap,
     _ray_graph,
     _ray_samples,
-    integrate,
     pressure,
     pressure_and_equilibrium,
 )
@@ -126,15 +127,7 @@ def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
     """Path samples on an increasing grid of parameters ``t >= 0``,
     solved as stacks; each equals `sample_at` at its point bit for bit."""
-    ts = [float(t) for t in t_grid]
-    if not ts:
-        raise ValidationError("t_grid must be nonempty")
-    for t in ts:
-        if not math.isfinite(t):
-            raise ValidationError(f"t_grid must be finite, got {t}")
-    if any(t < 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("t_grid must be nonnegative and strictly increasing")
-    return _samples(sft, psi, phi, ts)
+    return _samples(sft, psi, phi, _checked_grid("t_grid", t_grid, positive=False))
 
 
 @dataclass(frozen=True)
@@ -466,7 +459,7 @@ def equilibrium_continuity_check(
     for n in ns:
         perturbed = combine(phi, eta, 1.0 / n)
         result, mu = pressure_and_equilibrium(sft, perturbed)
-        gap = abs(result.value - (mu.entropy + integrate(mu, perturbed)))
+        gap = _identity_gap(perturbed, result, mu)
         if gap > _IDENTITY_TOL:
             raise CheckFailedError(
                 f"perturbed equilibrium at n={n} misses its variational "

@@ -97,9 +97,12 @@ def sup_norm(phi: Potential) -> float:
     return max(abs(v) for v in phi.values.values())
 
 
-def _require_same_system(a: Potential, b: Potential):
-    if a.sft != b.sft:
-        raise MismatchedSystemError("potentials are defined over different subshifts")
+def _require_over(sft: Sft, *operands):
+    """Refuse any operand, a potential or a measure, defined over a
+    subshift other than ``sft``."""
+    for operand in operands:
+        if operand.sft != sft:
+            raise MismatchedSystemError("operand is defined over a different subshift")
 
 
 def combine(psi: Potential, phi: Potential, t: float) -> Potential:
@@ -108,7 +111,7 @@ def combine(psi: Potential, phi: Potential, t: float) -> Potential:
     Both tables are lifted to memory ``max(k_psi, k_phi)`` by reading
     only the leading symbols of each block, then combined blockwise.
     """
-    _require_same_system(psi, phi)
+    _require_over(psi.sft, phi)
     k = max(psi.memory, phi.memory)
     table = {
         b: psi.values[b[: psi.memory]] + t * phi.values[b[: phi.memory]]

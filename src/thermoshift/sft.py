@@ -104,10 +104,12 @@ class Sft:
     def _topological_entropy(self) -> float:
         # Solved on first use rather than at construction, so building an
         # Sft (for instance a higher-block recoding) costs no eigensolve.
+        # Only the value is read, so only the right side is solved.
         from ._perron import solve_stack
 
         states, src, dst = block_graph(self, 1)
-        return float(solve_stack(len(states), src, dst, np.zeros((1, len(src)))).value[0])
+        zero = np.zeros((1, len(src)))
+        return float(solve_stack(len(states), src, dst, zero, left=False).value[0])
 
 
 def wielandt_bound(n: int) -> int:

@@ -18,6 +18,10 @@ the edge entries alone (p log p on the positive entries), and the
 results are scattered into zero-filled tables; every row sum is still
 taken over the dense row, so numpy's pairwise summation groups the same
 terms as over a table padded with ``-inf`` before ``exp``, bit for bit.
+The kernel rows and the stationary vectors are normalized by the same
+log-sum-exp with the maximal terms split off, written out in
+`_equilibria`: on the edges for the kernels, and on the whole rows for
+the stationary vectors, which have no padding.
 
 Solves run on stacks: rows of edge weights on one graph, such as
 ``psi + t * phi`` for a whole grid of ``t``, go through one
@@ -50,9 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._edgegraph import edge_weights, graph_order
-from ._perron import EigenSolve, logsumexp, solve_stack
-from .errors import CheckFailedError, MismatchedSystemError, ValidationError
-from .potentials import Potential, combine, sup_norm
+from ._perron import EigenSolve, solve_stack
+from .errors import CheckFailedError, ValidationError
+from .potentials import Potential, _require_over, combine, sup_norm
 from .sft import Block, Sft, block_graph, out_edge_starts, topological_entropy
 
 _INVARIANCE_TOL = 1e-12
@@ -81,11 +85,6 @@ class PressureResult:
     right_vector: np.ndarray = field(repr=False)
     residual: float
     iterations: int
-
-
-def _require_over(sft: Sft, phi: Potential):
-    if phi.sft != sft:
-        raise MismatchedSystemError("potential is defined over a different subshift")
 
 
 def _solve_potential(sft: Sft, phi: Potential) -> EigenSolve:
@@ -241,7 +240,9 @@ def _equilibria(sft: Sft, order: int, solve: EigenSolve):
     _, src, dst = block_graph(sft, order)
     u = solve.frame_right
     size, n = u.shape
-    # The operations of `logsumexp` over each row of the log kernel, with
+    # Each row of the log kernel is normalized by its log-sum-exp with the
+    # maximal terms split off (Blanchard, Higham and Higham 2021), the
+    # operations of ``scipy.special.logsumexp`` in the same order, with
     # every exp and log taken on the edges and every sum over the dense
     # row, as numpy groups its terms by position: a -inf padding would
     # only add exp(-inf) = 0 there.  Each row has an edge and every log
@@ -259,8 +260,14 @@ def _equilibria(sft: Sft, order: int, solve: EigenSolve):
     kernel[:, src, dst] = np.exp(ln_kernel)
     kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
 
+    # The same operations over each row of the log stationary vector,
+    # which is dense and finite.
     ln_pi = solve.frame_left + solve.frame_right
-    pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
+    row_max = np.maximum.reduce(ln_pi, axis=1, keepdims=True)
+    top = ln_pi == row_max
+    m = np.add.reduce(top, axis=1, keepdims=True, dtype=float)
+    rest = np.add.reduce(np.exp(np.where(top, -np.inf, ln_pi) - row_max), axis=1, keepdims=True)
+    pi = np.exp(ln_pi - (np.log1p(rest / m) + np.log(m) + row_max))
     pi /= np.add.reduce(pi, axis=1)[:, None]
     return _polish_stationary(pi, kernel), kernel
 
@@ -293,12 +300,28 @@ class _RaySamples(NamedTuple):
     phi_var: list[float]
 
 
+def _checked_grid(name: str, grid, *, positive: bool) -> list[float]:
+    """The points of the grid ``name`` of a ray as floats, refused with a
+    ``ValidationError`` unless they are finite and strictly increasing
+    from a first point that is positive, or only nonnegative when not
+    ``positive``."""
+    ts = [float(t) for t in grid]
+    if not ts:
+        raise ValidationError(f"{name} must be nonempty")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValidationError(f"{name} must be finite, got {t}")
+    if (ts[0] <= 0 if positive else ts[0] < 0) or any(b <= a for a, b in zip(ts, ts[1:])):
+        sign = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be {sign} and strictly increasing")
+    return ts
+
+
 def _ray_graph(sft: Sft, psi: Potential, phi: Potential):
     """The common order of ``psi`` and ``phi`` and the block graph of that
     order, on which the ray ``psi + t * phi`` is solved."""
-    _require_over(sft, psi)
-    _require_over(sft, phi)
-    order = max(graph_order(psi.memory), graph_order(phi.memory))
+    _require_over(sft, psi, phi)
+    order = graph_order(psi.memory, phi.memory)
     return order, block_graph(sft, order)
 
 
@@ -397,8 +420,7 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
     The measure is lifted to a higher block order first when the
     potential's memory exceeds ``order + 1``.
     """
-    if phi.sft != mu.sft:
-        raise MismatchedSystemError("potential and measure live on different subshifts")
+    _require_over(mu.sft, phi)
     if phi.memory > mu.order + 1:
         mu = lift_markov_measure(mu, phi.memory - 1)
     return _integrals(mu.sft, mu.order, mu.stationary[None], mu.kernel[None],
@@ -484,9 +506,14 @@ def variational_identity_check(sft: Sft, phi: Potential) -> VariationalIdentityR
     """Gap between the pressure of ``phi`` and ``h(mu) + integral(phi, mu)``
     at its computed equilibrium state; ``ok`` when the gap is at most
     1e-9 (a ``nan`` gap is not ok)."""
-    result, mu = pressure_and_equilibrium(sft, phi)
-    gap = abs(result.value - (mu.entropy + integrate(mu, phi)))
+    gap = _identity_gap(phi, *pressure_and_equilibrium(sft, phi))
     return VariationalIdentityReport(gap, bool(gap <= _IDENTITY_TOL))
+
+
+def _identity_gap(phi: Potential, result: PressureResult, mu: MarkovMeasure) -> float:
+    """``|P(phi) - (h(mu) + integral(phi, mu))|`` for the pressure
+    ``result`` of ``phi`` and its equilibrium state ``mu``."""
+    return abs(result.value - (mu.entropy + integrate(mu, phi)))
 
 
 @dataclass(frozen=True)
@@ -501,8 +528,7 @@ class LipschitzReport:
 def lipschitz_check(sft: Sft, phi: Potential, psi: Potential) -> LipschitzReport:
     """Verify that pressure is 1-Lipschitz for the sup norm, up to
     ``_LIPSCHITZ_SLACK``."""
-    _require_over(sft, phi)
-    _require_over(sft, psi)
+    _require_over(sft, phi, psi)
     gap = abs(pressure(sft, phi).value - pressure(sft, psi).value)
     bound = sup_norm(combine(phi, psi, -1.0))
     ok = gap <= bound + _LIPSCHITZ_SLACK

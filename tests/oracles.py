@@ -188,6 +188,14 @@ def dense_kernels(n, src, dst, frame_w, frame_right):
     return kernel
 
 
+def dense_stationary(ln_pi):
+    """Stationary vectors of a stack of frame solves from their log rows
+    ``ln_pi`` (T, n): normalized by a scipy ``logsumexp`` of each row,
+    exponentiated and divided by the row sums."""
+    pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
+    return pi / np.add.reduce(pi, axis=1)[:, None]
+
+
 def dense_entropies(pi, kernel):
     """Entropy ``-sum_i pi_i sum_j P_ij log P_ij`` (0 log 0 = 0, clamped at
     0) of each measure of a stack, with p log p over the whole table."""

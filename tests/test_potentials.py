@@ -69,6 +69,33 @@ def test_combine_rejects_mismatched_systems(full2, golden):
         ts.combine(ts.zero_potential(full2), ts.zero_potential(golden), 1.0)
 
 
+# Each public entry that takes an Sft, besides `pressure` and
+# `lipschitz_check` (tested in test_transfer.py), called on full2 with `p`,
+# a potential over it, and `q`, a potential over the golden mean.
+ENTRIES_OVER_AN_SFT = {
+    "equilibrium_state": lambda f, p, q: ts.equilibrium_state(f, q),
+    "pressure_and_equilibrium": lambda f, p, q: ts.pressure_and_equilibrium(f, q),
+    "variational_identity_check": lambda f, p, q: ts.variational_identity_check(f, q),
+    "max_ergodic_average": lambda f, p, q: ts.max_ergodic_average(f, q),
+    "ground_state_pressure_bound[psi]": lambda f, p, q: ts.ground_state_pressure_bound(f, q, p),
+    "ground_state_pressure_bound[phi]": lambda f, p, q: ts.ground_state_pressure_bound(f, p, q),
+    "zero_temperature_diagnostics": lambda f, p, q: ts.zero_temperature_diagnostics(f, q, [1.0]),
+    "sweep": lambda f, p, q: ts.sweep(f, p, q, [0.0, 1.0]),
+    "sample_at": lambda f, p, q: ts.sample_at(f, p, q, 1.0),
+    "solve_intermediate_entropy": lambda f, p, q: ts.solve_intermediate_entropy(f, q, 0.5),
+    "solve_intermediate_pressure": lambda f, p, q: ts.solve_intermediate_pressure(f, p, q, 0.5),
+    "equilibrium_continuity_check": lambda f, p, q: ts.equilibrium_continuity_check(f, q, q, 10),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES_OVER_AN_SFT))
+def test_every_entry_rejects_an_operand_over_another_subshift(entry, full2, golden):
+    p = ts.Potential(full2, 1, {(0,): 0.0, (1,): -1.0})
+    q = ts.Potential(golden, 1, {(0,): 0.0, (1,): -1.0})
+    with pytest.raises(MismatchedSystemError):
+        ENTRIES_OVER_AN_SFT[entry](full2, p, q)
+
+
 def test_combine_is_affine_dyadic(full2):
     # dyadic tables and weights make the affinity identity exact in floats
     psi = ts.Potential(full2, 1, {(0,): 0.75, (1,): -1.5})

@@ -149,9 +149,9 @@ def test_topological_entropy_solved_once_per_sft(monkeypatch, rng):
     calls = []
     original = _perron.solve_stack
 
-    def counting(n, src, dst, w):
+    def counting(n, src, dst, w, **kwargs):
         calls.append(w.shape)
-        return original(n, src, dst, w)
+        return original(n, src, dst, w, **kwargs)
 
     m = oracles.random_primitive_transitions(rng)
     monkeypatch.setattr(_perron, "solve_stack", counting)

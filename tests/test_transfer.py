@@ -476,32 +476,54 @@ def dense_path_graphs():
 
 def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
     # Stacks over t in {0, 1, 1e4}: at 1e4 kernel entries underflow to 0,
-    # so p log p meets zeros on the edges.  The Perron stack is compared
-    # as handed to perron_stack, the kernels and entropies as returned.
+    # so p log p meets zeros on the edges.  Stacks of weights from
+    # {0, -0.5, 0.25} at t in {1, 10} add tied stationary maxima.  The
+    # Perron stack is compared as handed to perron_stack, the stationary
+    # vectors as handed to the polish, the kernels and entropies as
+    # returned.
     rng = np.random.default_rng(31)
+    tie_rng = np.random.default_rng(37)
     perron_stack = ts._perron.perron_stack
-    tables = []
+    polish = transfer._polish_stationary
+    tables, stationary = [], []
 
     def recorded(e):
         tables.append(e)
         return perron_stack(e)
 
+    def recorded_polish(pi, kernel):
+        stationary.append(pi.copy())
+        return polish(pi, kernel)
+
     monkeypatch.setattr(ts._perron, "perron_stack", recorded)
-    underflow = 0
+    monkeypatch.setattr(transfer, "_polish_stationary", recorded_polish)
+    underflow = all_tied = some_tied = 0
     for sft, order in dense_path_graphs():
         states, src, dst = ts.sft.block_graph(sft, order)
         n = len(states)
         w = np.array([0.0, 1.0, 1e4])[:, None] * rng.normal(size=len(src))
+        tie_values = tie_rng.choice([0.0, -0.5, 0.25], size=len(src))
+        tied = np.array([1.0, 10.0])[:, None] * tie_values
         for left in (False, True):  # the two-sided solve is kept
             del tables[:]
             solve = ts._perron.solve_stack(n, src, dst, w, left=left)
             _, _, frame_w, left_frame = ts._perron._maxplus_frame(n, src, dst, w, left)
             dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
             assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), (n, left)
-        pi, kernel = transfer._equilibria(sft, order, solve)
-        assert kernel.tobytes() == oracles.dense_kernels(
-            n, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
-        entropy = transfer._validate_measures(sft, order, pi, kernel)
-        assert np.array(entropy).tobytes() == np.array(oracles.dense_entropies(pi, kernel)).tobytes(), n
-        underflow += np.count_nonzero(kernel[:, src, dst] == 0.0)
+        for solve in (solve, ts._perron.solve_stack(n, src, dst, tied)):
+            del stationary[:]
+            pi, kernel = transfer._equilibria(sft, order, solve)
+            ln_pi = solve.frame_left + solve.frame_right
+            assert len(stationary) == 1, n
+            assert stationary[0].tobytes() == oracles.dense_stationary(ln_pi).tobytes(), n
+            assert kernel.tobytes() == oracles.dense_kernels(
+                n, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
+            entropy = transfer._validate_measures(sft, order, pi, kernel)
+            dense_entropy = oracles.dense_entropies(pi, kernel)
+            assert np.array(entropy).tobytes() == np.array(dense_entropy).tobytes(), n
+            underflow += np.count_nonzero(kernel[:, src, dst] == 0.0)
+            ties = np.add.reduce(ln_pi == ln_pi.max(axis=1, keepdims=True), axis=1)
+            all_tied += np.count_nonzero(ties == n)
+            some_tied += np.count_nonzero((1 < ties) & (ties < n))
     assert underflow  # the zeros of p log p were met on the edges
+    assert all_tied and some_tied  # and stationary rows with tied maxima
