@@ -21,14 +21,23 @@ certifies the result to the fixed tolerance ``TOL``.  A conjugation
 keeps the spectrum and the enclosure is certified on the conjugated
 matrix, so frame rounding cannot weaken it.
 
-Plain iteration is tried first, on the whole stack of matrices at once.
-When its enclosure stalls, or contracts too slowly to reach the
-tolerance within its budget, updates switch to the lazy matrix ``E + I``
-(same eigenvectors), which mixes the phases of nearly periodic supports
-such as a bare ground cycle.  If that stalls too (two cycle families
-with nearly tied means), the lazy matrix is squared repeatedly, so the
-gap ratio squares with every step.  Both later phases run on one matrix
-at a time.
+Every slice starts with plain steps, on the whole stack of matrices at
+once.  At a fixed probe step each open slice's contraction predicts the
+plain steps it still needs; a slice that would need more than four Noda
+steps are counted to cost, from ``n`` alone, switches to Noda's
+iteration (Noda 1971), as does a slice whose contraction over a longer
+window later predicts as much, or stalls.  A Noda step solves
+``(sigma I - E) z = x`` at the Collatz-Wielandt upper bound
+``sigma = max_i (Ex)_i/x_i``, so every iterate stays positive and the
+bounds converge quadratically (Elsner 1976), or halve per step where the
+two top eigenvalues nearly merge, as on two tied loops.  It runs in the
+same stacked loop, one batched solve per step over the switched slices,
+and the same enclosure on ``E`` certifies it.  The counted cost grows
+faster than ``n`` and passes the step budget at about 500 states, so
+larger graphs never switch at the probe and stay plain unless they
+stall.  The 3- to 9-state N(0, 1) potentials at ``t = 8`` of
+``tests/test_perron.py`` certify every slice in 11 or 12 steps, where
+plain steps alone took 995 to 1,931.
 """
 
 from __future__ import annotations
@@ -40,12 +49,12 @@ import numpy as np
 from .errors import ConvergenceError
 
 TOL = 1e-13
-_PLAIN_BUDGET = 2000
-_PLAIN_STALL = 40
-_LAZY_BUDGET = 2000
-_LAZY_STALL = 80
-_MAX_SQUARINGS = 60
+_BUDGET = 2000  # steps per slice, plain and Noda together
+_PROBE = 8  # the step that measures each slice's contraction
+_PROBE_WINDOW = 4
+_STALL = 40
 _NOISE_FLOOR_ACCEPT = 1e-12
+_NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
@@ -54,8 +63,9 @@ class EigenSolve:
     """Eigensolves of a stack of edge-weight rows on one graph; row arrays
     carry the rows on their first axis.  Row ``s`` is solved by slices
     ``2s`` (right side) and ``2s + 1`` (left side) of the Perron stack,
-    whose residuals and iteration counts are kept; a right-only solve
-    solves row ``s`` by slice ``s`` and has no ``frame_left``."""
+    whose residuals, iteration counts and certifying phases are kept; a
+    right-only solve solves row ``s`` by slice ``s`` and has no
+    ``frame_left``."""
 
     value: np.ndarray
     maxplus_right: np.ndarray
@@ -66,6 +76,8 @@ class EigenSolve:
     frame_left: np.ndarray | None
     residuals: np.ndarray
     iterations: np.ndarray
+    # True where the slice certified in Noda's phase, False in the plain
+    noda: np.ndarray
 
 
 def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenSolve:
@@ -87,7 +99,7 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     frames[0::sides, src, dst] = np.exp(frame_w)
     if left:
         frames[1::2, dst, src] = np.exp(frame_w + left_frame[:, src] - left_frame[:, dst])
-    values, vectors, residuals, iterations = perron_stack(frames)
+    values, vectors, residuals, iterations, noda = perron_stack(frames)
     return EigenSolve(
         value=values[0::sides] + beta,
         maxplus_right=right,
@@ -96,6 +108,7 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
         frame_left=vectors[1::2] + left_frame if left else None,
         residuals=residuals,
         iterations=iterations,
+        noda=noda,
     )
 
 
@@ -176,15 +189,6 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     return beta, right.reshape(size, n), frame_w.reshape(size, -1), left
 
 
-def _normalized(y, iterations):
-    """``y`` scaled to ``max = 1``; refuses an entry below the normal range."""
-    x = y / y.max()
-    smallest = x.min()
-    if not smallest >= _SMALLEST_NORMAL:  # also catches nan
-        raise _left_normal_range(smallest, iterations)
-    return x
-
-
 def _left_normal_range(smallest, iterations) -> ConvergenceError:
     return ConvergenceError(
         f"Perron iterate left the normal float range (smallest entry "
@@ -192,13 +196,11 @@ def _left_normal_range(smallest, iterations) -> ConvergenceError:
     )
 
 
-def _certify(e, x):
-    """Collatz-Wielandt midpoint and half-width of ``e @ x`` against
-    ``x``, and the product."""
-    y = e @ x
-    d = np.log(y / x)
-    hi, lo = d.max(), d.min()
-    return (hi + lo) / 2.0, (hi - lo) / 2.0, y
+def _stalled(residual, iterations) -> ConvergenceError:
+    return ConvergenceError(
+        f"Perron enclosure stalled at half-width {residual:g} "
+        f"(tolerance {TOL:g}, {iterations} iterations)"
+    )
 
 
 def perron_stack(e):
@@ -208,99 +210,127 @@ def perron_stack(e):
 
     ``e`` holds linear-domain weights, 0 on missing edges; the support of
     each slice must be irreducible and every row must peak near 1.
-    Returns ``(values, log_vectors, residuals, iterations)`` as arrays
-    over the slices: ``values`` enclose the log Perron eigenvalues to
-    ``residuals``, and each log vector has ``max = 0``.
+    Returns ``(values, log_vectors, residuals, iterations, noda)`` as
+    arrays over the slices: ``values`` enclose the log Perron eigenvalues
+    to ``residuals``, each log vector has ``max = 0``, and ``noda`` is
+    True where the slice certified in Noda's phase.
 
-    The plain phase runs on the whole stack, one stacked product per
-    step, and a slice leaves it once it certifies.  A slice that
-    escalates finishes alone in the lazy phase and the squaring ladder,
-    from its own iterate and iteration count.  Raises the
-    ``ConvergenceError`` of the first slice whose enclosure cannot be
-    brought to ``TOL`` (or at least to the floating-point noise floor)
-    within the budgets, or whose iterate leaves the normal float range.
+    Every step takes one stacked product ``E x``, which certifies and, in
+    the plain phase, is the update; a slice leaves once it certifies.  At
+    step ``_PROBE`` a slice whose contraction over the last
+    ``_PROBE_WINDOW`` steps predicts more plain steps than four Noda
+    steps are counted to cost switches to Noda's phase, as does a slice
+    whose contraction over the last ``_STALL`` steps later predicts as
+    much, or more than the budget holds; where four Noda steps count for
+    more than the budget, from about 500 states, no slice switches at the
+    probe.  A Noda step solves ``(sigma I - E) z = x`` at the
+    Collatz-Wielandt upper bound ``sigma``, one batched solve over the
+    switched slices; a solve that is not positive, finite and in the
+    normal range sends its slice back to plain steps.  A slice that
+    stalls in Noda's phase, or spends the budget, is accepted at the
+    floating-point noise floor or refused.  Raises the
+    ``ConvergenceError`` of the first refused slice, or of the first
+    whose iterate leaves the normal float range.
     """
     size, n = e.shape[:2]
     values = np.empty(size)
     residuals = np.empty(size)
     vectors = np.empty((size, n))
     iterations = np.empty(size, dtype=int)
+    noda = np.zeros(size, dtype=bool)
     failures = {}
+    # Plain steps that cost about as much as four Noda steps, at or above
+    # every measured cost of a Noda step (in plain steps: 7 at n = 32, 12
+    # at 64, 23-47 at 128, 78-84 at 192, 69-107 at 256, 173-205 at 1,024).
+    # From n of about 500 it passes the budget: there no slice switches at
+    # the probe, and only a stall sends one to Noda's phase.
+    horizon = 4 * (2 + n / 8 + (n / 24) ** 2)
+    probe = _PROBE if horizon < _BUDGET else 0
 
-    # plain phase: the certifying product is also the update.  It keeps
-    # the spread hi - lo, twice the residual (halving is exact), and
-    # compares it with TOL.
-    ring = _PLAIN_STALL + 1
+    ring = _STALL + 1
     history = np.empty((ring, size))  # the spreads of the last `ring` steps
-    # The stack holds the slices `live` with their matrices and iterates.
-    # A slice with a verdict stops `waiting` but stays in the stack, its
+    # The stack holds the slices `live` with their matrices and iterates,
+    # and the step at which each switched to Noda's phase (0: plain).  A
+    # slice with a verdict stops `waiting` but stays in the stack, its
     # steps unused, until a quarter of the stack is left to wait.
     live, stack, x = np.arange(size), e, np.ones((size, n))
+    since = np.zeros(size, dtype=int)
     waiting, count = np.ones(size, dtype=bool), size
-    escalated = []  # (slice, iterate, iterations, value, residual)
     steps = 0
-    while count and steps < _PLAIN_BUDGET:
+    switched = False  # whether a slice has entered Noda's phase
+    while count:
         steps += 1
         y = np.matmul(stack, x[:, :, None])[:, :, 0]
-        d = np.log(y / x)
+        ratio = y / x
+        d = np.log(ratio)
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
+        # The spread hi - lo is twice the residual (halving is exact).
         spread = hi - lo
         history[steps % ring] = spread
         leave = spread <= TOL
         if count < live.size:
             leave &= waiting
+        certified = leave
+        if steps == probe or steps > _STALL:
+            # A slice is slow when its spread has not shrunk over the last
+            # `window` steps of its phase, or shrinks too slowly to reach
+            # TOL within the budget (in the plain phase: within what
+            # Noda's steps are counted to cost).
+            window = _PROBE_WINDOW if steps == probe else _STALL
+            left = _BUDGET - steps
+            widths, oldest, start = spread.tolist(), history[(steps - window) % ring].tolist(), since.tolist()
+            stalled = []
+            for j in (waiting & ~leave).nonzero()[0].tolist():
+                slow = steps - start[j] > window and _too_slow(
+                    widths[j], oldest[j], window, left if start[j] else min(horizon, left))
+                if steps == _BUDGET or (slow and start[j]):
+                    stalled.append(j)
+                elif slow:
+                    since[j] = steps
+                    switched = True
+            if stalled:
+                # a stall in Noda's phase, or the budget spent: accepted
+                # at the noise floor, refused above it
+                certified = leave.copy()
+                leave[stalled] = True
+                for j in stalled:
+                    if spread[j] / 2.0 <= _NOISE_FLOOR_ACCEPT:
+                        certified[j] = True
+                    else:
+                        failures[int(live[j])] = _stalled(spread[j] / 2.0, steps)
         leaving = np.count_nonzero(leave)
         if leaving:
-            done = live[leave]
-            values[done], residuals[done] = (hi + lo)[leave] / 2.0, spread[leave] / 2.0
-            vectors[done], iterations[done] = np.log(x[leave]), steps
-        if steps > _PLAIN_STALL and leaving < count:
-            # Escalate as soon as the residual has not shrunk over the
-            # last _PLAIN_STALL steps, or its contraction over them,
-            # carried over the rest of the budget, cannot reach tol.
-            exponent = (_PLAIN_BUDGET - steps) / _PLAIN_STALL
-            oldest = history[(steps + 1) % ring].tolist()
-            open_ = (waiting & ~leave).tolist() if leaving else waiting.tolist()
-            stalled = []
-            for j, width in enumerate(spread.tolist()):
-                if open_[j]:
-                    ratio = width / oldest[j]
-                    if ratio >= 1.0 or width * ratio ** exponent > TOL:
-                        escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, width / 2.0))
-                        stalled.append(j)
-            if stalled:
-                leave[stalled] = True
-                leaving += len(stalled)
-        if leaving:
+            done = live[certified]
+            values[done], residuals[done] = (hi + lo)[certified] / 2.0, spread[certified] / 2.0
+            vectors[done], iterations[done] = np.log(x[certified]), steps
+            if switched:
+                noda[done] = since[certified] > 0
+                since[leave] = 0
             count -= leaving
             if not count:
                 break
             waiting &= ~leave
-            if 4 * count <= live.size:
-                live, stack, y, hi, lo, spread, history, waiting = _compact(
-                    waiting, live, stack, y, hi, lo, spread, history)
-        x = y / np.maximum.reduce(y, axis=1, keepdims=True)
+        update = y / np.maximum.reduce(y, axis=1, keepdims=True)
+        if switched:
+            rows = since.nonzero()[0]  # the waiting slices in Noda's phase
+            if rows.size:
+                z, good = _noda_steps(stack, rows, x, ratio)
+                update[rows[good]] = z[good]
+                since[rows[~good]] = 0
+        x = update
+        if leaving and 4 * count <= live.size:
+            live, stack, x, since, history, waiting = _compact(waiting, live, stack, x, since, history)
         if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
             smallest = np.minimum.reduce(x, axis=1)
             normal = smallest >= _SMALLEST_NORMAL
             for j in np.flatnonzero(waiting & ~normal).tolist():
                 failures[int(live[j])] = _left_normal_range(smallest[j], steps)
-            live, stack, x, hi, lo, spread, history, waiting = _compact(
-                waiting & normal, live, stack, x, hi, lo, spread, history)
+            live, stack, x, since, history, waiting = _compact(
+                waiting & normal, live, stack, x, since, history)
             count = live.size
-    # a plain budget spent without a verdict escalates from the last update
-    if count:
-        for j in np.flatnonzero(waiting).tolist():
-            escalated.append((int(live[j]), x[j], steps, (hi[j] + lo[j]) / 2.0, float(spread[j]) / 2.0))
-
-    for s, *plain_end in escalated:
-        try:
-            values[s], vectors[s], residuals[s], iterations[s] = _escalate(e[s], *plain_end)
-        except ConvergenceError as exc:
-            failures[s] = exc
     if failures:
         raise failures[min(failures)]
-    return values, vectors, residuals, iterations
+    return values, vectors, residuals, iterations, noda
 
 
 def _compact(keep, *arrays):
@@ -310,42 +340,50 @@ def _compact(keep, *arrays):
     return (*(a[keep] for a in rows), history[:, keep], np.ones(np.count_nonzero(keep), dtype=bool))
 
 
-def _escalate(e, x, iterations, value, residual):
-    """The lazy phase and the squaring ladder of one matrix ``e``, from the
-    plain phase's last iterate ``x``, count, value and residual."""
-    half_tol = TOL / 2.0
+def _too_slow(width, oldest, window, horizon):
+    """Whether a spread that went from ``oldest`` to ``width`` over
+    ``window`` steps, contracting at that rate for ``horizon`` more
+    steps, stays above ``TOL``."""
+    ratio = width / oldest
+    return ratio >= 1.0 or width * ratio ** (horizon / window) > TOL
 
-    # lazy phase: update with E + I, certify on E
-    lazy = e + np.eye(len(e))
-    best = residual
-    since_best = 0
-    for _ in range(_LAZY_BUDGET):
-        iterations += 1
-        x = _normalized(lazy @ x, iterations)
-        value, residual, _ = _certify(e, x)
-        if residual <= half_tol:
-            return value, np.log(x), residual, iterations
-        if residual < best:
-            best, since_best = residual, 0
-        else:
-            since_best += 1
-            if since_best >= _LAZY_STALL:
-                break
 
-    # squaring ladder on the lazy matrix
-    squared = lazy
-    for _ in range(_MAX_SQUARINGS):
-        iterations += 1
-        squared = squared @ squared
-        squared /= squared.max()
-        x = _normalized(squared @ x, iterations)
-        value, residual, _ = _certify(e, x)
-        if residual <= half_tol:
-            return value, np.log(x), residual, iterations
+def _noda_steps(stack, rows, x, ratio):
+    """Noda's update (Noda 1971) of the iterates ``x[rows]`` of the slices
+    ``stack[rows]``, whose products ``E x`` are ``ratio * x``:
+    ``(sigma I - E)^-1 x`` at the Collatz-Wielandt upper bound
+    ``sigma = max ratio``, scaled to ``max = 1``, and whether it is
+    positive, finite and in the normal range.  As ``sigma`` is at or above the Perron root, ``sigma I - E``
+    is an M-matrix and the update is positive up to rounding; the bounds
+    converge quadratically (Elsner 1976).  The solve runs on ``E``
+    conjugated by ``diag(x)``, whose Perron vector is near the ones, so
+    that its rounding is small against every entry of the update, not
+    only against the largest.  The slices are solved in batches of at
+    most ``_NODA_FLOATS`` matrix entries, or one at a time, as each batch
+    holds two copies of its matrices (the conjugate and LAPACK's)."""
+    group = max(1, _NODA_FLOATS // stack[0].size)
+    if rows.size > group:
+        parts = [_noda_steps(stack, rows[k:k + group], x, ratio) for k in range(0, rows.size, group)]
+        return np.concatenate([z for z, _ in parts]), np.concatenate([good for _, good in parts])
+    x, ratio = x[rows], ratio[rows]
+    sigma = np.maximum.reduce(ratio, axis=1)
+    a = stack[rows]  # a copy, conjugated in place
+    a *= x[:, None, :]
+    a /= x[:, :, None]
+    a.reshape(len(a), -1)[:, ::a.shape[1] + 1] -= sigma[:, None]
+    z = x * _solved(a, np.full(x.shape + (1,), -1.0))[:, :, 0]
+    top = np.maximum.reduce(z, axis=1, keepdims=True)
+    with np.errstate(all="ignore"):  # rows that fail are refused below
+        z /= top
+    return z, (top[:, 0] > 0.0) & (np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
 
-    if residual <= _NOISE_FLOOR_ACCEPT:
-        return value, np.log(x), residual, iterations
-    raise ConvergenceError(
-        f"Perron enclosure stalled at half-width {residual:g} "
-        f"(tolerance {TOL:g}, {iterations} iterations)"
-    )
+
+def _solved(a, b):
+    """``np.linalg.solve`` over a stack, with nan for each slice singular
+    to working precision (which makes a batched call raise for all)."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solved(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])

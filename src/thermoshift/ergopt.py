@@ -10,7 +10,8 @@ result (see `maxplus`), once per potential and vertex order (see
 `_edgegraph.maxplus_data`).
 
 The ground entropy and the ground-state bound are pressures on the
-critical subgraph: exact on its simple cycles, and elsewhere Perron values
+critical subgraph: exact on its simple cycles, the topological entropy
+of the subshift when every edge is critical, and elsewhere Perron values
 from `_perron.solve_stack`, certified as every eigensolve.
 """
 
@@ -58,11 +59,15 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     critical subgraph that supports every maximizing measure."""
     _require_over(sft, phi)
     order = graph_order(phi.memory)
-    states = block_graph(sft, order)[0]
+    states, src, _ = block_graph(sft, order)
     n = len(states)
     data = maxplus_data(phi, order)
     critical = sorted(data.critical)
-    ground = _critical_pressure(n, critical, np.zeros(len(critical)))
+    if len(critical) == len(src):
+        # every edge is critical: the critical subshift is the subshift
+        ground = topological_entropy(sft)
+    else:
+        ground = _critical_pressure(n, critical, np.zeros(len(critical)))
     return MaximizationResult(
         beta=float(data.beta),
         critical_edges=tuple((states[i], states[j]) for i, j in critical),

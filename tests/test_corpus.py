@@ -1,12 +1,19 @@
-"""Seeded stress corpus: every admissible input must certify.
+"""Seeded stress corpora: every admissible input must certify.
 
 200 random primitive systems (2 to 6 symbols, Bernoulli(0.6)
 transitions resampled until primitive, memory 1 to 3, N(0, 1) values),
 each solved along the ray ``t * phi`` from the infinite-temperature to
 the ground-state regime.
+
+Near the block cap, where those systems (26 block states at most) do not
+reach: the golden mean at memories 8 to 14, the full 2-shift at memories
+6 to 10 and six random primitive systems on 2 to 4 symbols at the longest
+memory with at most 600 block states (32 to 610 states in all), each
+with N(0, 1) values and with values tied in {-0.5, 0, 0.25}.
 """
 
 import numpy as np
+import pytest
 
 import thermoshift as ts
 from thermoshift._edgegraph import edge_weights, graph_order, maxplus_data
@@ -52,3 +59,56 @@ def test_float_frame_beta_matches_exact_maxplus_beta():
             frame_beta = _maxplus_frame(len(states), src, dst, w[None])[0][0]
             exact = float(maxplus_data(phi_t, order).beta)
             assert abs(frame_beta - exact) <= 1e-13 * np.abs(w).max(), (trial, t)
+
+
+CAP_TEMPERATURES = (0.0, 1.0, 10.0, 1e4)
+CAP_STATES = 600
+
+
+def cap_systems():
+    """The near-cap systems, as ``(label, sft, memory)``."""
+    systems = [(f"golden-m{m}", ts.golden_mean_shift(), m) for m in range(8, 15)]
+    systems += [(f"full2-m{m}", ts.full_shift(2), m) for m in range(6, 11)]
+    rng = np.random.default_rng(4)
+    for trial in range(6):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+        sft = ts.build_sft(len(m), m)
+        order = 1
+        while len(ts.admissible_blocks(sft, order + 1)) <= CAP_STATES:
+            order += 1
+        systems.append((f"random{trial}-k{len(m)}-m{order + 1}", sft, order + 1))
+    return systems
+
+
+CAP_CASES = [(seed, label, sft, memory, draw)
+             for seed, (label, sft, memory) in enumerate(cap_systems(), start=100)
+             for draw in ("normal", "tied")]
+
+
+@pytest.mark.parametrize("seed, label, sft, memory, draw", CAP_CASES,
+                         ids=[f"{case[1]}-{case[4]}" for case in CAP_CASES])
+def test_near_cap_corpus_certifies(seed, label, sft, memory, draw):
+    rng = np.random.default_rng(seed)
+    blocks = ts.admissible_blocks(sft, memory)
+    if draw == "normal":
+        values = rng.normal(size=len(blocks))
+    else:
+        values = rng.choice([-0.5, 0.0, 0.25], size=len(blocks))
+    phi = ts.Potential(sft, memory, dict(zip(blocks, values.tolist())))
+    for t in CAP_TEMPERATURES:
+        phi_t = ts.combine(ts.zero_potential(sft), phi, t)
+        result, mu = ts.pressure_and_equilibrium(sft, phi_t)
+        assert result.residual <= 1e-12, (t, result.residual)
+        gap = abs(result.value - (mu.entropy + ts.integrate(mu, phi_t)))
+        assert gap <= 1e-9, (t, gap)
+    # The frame's float Karp against one exact analysis: the beta of
+    # t * phi is t times that of phi, and rounding t * w moves it by far
+    # less than the tolerance.
+    order = graph_order(memory)
+    states, src, dst = block_graph(sft, order)
+    w = edge_weights(phi, order)
+    exact = float(maxplus_data(phi, order).beta)
+    scales = np.array(CAP_TEMPERATURES[1:])
+    frame_beta = _maxplus_frame(len(states), src, dst, scales[:, None] * w)[0]
+    for t, beta in zip(scales.tolist(), frame_beta.tolist()):
+        assert abs(beta - t * exact) <= 1e-13 * t * np.abs(w).max(), t

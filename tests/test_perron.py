@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import _perron
+from thermoshift import _perron, transfer
 
 import oracles
 
@@ -20,16 +20,48 @@ def test_import_loads_no_scipy():
 def test_slow_plain_contraction_escalates_early():
     # Nearly periodic support at t = 10 (|lambda_2 / lambda_1| about
     # 0.9998): the plain residual shrinks too slowly to reach the
-    # tolerance within the plain budget, so the lazy phase must take over
-    # long before that budget is spent.
+    # tolerance within the budget, so Noda's phase must take over at the
+    # probe step, long before the stall window ends.
     full2 = ts.full_shift(2)
     values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
     phi = ts.combine(ts.zero_potential(full2, 2), ts.Potential(full2, 2, values), 10.0)
+    solve = transfer._solve_potential(full2, phi)
+    assert solve.noda.all()  # both sides
+    assert solve.iterations.max() <= 20
     result = ts.pressure(full2, phi)
-    assert result.iterations <= 300
     _, W = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
     lam, _, _ = oracles.perron_pair(W)
     assert abs(result.value - math.log(lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, memory, with_psi", [(3, 2, False), (3, 3, False), (4, 2, True)])
+def test_moderate_temperature_slices_certify_in_few_steps(monkeypatch, k, memory, with_psi):
+    # N(0, 1) potentials at t = 8 on which plain power iteration alone
+    # took 995 to 1,931 steps a side: the probe hands them to Noda's
+    # phase, which certifies within a few steps of it.
+    sft = ts.full_shift(k)
+    rng = np.random.default_rng(1000 * k + memory)
+    blocks = ts.admissible_blocks(sft, memory)
+    phi_values = dict(zip(blocks, rng.normal(size=len(blocks)).tolist()))
+    psi_values = dict.fromkeys(ts.admissible_blocks(sft, 1), 0.0)
+    if with_psi:
+        psi_values = dict(zip(psi_values, rng.normal(size=len(psi_values)).tolist()))
+    phi, psi = ts.Potential(sft, memory, phi_values), ts.Potential(sft, 1, psi_values)
+    iterations = []
+    perron_stack = _perron.perron_stack
+
+    def recorded(e):
+        out = perron_stack(e)
+        iterations.extend(out[3].tolist())
+        return out
+
+    monkeypatch.setattr(_perron, "perron_stack", recorded)
+    sample = ts.sample_at(sft, psi, phi, 8.0)
+    assert max(iterations) <= 20, iterations
+    combined = {b: psi_values[b[:1]] + 8.0 * v for b, v in phi_values.items()}
+    _, W = oracles.dense_weighted_matrix(np.ones((k, k), dtype=int), memory, combined)
+    lam, _, _ = oracles.perron_pair(W)
+    assert abs(sample.pressure - math.log(lam)) <= 1e-12
 
 
 def ray(sft, phi, t):
@@ -38,7 +70,7 @@ def ray(sft, phi, t):
 
 def test_low_span_nearly_periodic_support_certifies():
     # Span under 30 and a nearly periodic support with a tiny Perron root:
-    # without a max-plus frame the lazy phase stalls above the noise floor.
+    # without a max-plus frame the enclosure stalls above the noise floor.
     transitions = [[0, 1], [1, 1]]
     values = {(0, 1, 0): 18.62, (0, 1, 1): 5.52, (1, 0, 1): -7.36,
               (1, 1, 0): 2.86, (1, 1, 1): 0.29}
@@ -55,11 +87,41 @@ def test_low_span_nearly_periodic_support_certifies():
 def test_near_tied_loops_certify_within_tolerance(full2, detune, t):
     # Two fixed-point loops of (nearly) equal weight joined by edges of
     # weight -t: in the frame the spectral gap is about e^-t or detune * t,
-    # which only the squaring ladder closes within the budgets.
+    # which plain steps cannot close within the budget; Noda's steps do.
     values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): -detune}
     result = ts.pressure(full2, ray(full2, ts.Potential(full2, 2, values), t))
     assert abs(result.value - math.log1p(math.exp(-t))) <= 1e-13
     assert result.residual <= _perron.TOL / 2
+
+
+@pytest.mark.parametrize("budget, accepted", [(42, False), (45, True)])
+def test_a_budget_spent_is_accepted_only_at_the_noise_floor(full2, monkeypatch, budget, accepted):
+    # The tied loops at t = 30 halve their spread with every Noda step and
+    # certify at step 48; a budget cut short ends them at half-width
+    # 3.6e-12 (step 42: refused) or 4.5e-13 (step 45: within the floor).
+    monkeypatch.setattr(_perron, "_BUDGET", budget)
+    values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 0.0}
+    phi = ray(full2, ts.Potential(full2, 2, values), 30.0)
+    if not accepted:
+        with pytest.raises(ts.errors.ConvergenceError, match="stalled at half-width"):
+            transfer._solve_potential(full2, phi)
+        return
+    solve = transfer._solve_potential(full2, phi)
+    assert (solve.iterations == budget).all() and solve.noda.all()
+    assert (_perron.TOL / 2 < solve.residuals).all()
+    assert (solve.residuals <= _perron._NOISE_FLOOR_ACCEPT).all()
+
+
+def test_a_singular_slice_fails_only_its_own_solve():
+    # np.linalg.solve raises for a whole stack when one slice is singular;
+    # the others still get their lone solves, bit for bit, and the
+    # singular one gets nan, which sends its slice back to plain steps.
+    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.5], [0.25, 1.0]]])
+    b = np.ones((3, 2, 1))
+    got = _perron._solved(a, b)
+    assert np.isnan(got[1]).all()
+    for k in (0, 2):
+        assert got[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
 
 
 def test_iterate_below_normal_range_is_a_typed_failure():
@@ -70,33 +132,25 @@ def test_iterate_below_normal_range_is_a_typed_failure():
         _perron.perron_stack(np.exp(logw)[None])
 
 
-def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
+def test_a_stack_solves_each_slice_as_if_alone():
     # Two plain slices around one that leaves the plain phase early (the
     # nearly periodic support above): each slice comes back as its lone
-    # solve.  Slices whose first update leaves the normal range fail the
-    # stack with the lone solve's error of the first of them, whatever
-    # the slices around them do.
+    # solve, certifying phase included.  Slices whose first update leaves
+    # the normal range fail the stack with the lone solve's error of the
+    # first of them, whatever the slices around them do.
     values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
     _, slow = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
-    lazy = np.log(slow) - np.log(slow).max(axis=1, keepdims=True)
-    plain = np.log(np.array([[0.5, 0.25], [0.75, 1.0]]))
+    slow = np.log(slow) - np.log(slow).max(axis=1, keepdims=True)
+    plain = np.log(np.array([[1.0, 1.0], [0.9, 1.0]]))  # |lambda_2 / lambda_1| about 0.026
     unconditioned = np.array([[0.0, 0.0], [-720.0, -720.0]])
     deeper = np.array([[0.0, 0.0], [-740.0, -740.0]])
-    stack = np.array([plain, lazy, plain.T])
-    escalated = []
-    escalate = _perron._escalate
-
-    def recorded(e, *rest):
-        escalated.append(np.array_equal(e, np.exp(lazy)))
-        return escalate(e, *rest)
-
-    monkeypatch.setattr(_perron, "_escalate", recorded)
+    stack = np.array([plain, slow, plain.T])
     got = _perron.perron_stack(np.exp(stack))
     for k in range(len(stack)):
         alone = _perron.perron_stack(np.exp(stack[k])[None])
         for stacked, lone in zip(got, alone):
             assert stacked[k].tobytes() == lone[0].tobytes()
-    assert escalated == [True, True]  # the lazy slice, stacked and alone
+    assert got[4].tolist() == [False, True, False]  # Noda on the slow slice only
 
     errors = []
     for failing in (unconditioned, deeper):
@@ -104,29 +158,52 @@ def test_a_stack_solves_each_slice_as_if_alone(monkeypatch):
             _perron.perron_stack(np.exp(failing)[None])
         errors.append(str(alone.value))
     assert errors[0] != errors[1]
-    for mixed, first in (([plain, lazy, unconditioned, plain.T, deeper], 0),
-                         ([plain, deeper, lazy, unconditioned], 1)):
+    for mixed, first in (([plain, slow, unconditioned, plain.T, deeper], 0),
+                         ([plain, deeper, slow, unconditioned], 1)):
         with pytest.raises(ts.errors.ConvergenceError) as stacked:
             _perron.perron_stack(np.exp(mixed))
         assert str(stacked.value) == errors[first]
 
 
-def test_a_steady_contraction_stays_plain_past_the_stall_window(monkeypatch):
-    # |lambda_2 / lambda_1| about 0.7: the residual shrinks by a steady
-    # factor, so the plain phase runs to the tolerance, well past the
-    # _PLAIN_STALL steps the escalation test looks back over, alone and
-    # next to a slice that certifies at once.
-    steady = np.log(np.array([[1.0, 0.3], [0.1, 1.0]]))
-    instant = np.log(np.array([[0.5, 0.75], [0.25, 1.0]]))  # equal row sums
+def test_a_steady_contraction_stays_plain_past_the_stall_window():
+    # diag(d)^-1 (J/4n + 3I/4) diag(d) on n = 256 states: every eigenvalue
+    # but the Perron root is 3/4, so the residual shrinks by a steady
+    # factor and the plain phase runs to the tolerance, well past the
+    # _STALL steps the stall rule looks back over, alone and next to a
+    # slice that certifies at once.  At this size the probe keeps it
+    # plain, as its predicted steps cost less than Noda's solves.
+    n = 256
+    d = np.exp(np.linspace(0.0, -1.0, n))
+    steady = (np.full((n, n), 0.25 / n) + 0.75 * np.eye(n)) * d / d[:, None]
+    instant = np.full((n, n), 0.5)  # equal row sums
+    iterations, noda = _perron.perron_stack(steady[None])[3:]
+    assert iterations[0] > 2 * _perron._STALL and not noda[0]
+    stacked = _perron.perron_stack(np.array([instant, steady, steady.T]))
+    assert stacked[3][1] == iterations[0] and stacked[3][0] == 1
+    assert not stacked[4].any()
 
-    def no_escalation(*args):
-        raise AssertionError("a steadily contracting slice left the plain phase")
 
-    monkeypatch.setattr(_perron, "_escalate", no_escalation)
-    iterations = _perron.perron_stack(np.exp(steady)[None])[3][0]
-    assert iterations > 2 * _perron._PLAIN_STALL
-    stacked = _perron.perron_stack(np.exp([instant, steady, steady.T]))[3]
-    assert stacked[1] == iterations and stacked[0] == 1
+def steady_contraction(n, rho):
+    """``diag(d)^-1 ((1 - rho) J/n + rho I) diag(d)``: Perron root 1, every
+    other eigenvalue ``rho``."""
+    d = np.exp(np.linspace(0.0, -1.0, n))
+    return (np.full((n, n), (1.0 - rho) / n) + rho * np.eye(n)) * d / d[:, None]
+
+
+def test_large_graphs_switch_to_noda_only_when_they_stall():
+    # A contraction by 0.97 a step needs about a thousand plain steps: at
+    # n = 64 the probe switches it, while from n of about 500 Noda's solves
+    # are counted as dearer than the budget, so it runs plain to the end.
+    # A contraction by 0.999 would need some 30,000 plain steps; the stall
+    # rule sends it to Noda's phase at any size.
+    values, _, residuals, iterations, noda = _perron.perron_stack(steady_contraction(64, 0.97)[None])
+    assert noda[0] and iterations[0] < 40
+    values, _, residuals, iterations, noda = _perron.perron_stack(steady_contraction(512, 0.97)[None])
+    assert not noda[0] and 500 < iterations[0] < _perron._BUDGET
+    assert abs(values[0]) <= residuals[0] <= _perron.TOL
+    values, _, residuals, iterations, noda = _perron.perron_stack(steady_contraction(512, 0.999)[None])
+    assert noda[0] and _perron._STALL < iterations[0] < 2 * _perron._STALL
+    assert abs(values[0]) <= residuals[0] <= _perron.TOL
 
 
 def frame_graphs():
