@@ -6,8 +6,9 @@ maximizing measures are exactly the invariant measures carried by the
 critical subgraph (edges saturating the max-plus Bellman equation that
 lie on cycles).  These are computed exactly, in integer arithmetic on one
 common dyadic scale of the edge weights, with `Fraction` only in the
-result (see `maxplus`), once per potential and vertex order (see
-`_edgegraph.maxplus_data`).
+result: the float max-plus frame proposes a maximizing cycle and exact
+Bellman passes confirm or correct it (see `maxplus`), once per potential
+and vertex order (see `_edgegraph.maxplus_data`).
 
 The ground entropy and the ground-state bound are pressures on the
 critical subgraph: exact on its simple cycles, the topological entropy

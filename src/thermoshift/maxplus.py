@@ -6,9 +6,13 @@ the weights (for floats, which are dyadic rationals, the largest one), so
 every sum and comparison is a Python int operation, and
 `fractions.Fraction` appears only in the result.  The maximum cycle mean,
 the witness cycle and the critical subgraph are exact for any float edge
-weights, and depend only on the graph and its weights: Karp's recurrence
-gives the mean, one Bellman pass the critical subgraph, and the witness
-is a fixed rule on that subgraph (`canonical_witness`).
+weights, and depend only on the graph and its weights.  The eigensolve's
+float max-plus frame (`_perron._maxplus_frame`, Karp's recurrence in
+floats) proposes a cycle; exact Bellman passes under the weights minus
+its mean either reach a fixed point, which certifies the mean as the
+maximum and gives the critical subgraph, or close a cycle of positive
+weight in their parent pointers, which is the next proposal.  The
+witness is a fixed rule on the critical subgraph (`canonical_witness`).
 
 The graphs handled are strongly connected (they come from primitive
 subshifts), with at most one edge per ordered vertex pair.
@@ -19,6 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from ._perron import _maxplus_frame
 
 
 @dataclass(frozen=True)
@@ -48,19 +56,47 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
     """Full max-plus analysis of a strongly connected weighted digraph.
 
     ``edges`` is an iterable of ``(i, j, weight)``; weights may be
-    floats, Fractions or ints.
+    floats, Fractions or ints.  Each Bellman round runs under the weights
+    minus the mean of the current cycle; a round that reports a positive
+    cycle raises the mean strictly, so the rounds end.
     """
+    edges = list(edges)
     scale, scaled = _scaled_to_ints(edges)
-    beta_num, beta_den = _max_cycle_mean(n_vertices, scaled)
-    # w - beta in units of 1 / (scale * beta_den)
-    normalized = [(i, j, w * beta_den - beta_num) for i, j, w in scaled]
-    vec = bellman_longest_to(n_vertices, normalized, 0)
+    label = strongly_connected_components(n_vertices, [(i, j) for i, j, _ in scaled])
+    if len(set(label)) > 1:
+        raise ValueError("graph not strongly connected")
+    weight_of = {(i, j): w for i, j, w in scaled}
+
+    def weight(cycle):
+        return sum(weight_of[e] for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+    cycle = _proposed_cycle(n_vertices, edges)
+    while cycle is not None:
+        # the cycle's mean is num / (scale * den); w - mean in units of
+        # 1 / (scale * den)
+        num, den = weight(cycle), len(cycle)
+        normalized = [(i, j, w * den - num) for i, j, w in scaled]
+        vec, cycle = bellman_longest_to(n_vertices, normalized, cycle[0])
     critical = frozenset(critical_edges(n_vertices, normalized, vec))
     witness = canonical_witness(critical)
-    weight_of = {(i, j): w for i, j, w in normalized}
-    if sum(weight_of[e] for e in zip(witness, witness[1:] + witness[:1])) != 0:
+    if weight(witness) * den != num * len(witness):
         raise AssertionError("witness cycle does not attain the maximum mean")
-    return MaxPlusData(Fraction(beta_num, scale * beta_den), witness, critical)
+    return MaxPlusData(Fraction(num, scale * den), witness, critical)
+
+
+def _proposed_cycle(n: int, edges) -> tuple[int, ...]:
+    """A cycle of the float max-plus frame (`_perron._maxplus_frame`) of
+    the weights: the walk of `canonical_witness` over the edges that
+    attain the largest conjugated weight out of their source, and those
+    whose conjugated weight is nan, as where the frame's walk sums
+    overflow, so that the walk never stalls.  Rounding may make the cycle
+    a poor one, never a wrong result."""
+    src, dst, w = (np.array(column) for column in zip(*edges))
+    frame_w = _maxplus_frame(n, src, dst, w.astype(float)[None], with_left=False)[2][0]
+    top = np.full(n, -np.inf)
+    np.fmax.at(top, src, frame_w)  # skips nan, without a warning
+    best = ~(frame_w < top[src])
+    return canonical_witness(zip(src[best].tolist(), dst[best].tolist()))
 
 
 def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
@@ -71,50 +107,6 @@ def _scaled_to_ints(edges) -> tuple[int, list[tuple[int, int, int]]]:
         raise ValueError("graph has no edges")
     scale = math.lcm(*(den for _, _, (_, den) in ratios))
     return scale, [(i, j, num * (scale // den)) for i, j, (num, den) in ratios]
-
-
-def _max_cycle_mean(n: int, edges) -> tuple[int, int]:
-    """Karp's recurrence (Karp 1978) on int weights: the maximum cycle
-    mean as a pair ``(num, den)`` with ``den > 0``, in the units of the
-    weights."""
-    # level[k][v] = best weight of a walk 0 -> v with exactly k edges
-    # (None: no such walk)
-    level: list[list[int | None]] = [[0] + [None] * (n - 1)]
-    for _ in range(n):
-        prev = level[-1]
-        cur: list[int | None] = [None] * n
-        for i, j, w in edges:
-            p = prev[i]
-            if p is not None:
-                cand = p + w
-                c = cur[j]
-                if c is None or cand > c:
-                    cur[j] = cand
-        level.append(cur)
-    # Karp's formula counts only cycles reachable from vertex 0
-    if any(all(lv[v] is None for lv in level[:n]) for v in range(n)):
-        raise ValueError("a vertex is unreachable from vertex 0; graph not strongly connected")
-
-    # beta = max over v of min over k of (top - level[k][v]) / (n - k);
-    # each ratio is kept as an int pair (numerator, positive denominator)
-    # and compared by cross-multiplication.
-    beta_num = beta_den = None
-    for v in range(n):
-        top = level[n][v]
-        if top is None:
-            continue
-        low_num = low_den = None
-        for k in range(n):
-            lv = level[k][v]
-            if lv is not None:
-                num, den = top - lv, n - k
-                if low_num is None or num * low_den < low_num * den:
-                    low_num, low_den = num, den
-        if beta_num is None or low_num * beta_den > beta_num * low_den:
-            beta_num, beta_den = low_num, low_den
-    if beta_num is None:
-        raise ValueError("no vertex admits a walk of full length; graph not strongly connected")
-    return beta_num, beta_den
 
 
 def canonical_witness(critical) -> tuple[int, ...]:
@@ -137,32 +129,40 @@ def canonical_witness(critical) -> tuple[int, ...]:
     return tuple(cycle[first:] + cycle[:first])
 
 
-def bellman_longest_to(n: int, normalized_edges, target: int) -> list:
-    """Best path weight from every vertex to ``target`` under weights with
-    no positive cycles.  On a strongly connected graph, for any
-    ``target``, every edge ``i -> j`` has ``v_i >= w_ij + v_j``, with
-    equality along every zero-weight cycle, so the saturating edges give
-    the same critical subgraph whichever target is used.  The weights may
-    be ints or Fractions."""
+def bellman_longest_to(n: int, normalized_edges, target: int):
+    """Bellman passes for the best path weight from every vertex to
+    ``target``, as ``(dist, cycle)``.  ``cycle`` is None when a pass
+    changes nothing: then every edge ``i -> j`` has
+    ``dist_i >= w_ij + dist_j``, with equality along every zero-weight
+    cycle, and no cycle has positive weight.  Otherwise the n-th pass
+    still changes a value, and ``cycle`` is a cycle of the parent
+    pointers, of positive weight (each parent is set by a strict
+    improvement; CLRS Lemma 24.16), listed along its edges.  On a
+    strongly connected graph the saturating edges of any fixed point give
+    the same critical subgraph, whichever ``target`` is used.  The
+    weights may be ints or Fractions."""
     dist: list = [None] * n
     dist[target] = 0
-    for _ in range(n - 1):
-        changed = False
+    parent: list = [None] * n
+    for _ in range(n):
+        last = None  # the last vertex this pass changed
         for i, j, w in normalized_edges:
             dj = dist[j]
             if dj is not None:
                 cand = w + dj
                 if dist[i] is None or cand > dist[i]:
-                    dist[i] = cand
-                    changed = True
-        if not changed:
-            break
-    for i, j, w in normalized_edges:
-        if dist[j] is not None and dist[i] is not None and w + dist[j] > dist[i]:
-            raise AssertionError("positive cycle under beta-normalized weights")
-    if any(d is None for d in dist):
-        raise ValueError("graph not strongly connected")
-    return dist
+                    dist[i], parent[i], last = cand, j, i
+        if last is None:
+            return dist, None
+    # A vertex changed in pass k took its parent from one changed in pass
+    # k - 1 or later, so n parent steps from one changed in pass n never
+    # reach a vertex that has not changed: they end on a cycle.
+    for _ in range(n):
+        last = parent[last]
+    cycle = [last]
+    while (v := parent[cycle[-1]]) != last:
+        cycle.append(v)
+    return dist, tuple(cycle)
 
 
 def critical_edges(n: int, normalized_edges, vec) -> set[tuple[int, int]]:

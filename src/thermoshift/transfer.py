@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._edgegraph import edge_weights, graph_order
-from ._perron import EigenSolve, solve_stack
+from ._perron import EigenSolve, _solved, solve_stack
 from .errors import CheckFailedError, ValidationError
 from .potentials import Potential, _require_over, combine, sup_norm
 from .sft import Block, Sft, block_graph, out_edge_starts, topological_entropy
@@ -475,22 +475,10 @@ def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
     g = np.add.reduce(weighted, axis=2)
     m = _dots(pi, g)
     system = np.eye(pi.shape[1]) - kernel + pi[:, None, :]
-    rhs = (g - m[:, None])[:, :, None]
-    singular = []
-    try:
-        h = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:  # some slice is singular: solve each alone
-        h = np.zeros_like(rhs)
-        for k, (a, b) in enumerate(zip(system, rhs)):
-            try:
-                h[k] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                singular.append(k)
+    # nan in a singular slice's h, which carries through to its variance
+    h = _solved(system, (g - m[:, None])[:, :, None])
     spread = _dots(pi, np.add.reduce(kernel * (f - m[:, None, None]) ** 2, axis=2))
-    variance = spread + _dots(2.0 * pi, np.matmul(weighted, h)[:, :, 0])
-    if singular:
-        variance[singular] = np.nan
-    return variance
+    return spread + _dots(2.0 * pi, np.matmul(weighted, h)[:, :, 0])
 
 
 @dataclass(frozen=True)

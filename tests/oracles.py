@@ -227,7 +227,7 @@ def max_cycle_mean_enumeration(n, edges):
 def karp_fractions(n, edges):
     """Karp's maximum-cycle-mean recurrence carried out in ``Fraction``s,
     with the witness cycle read off the parent chain of the maximizing
-    vertex: the reference for the package's integer recurrence."""
+    vertex: the reference for the package's exact maximum cycle mean."""
     edges = [(i, j, Fraction(w)) for i, j, w in edges]
     level = [{0: Fraction(0)}]
     parent = [{}]
@@ -263,28 +263,41 @@ def analyze_fractions(n, edges):
     """The max-plus analysis carried out in ``Fraction``s: Karp by
     ``karp_fractions``, then Bellman passes for the best path weight from
     every vertex into the first vertex of Karp's witness under
-    ``w - beta``, and the critical subgraph as the saturating edges inside
-    one networkx strongly connected component of the saturating subgraph.
-    Returns ``(beta, critical)``: the reference for the package's integer
-    passes, which run into vertex 0 instead."""
+    ``w - beta``, and the critical subgraph read off them by
+    ``saturated_critical``.  Returns ``(beta, critical)``: the reference
+    for the package's integer passes, which run into the first vertex of
+    their own cycle instead."""
     beta, witness = karp_fractions(n, edges)
     normalized = [(i, j, Fraction(w) - beta) for i, j, w in edges]
+    return beta, saturated_critical(normalized, longest_to_fractions(n, normalized, witness[0]))
+
+
+def longest_to_fractions(n, normalized, target):
+    """Best path weight from every vertex into ``target`` under the
+    ``Fraction`` weights ``normalized``, by Bellman passes up to the first
+    that changes nothing; None when n passes all change a value, as they
+    do only with a cycle of positive weight."""
     dist = [None] * n
-    dist[witness[0]] = Fraction(0)
-    for _ in range(n - 1):
+    dist[target] = Fraction(0)
+    for _ in range(n):
         changed = False
         for i, j, w in normalized:
             if dist[j] is not None and (dist[i] is None or w + dist[j] > dist[i]):
                 dist[i] = w + dist[j]
                 changed = True
         if not changed:
-            break
+            return dist
+    return None
+
+
+def saturated_critical(normalized, dist):
+    """The edges that saturate ``dist_i = w_ij + dist_j`` and lie inside
+    one networkx strongly connected component of the saturating edges."""
     saturated = [(i, j) for i, j, w in normalized if dist[i] == w + dist[j]]
     component = {}
     for label, vertices in enumerate(nx.strongly_connected_components(nx.DiGraph(saturated))):
         component.update(dict.fromkeys(vertices, label))
-    critical = frozenset((i, j) for i, j in saturated if component[i] == component[j])
-    return beta, critical
+    return frozenset((i, j) for i, j in saturated if component[i] == component[j])
 
 
 def has_one_simple_cycle(edge_pairs):

@@ -12,10 +12,13 @@ memory with at most 600 block states (32 to 610 states in all), each
 with N(0, 1) values and with values tied in {-0.5, 0, 0.25}.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import thermoshift as ts
+from thermoshift import maxplus
 from thermoshift._edgegraph import edge_weights, graph_order, maxplus_data
 from thermoshift.sft import block_graph
 from thermoshift._perron import _maxplus_frame
@@ -59,6 +62,29 @@ def test_float_frame_beta_matches_exact_maxplus_beta():
             frame_beta = _maxplus_frame(len(states), src, dst, w[None])[0][0]
             exact = float(maxplus_data(phi_t, order).beta)
             assert abs(frame_beta - exact) <= 1e-13 * np.abs(w).max(), (trial, t)
+
+
+def test_exact_analysis_matches_karp_oracle_on_the_corpus():
+    # The exact rounds from the float frame's cycle end at Karp's answer,
+    # also where rounded or tied values make cycle means tie exactly.
+    rng = np.random.default_rng(2026)
+    for trial, sft, phi in corpus():
+        order = graph_order(phi.memory)
+        states, src, dst = block_graph(sft, order)
+        blocks = list(phi.values)
+        draws = (
+            list(phi.values.values()),
+            np.round(2.0 * rng.normal(size=len(blocks))).tolist(),
+            rng.choice([-0.5, 0.0, 0.25], size=len(blocks)).tolist(),
+        )
+        for draw, values in enumerate(draws):
+            w = edge_weights(ts.Potential(sft, phi.memory, dict(zip(blocks, values))), order)
+            for t in (1.0, 10.0, 1e4):
+                edges = list(zip(src.tolist(), dst.tolist(), (t * w).tolist()))
+                data = maxplus.analyze(len(states), edges)
+                beta, critical = oracles.analyze_fractions(len(states), edges)
+                assert (data.beta, data.critical) == (beta, critical), (trial, draw, t)
+                assert data.witness == maxplus.canonical_witness(critical), (trial, draw, t)
 
 
 CAP_TEMPERATURES = (0.0, 1.0, 10.0, 1e4)
@@ -112,3 +138,34 @@ def test_near_cap_corpus_certifies(seed, label, sft, memory, draw):
     frame_beta = _maxplus_frame(len(states), src, dst, scales[:, None] * w)[0]
     for t, beta in zip(scales.tolist(), frame_beta.tolist()):
         assert abs(beta - t * exact) <= 1e-13 * t * np.abs(w).max(), t
+
+
+@pytest.mark.parametrize("sft, memory", [(ts.full_shift(2), 12), (ts.golden_mean_shift(), 16)],
+                         ids=["full2-m12", "golden-m16"])
+@pytest.mark.parametrize("draw", ["normal", "tied"])
+def test_exact_analysis_at_the_cap_is_certified_in_fractions(sft, memory, draw):
+    # The certificate, checked without Karp: the witness attains beta, a
+    # Bellman pass under w - beta reaches a fixed point (no cycle has a
+    # larger mean), and the critical set is its saturated edges on
+    # saturated cycles.
+    rng = np.random.default_rng(memory)
+    blocks = ts.admissible_blocks(sft, memory)
+    if draw == "normal":
+        values = rng.normal(size=len(blocks))
+    else:
+        values = rng.choice([-0.5, 0.0, 0.25], size=len(blocks))
+    phi = ts.Potential(sft, memory, dict(zip(blocks, values.tolist())))
+    order = graph_order(memory)
+    states, src, dst = block_graph(sft, order)
+    edges = list(zip(src.tolist(), dst.tolist(), edge_weights(phi, order).tolist()))
+    n = len(states)
+    assert n in (1597, 2048)
+    data = maxplus.analyze(n, edges)
+    weight_of = {(i, j): Fraction(w) for i, j, w in edges}
+    cycle = data.witness
+    assert sum(weight_of[e] for e in zip(cycle, cycle[1:] + cycle[:1])) == data.beta * len(cycle)
+    normalized = [(i, j, w - data.beta) for (i, j), w in weight_of.items()]
+    dist = oracles.longest_to_fractions(n, normalized, cycle[0])
+    assert dist is not None
+    assert all(w + dist[j] <= dist[i] for i, j, w in normalized)
+    assert oracles.saturated_critical(normalized, dist) == data.critical

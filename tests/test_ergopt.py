@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import ergopt, maxplus, transfer
+from thermoshift import _perron, ergopt, maxplus, transfer
 from thermoshift.errors import ValidationError
 
 import oracles
@@ -137,9 +137,60 @@ def test_integer_analysis_matches_fraction_reference(rng):
         assert data.witness == maxplus.canonical_witness(critical)
 
 
+def zero_frame(n, src, dst, w, with_left=True):
+    """A frame that ties every edge, so the proposal is the walk of
+    smallest successors from vertex 0, whatever the weights."""
+    return np.zeros(len(w)), np.zeros((len(w), n)), np.zeros(w.shape), None
+
+
+def overflowed_frame(n, src, dst, w, with_left=True):
+    """The frame of weights whose walk sums overflow: nan throughout."""
+    return np.full(len(w), np.nan), np.full((len(w), n), np.nan), np.full(w.shape, np.nan), None
+
+
+def reversed_frame(n, src, dst, w, with_left=True):
+    """The frame of the negated weights, which proposes a cycle of
+    smallest mean."""
+    return _perron._maxplus_frame(n, src, dst, -w, with_left)
+
+
+@pytest.mark.parametrize("frame", [zero_frame, overflowed_frame, reversed_frame])
+def test_a_poor_proposal_is_corrected_by_exact_rounds(rng, monkeypatch, frame):
+    monkeypatch.setattr(maxplus, "_maxplus_frame", frame)
+    rounds = []
+    bellman = maxplus.bellman_longest_to
+
+    def counting(*args):
+        rounds.append(args)
+        return bellman(*args)
+
+    monkeypatch.setattr(maxplus, "bellman_longest_to", counting)
+    graphs = []
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        graphs.append((n, random_strongly_connected_graph(rng, n)))
+        graphs.append((n, random_strongly_connected_graph(rng, n, EXTREME_PALETTE)))
+        graphs.append((n, random_strongly_connected_graph(rng, n, (-0.5, 0.0, 0.25))))
+    for _ in range(3):
+        n = int(rng.integers(30, 65))
+        graphs.append((n, random_strongly_connected_graph(rng, n)))
+    corrected = 0
+    for n, edges in graphs:
+        rounds.clear()
+        data = maxplus.analyze(n, edges)
+        beta, critical = oracles.analyze_fractions(n, edges)
+        assert (data.beta, data.critical) == (beta, critical)
+        assert data.witness == maxplus.canonical_witness(critical)
+        corrected += len(rounds) > 1
+    assert corrected >= len(graphs) // 4, corrected
+
+
 def test_bellman_rejects_a_positive_cycle():
-    with pytest.raises(AssertionError, match="positive cycle"):
-        maxplus.bellman_longest_to(2, [(0, 1, 1), (1, 0, 1)], 0)
+    # no fixed point: the n-th pass still changes a value, and the parent
+    # pointers close the positive cycle, listed along its edges
+    assert maxplus.bellman_longest_to(2, [(0, 1, 1), (1, 0, 1)], 0)[1] == (1, 0)
+    edges = [(0, 1, 0), (1, 2, 1), (2, 1, 1), (2, 0, -5)]  # the loop 1 <-> 2 is positive
+    assert maxplus.bellman_longest_to(3, edges, 0)[1] == (1, 2)
 
 
 @pytest.mark.parametrize(
