@@ -7,6 +7,8 @@ conjugated by a float max-plus eigenvector of its log-weights first
 (tropical diagonal scaling, `_maxplus_frame`), so every row of the
 matrix peaks near 0 and the iterates stay in the normal float range at
 any temperature; an iterate that leaves it raises ``ConvergenceError``.
+A row whose frame is not finite, as where the walk sums of weights
+near the float limit overflow, is refused with ``ValidationError``.
 A stack of all-zero weights has the zero frame, so it runs no Karp
 levels and no Bellman pass.
 Both Perron sides of every row then go through one `perron_stack`; a
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ValidationError
 
 TOL = 1e-13
 _BUDGET = 2000  # steps per slice, plain and Noda together
@@ -83,8 +85,10 @@ class EigenSolve:
 def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenSolve:
     """Log Perron values and vectors of the rows of edge weights ``w``
     (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
-    ``n`` vertices.  Raises the ``ConvergenceError`` of the first row that
-    fails, its right side's before its left side's.
+    ``n`` vertices.  Raises the error of the first row that fails: a
+    ``ValidationError`` where its max-plus frame is not finite, as where
+    its walk sums pass the float range, else its ``ConvergenceError``,
+    its right side's before its left side's.
 
     With ``left=False`` neither the left Bellman pass nor the left Perron
     slices run, for callers that read only ``value``: every field but
@@ -94,7 +98,19 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     sides = 2 if left else 1
     # Conjugating the transposed frame again, by its left eigenvector,
     # keeps pi frame-sized.
-    beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
+    finite = np.isfinite(frame_w).all(axis=1)
+    if left:
+        finite &= np.isfinite(left_frame).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
+        if k:  # the rows before it may fail first
+            solve_stack(n, src, dst, w[:k], left=left)
+        raise ValidationError(
+            "edge weights whose max-plus frame is not finite: their walk sums "
+            "pass the float range"
+        )
     frames = np.zeros((sides * size, n, n))
     frames[0::sides, src, dst] = np.exp(frame_w)
     if left:

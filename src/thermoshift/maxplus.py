@@ -88,11 +88,15 @@ def _proposed_cycle(n: int, edges) -> tuple[int, ...]:
     """A cycle of the float max-plus frame (`_perron._maxplus_frame`) of
     the weights: the walk of `canonical_witness` over the edges that
     attain the largest conjugated weight out of their source, and those
-    whose conjugated weight is nan, as where the frame's walk sums
-    overflow, so that the walk never stalls.  Rounding may make the cycle
-    a poor one, never a wrong result."""
+    whose conjugated weight is nan, so that the walk never stalls.  The
+    frame runs on the weights scaled by the power of two that brings the
+    largest below 1 in magnitude, exact but for underflow, so that no
+    walk sum overflows.  Rounding may make the cycle a poor one, never a
+    wrong result."""
     src, dst, w = (np.array(column) for column in zip(*edges))
-    frame_w = _maxplus_frame(n, src, dst, w.astype(float)[None], with_left=False)[2][0]
+    w = w.astype(float)
+    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+    frame_w = _maxplus_frame(n, src, dst, w[None], with_left=False)[2][0]
     top = np.full(n, -np.inf)
     np.fmax.at(top, src, frame_w)  # skips nan, without a warning
     best = ~(frame_w < top[src])

@@ -18,10 +18,8 @@ the edge entries alone (p log p on the positive entries), and the
 results are scattered into zero-filled tables; every row sum is still
 taken over the dense row, so numpy's pairwise summation groups the same
 terms as over a table padded with ``-inf`` before ``exp``, bit for bit.
-The kernel rows and the stationary vectors are normalized by the same
-log-sum-exp with the maximal terms split off, written out in
-`_equilibria`: on the edges for the kernels, and on the whole rows for
-the stationary vectors, which have no padding.
+Each kernel row and each stationary vector is one ``exp`` of its log
+row less the row's maximum, divided by its sum (`_equilibria`).
 
 Solves run on stacks: rows of edge weights on one graph, such as
 ``psi + t * phi`` for a whole grid of ``t``, go through one
@@ -31,18 +29,16 @@ bit for bit: every dot product and matrix product is still taken per
 slice, and every iteration stops on its slice's own counts.  So a
 sample of a sweep equals ``paths.sample_at`` at its point.  A grid is
 solved in chunks whose largest stacked table holds at most
-``_STACK_ENTRIES`` entries, and at least one sample.  The stationary
-polish runs row by row, each row on its own count of steps; a row
-whose iterates start to cycle stops at the first repeat, as no later
-step could find a better one.  Every measure is validated once:
-`MarkovMeasure` on construction, a grid's by `_validate_measures` on
-the whole chunk.
+``_STACK_ENTRIES`` entries, and at least one sample.  Every measure is
+validated once: `MarkovMeasure` on construction, a grid's by
+`_validate_measures` on the whole chunk.
 
 Each stage of a stacked solve raises the error of its first failing
-slice: the eigensolve its ``ConvergenceError``, the measure validation
-its ``ValidationError``.  A chunk is solved to the end before it is
-validated, so a later point's eigensolve failure is raised before an
-earlier point's validation failure.
+slice: the eigensolve its ``ConvergenceError`` (or the
+``ValidationError`` of a max-plus frame that is not finite), the
+measure validation its ``ValidationError``.  A chunk is solved to the
+end before it is validated, so a later point's eigensolve failure is
+raised before an earlier point's validation failure.
 """
 
 from __future__ import annotations
@@ -240,36 +236,19 @@ def _equilibria(sft: Sft, order: int, solve: EigenSolve):
     _, src, dst = block_graph(sft, order)
     u = solve.frame_right
     size, n = u.shape
-    # Each row of the log kernel is normalized by its log-sum-exp with the
-    # maximal terms split off (Blanchard, Higham and Higham 2021), the
-    # operations of ``scipy.special.logsumexp`` in the same order, with
-    # every exp and log taken on the edges and every sum over the dense
-    # row, as numpy groups its terms by position: a -inf padding would
-    # only add exp(-inf) = 0 there.  Each row has an edge and every log
-    # weight is finite, so each row's maximum is finite and is its shift.
+    # Each row has an edge and every log weight is finite, so each row's
+    # maximum is finite: its exp on the edges peaks at 1 and cannot
+    # overflow, and its sum over the dense row is at least 1.
     ln_kernel = solve.frame_w + u[:, dst] - u[:, src]
-    starts = out_edge_starts(sft, order)
-    row_max = np.maximum.reduceat(ln_kernel, starts, axis=1)
-    shift = row_max[:, src]
-    top = ln_kernel == shift
-    m = np.add.reduceat(top, starts, axis=1, dtype=float)
+    row_max = np.maximum.reduceat(ln_kernel, out_edge_starts(sft, order), axis=1)
     kernel = np.zeros((size, n, n))
-    kernel[:, src, dst] = np.exp(np.where(top, -np.inf, ln_kernel) - shift)
-    rest = np.add.reduce(kernel, axis=2)
-    ln_kernel -= (np.log1p(rest / m) + np.log(m) + row_max)[:, src]
-    kernel[:, src, dst] = np.exp(ln_kernel)
+    kernel[:, src, dst] = np.exp(ln_kernel - row_max[:, src])
     kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
-
-    # The same operations over each row of the log stationary vector,
-    # which is dense and finite.
+    # the same for each row of the log stationary vector, dense and finite
     ln_pi = solve.frame_left + solve.frame_right
-    row_max = np.maximum.reduce(ln_pi, axis=1, keepdims=True)
-    top = ln_pi == row_max
-    m = np.add.reduce(top, axis=1, keepdims=True, dtype=float)
-    rest = np.add.reduce(np.exp(np.where(top, -np.inf, ln_pi) - row_max), axis=1, keepdims=True)
-    pi = np.exp(ln_pi - (np.log1p(rest / m) + np.log(m) + row_max))
+    pi = np.exp(ln_pi - np.maximum.reduce(ln_pi, axis=1, keepdims=True))
     pi /= np.add.reduce(pi, axis=1)[:, None]
-    return _polish_stationary(pi, kernel), kernel
+    return pi, kernel
 
 
 def _equilibrium(sft: Sft, order: int, solve: EigenSolve) -> MarkovMeasure:
@@ -359,40 +338,6 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _
         if k < len(w):
             raise ValidationError(f"psi + t * phi has a non-finite value at t = {ts[start + k]}")
     return out
-
-
-def _polish_stationary(pi: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Kernel-power refinement of each row of a stack of stationary
-    vectors, one row at a time."""
-    # Drift may oscillate when the subdominant eigenvalue is complex, so
-    # keep the best iterate seen; a row stops at drift 1e-16, after 25
-    # steps without a better one, or at the first iterate that repeats,
-    # byte for byte, one seen since the last better one: the steps are a
-    # fixed map, so from there they only cycle through drifts that were
-    # no better, and the 25-step rule would return the same best.  The
-    # product that measures an iterate's drift is also the next iterate
-    # before normalization.  A row is kept as a 1 x n matrix, so every
-    # product is a vector-matrix one.
-    polished = np.empty_like(pi)
-    for row, (x, p) in enumerate(zip(pi[:, None, :], kernel)):
-        product = np.matmul(x, p)
-        best, best_drift = x, np.maximum.reduce(np.abs(product - x), axis=None)
-        step = last = 0
-        seen = set()
-        while best_drift > 1e-16 and step < last + 25 and step < 100_000:
-            step += 1
-            x = product / np.add.reduce(product, axis=1, keepdims=True)
-            key = x.tobytes()
-            if key in seen:
-                break
-            seen.add(key)
-            product = np.matmul(x, p)
-            drift = np.maximum.reduce(np.abs(product - x), axis=None)
-            if drift < best_drift:
-                best, best_drift, last = x, drift, step
-                seen.clear()
-        polished[row] = best[0]
-    return polished
 
 
 def lift_markov_measure(mu: MarkovMeasure, order: int) -> MarkovMeasure:

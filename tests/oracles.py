@@ -15,7 +15,6 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 
 # --- combinatorics -----------------------------------------------------------
@@ -157,7 +156,7 @@ def dense_gibbs(transitions, memory, values, t=1.0):
 # --- dense tables ------------------------------------------------------------
 #
 # The measure assembly as it ran on whole n x n tables: log tables padded
-# with -inf off the edges, exp, log and logsumexp over every entry.  The
+# with -inf off the edges, exp and log over every entry.  The
 # package takes exp and log on the edges alone and keeps the dense sums;
 # these are the references it must equal bit for bit.
 
@@ -176,23 +175,20 @@ def dense_perron_tables(n, src, dst, frame_w, left_frame=None):
 
 def dense_kernels(n, src, dst, frame_w, frame_right):
     """Equilibrium kernels ``P_ij = e^{w_ij} r_j / (lambda r_i)`` of a stack
-    of frame solves, normalized by a dense scipy ``logsumexp`` of each row
-    of the -inf padded log kernel, then exponentiated whole and divided by
-    the row sums."""
+    of frame solves: each row of the -inf padded log kernel less its
+    maximum, exponentiated whole and divided by its sum."""
     u = frame_right
     ln_kernel = np.full((len(u), n, n), -np.inf)
     ln_kernel[:, src, dst] = frame_w + u[:, dst] - u[:, src]
-    ln_kernel -= logsumexp(ln_kernel, axis=2)[:, :, None]
-    kernel = np.exp(ln_kernel)
-    kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
-    return kernel
+    kernel = np.exp(ln_kernel - ln_kernel.max(axis=2, keepdims=True))
+    return kernel / np.add.reduce(kernel, axis=2)[:, :, None]
 
 
 def dense_stationary(ln_pi):
     """Stationary vectors of a stack of frame solves from their log rows
-    ``ln_pi`` (T, n): normalized by a scipy ``logsumexp`` of each row,
-    exponentiated and divided by the row sums."""
-    pi = np.exp(ln_pi - logsumexp(ln_pi, axis=1)[:, None])
+    ``ln_pi`` (T, n): each row less its maximum, exponentiated and
+    divided by its sum."""
+    pi = np.exp(ln_pi - ln_pi.max(axis=1, keepdims=True))
     return pi / np.add.reduce(pi, axis=1)[:, None]
 
 
@@ -359,28 +355,3 @@ def random_stochastic_kernel(rng, transitions, order):
                 kernel[i, index[b[1:] + (s,)]] = rng.uniform(0.1, 1.0)
     kernel /= kernel.sum(axis=1, keepdims=True)
     return states, kernel, stationary_from_kernel(kernel)
-
-
-# --- reference loops ---------------------------------------------------------
-
-def polish_stationary_25_stale(pi, kernel):
-    """Kernel-power refinement of each row of a stack of stationary
-    vectors by the plain stop rule: keep the iterate of least drift
-    ``max|x P - x|`` seen, and stop a row at drift 1e-16 or after 25
-    steps without a better one.  The same operations in the same order as
-    ``transfer._polish_stationary``, without its stop at a repeated
-    iterate."""
-    polished = np.empty_like(pi)
-    for row, (x, p) in enumerate(zip(pi[:, None, :], kernel)):
-        product = np.matmul(x, p)
-        best, best_drift = x, np.maximum.reduce(np.abs(product - x), axis=None)
-        step = last = 0
-        while best_drift > 1e-16 and step < last + 25 and step < 100_000:
-            step += 1
-            x = product / np.add.reduce(product, axis=1, keepdims=True)
-            product = np.matmul(x, p)
-            drift = np.maximum.reduce(np.abs(product - x), axis=None)
-            if drift < best_drift:
-                best, best_drift, last = x, drift, step
-        polished[row] = best[0]
-    return polished

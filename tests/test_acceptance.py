@@ -108,7 +108,7 @@ def test_criterion_5_karp_oracle():
         states, _, edges = oracles.dense_edge_table(m, 2, phi.values)
         oracle = oracles.max_cycle_mean_enumeration(len(states), edges)
         assert beta == float(oracle)
-    report(5, "Karp equals exhaustive cycle enumeration exactly on 50 graphs")
+    report(5, "max_ergodic_average equals exhaustive cycle enumeration exactly on 50 graphs")
 
 
 def test_criterion_6_intermediate_entropy():

@@ -9,7 +9,8 @@ import pytest
 import thermoshift as ts
 from thermoshift import transfer
 from thermoshift.cli import CSV_HEADER, main
-from thermoshift.errors import CheckFailedError
+from thermoshift.config import config_from_dict
+from thermoshift.errors import CheckFailedError, ConvergenceError, ValidationError
 
 GOLDEN_CONFIG = {
     "alphabet": 2,
@@ -123,6 +124,59 @@ def test_malformed_config_is_a_configuration_error(tmp_path, change, message):
     assert proc.returncode == 3
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def with_potential(entry):
+    return {**GOLDEN_CONFIG, "potentials": {"p": entry}}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([GOLDEN_CONFIG], "config root must be an object"),
+        ({"alphabet": 2}, "config: missing key(s) ['transitions']"),
+        ({**GOLDEN_CONFIG, "alphabet": 0}, "alphabet: must be a positive integer"),
+        ({**GOLDEN_CONFIG, "alphabet": True}, "alphabet: must be a positive integer"),
+        (with_potential(3), "potentials.p: must be an object"),
+        (with_potential({"values": {}}), "potentials.p: missing key(s) ['memory']"),
+        (with_potential({"memory": 0, "values": {}}),
+         "potentials.p.memory: must be a positive integer"),
+        (with_potential({"memory": 1, "values": {"x": 0.0}}),
+         "potentials.p.values: block key 'x' is not a symbol string"),
+        (with_potential({"memory": 1, "values": {"": 0.0}}),
+         "potentials.p.values: empty block key"),
+        (with_potential({"memory": 1, "values": {"2": 0.0}}),
+         "potentials.p.values: block '2' uses symbols outside the alphabet"),
+        (with_potential({"memory": 2, "values": {"0": 0.0}}),
+         "potentials.p.values: block '0' has length 1, expected memory 2"),
+        (with_potential({"memory": 1, "values": {"0": "1.0"}}),
+         "potentials.p.values: value for '0' is not a number"),
+        (with_potential({"memory": 1, "values": {"0": False}}),
+         "potentials.p.values: value for '0' is not a number"),
+    ],
+    ids=["root-list", "missing-transitions", "alphabet-zero", "alphabet-bool",
+         "entry-number", "missing-memory", "memory-zero", "key-not-symbols",
+         "key-empty", "key-outside-alphabet", "key-wrong-length", "value-string",
+         "value-bool"],
+)
+def test_config_from_dict_refuses_with_the_cause(raw, message):
+    with pytest.raises(ValidationError) as refused:
+        config_from_dict(raw)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("error, stderr", [
+    (ConvergenceError("stalled"), "convergence failure: stalled\n"),
+    (CheckFailedError("gap too wide"), "consistency check failed: gap too wide\n"),
+])
+def test_convergence_and_check_failures_exit_5(monkeypatch, capsys, error, stderr):
+    def failing(sft, phi):
+        raise error
+
+    monkeypatch.setattr(transfer, "pressure", failing)
+    config = str(pathlib.Path(__file__).parent / "data" / "golden.json")
+    assert main(["pressure", config, "--phi", "phi"]) == 5
+    assert capsys.readouterr() == ("", stderr)
 
 
 @pytest.mark.parametrize(

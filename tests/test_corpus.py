@@ -26,6 +26,14 @@ from thermoshift._perron import _maxplus_frame
 import oracles
 
 TEMPERATURES = (0.0, 1.0, 10.0, 100.0, 1000.0, 1e4)
+# Ten times tighter than the invariance bound of `MarkovMeasure`: the
+# stationary vector is l * r, normalized, and no iteration refines it.
+DRIFT = 1e-13
+
+
+def drift(mu):
+    """``max |pi P - pi|`` of a Markov measure."""
+    return float(np.abs(mu.stationary @ mu.kernel - mu.stationary).max())
 
 
 def corpus():
@@ -48,6 +56,7 @@ def test_stress_corpus_certifies_and_satisfies_variational_identity():
             assert result.residual <= 1e-12, (trial, t, result.residual)
             gap = abs(result.value - (mu.entropy + ts.integrate(mu, phi_t)))
             assert gap <= 1e-9, (trial, t, gap)
+            assert drift(mu) <= DRIFT, (trial, t, drift(mu))
 
 
 def test_float_frame_beta_matches_exact_maxplus_beta():
@@ -127,6 +136,7 @@ def test_near_cap_corpus_certifies(seed, label, sft, memory, draw):
         assert result.residual <= 1e-12, (t, result.residual)
         gap = abs(result.value - (mu.entropy + ts.integrate(mu, phi_t)))
         assert gap <= 1e-9, (t, gap)
+        assert drift(mu) <= DRIFT, (t, drift(mu))
     # The frame's float Karp against one exact analysis: the beta of
     # t * phi is t times that of phi, and rounding t * w moves it by far
     # less than the tolerance.

@@ -296,7 +296,9 @@ def recording_environment_differs():
 def test_stdout_matches_pinned_bytes(case, capsys, monkeypatch):
     # data/bytes holds the stdout of each recorded command, taken before
     # ray probes moved onto cached edge weights; pins 01, 02 and 04 to 07
-    # were taken again when slow Perron slices moved to Noda's iteration.
+    # were taken again when slow Perron slices moved to Noda's iteration,
+    # and pins 02, 04 to 07 and 10 when the equilibrium's stationary
+    # vector lost its kernel-power polish.
     reason = recording_environment_differs()
     if reason:
         pytest.skip(reason)

@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import thermoshift as ts
 from thermoshift import _perron, transfer
+from thermoshift._edgegraph import edge_weights
 
 import oracles
 
@@ -62,6 +64,71 @@ def test_moderate_temperature_slices_certify_in_few_steps(monkeypatch, k, memory
     _, W = oracles.dense_weighted_matrix(np.ones((k, k), dtype=int), memory, combined)
     lam, _, _ = oracles.perron_pair(W)
     assert abs(sample.pressure - math.log(lam)) <= 1e-12
+
+
+def test_noda_batches_equal_one_batch_bit_for_bit(monkeypatch):
+    # The full_shift(3) memory-2 potential above at t = 7, 8 and 9: all six
+    # slices switch to Noda's phase together, and solved one slice per
+    # batch they certify as in one batch, bit for bit.
+    sft = ts.full_shift(3)
+    rng = np.random.default_rng(3002)
+    blocks = ts.admissible_blocks(sft, 2)
+    phi = ts.Potential(sft, 2, dict(zip(blocks, rng.normal(size=len(blocks)).tolist())))
+    states, src, dst = ts.sft.block_graph(sft, 1)
+    w = np.array([7.0, 8.0, 9.0])[:, None] * edge_weights(phi, 1)
+    whole = _perron.solve_stack(len(states), src, dst, w)
+    assert whole.noda.all()
+    batches = []
+    noda_steps = _perron._noda_steps
+
+    def recorded(stack, rows, x, ratio):
+        batches.append(rows.size)
+        return noda_steps(stack, rows, x, ratio)
+
+    monkeypatch.setattr(_perron, "_noda_steps", recorded)
+    monkeypatch.setattr(_perron, "_NODA_FLOATS", len(states) ** 2)
+    split = _perron.solve_stack(len(states), src, dst, w)
+    assert max(batches) == 6 and 1 in batches
+    for name in ("value", "frame_right", "frame_left", "residuals", "iterations", "noda"):
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_weights_near_the_float_limit():
+    # Karp's walk sums of 1e307 * U(-1, 1) on 32 states pass the float
+    # range: the exact analysis proposes its cycle on the weights scaled by
+    # a power of two, and the eigensolve refuses the frame it cannot form,
+    # with no warning on either route.
+    full2 = ts.full_shift(2)
+    blocks = ts.admissible_blocks(full2, 6)
+    rng = np.random.default_rng(1)
+    values = 1e307 * rng.uniform(-1.0, 1.0, size=len(blocks))
+    phi = ts.Potential(full2, 6, dict(zip(blocks, values.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(ts.max_ergodic_average(full2, phi).beta) == 5.424063711574001e306
+        with pytest.raises(ts.errors.ValidationError, match="max-plus frame is not finite"):
+            ts.pressure(full2, phi)
+
+
+def test_a_frame_refused_in_a_stack_is_the_error_of_its_row(monkeypatch):
+    # A row whose frame overflows is refused after the rows before it are
+    # solved, so an earlier row's Perron failure is raised first.
+    states, src, dst = ts.sft.block_graph(ts.full_shift(2), 5)
+    rng = np.random.default_rng(1)
+    huge = 1e307 * rng.uniform(-1.0, 1.0, size=len(src))
+    fine = rng.normal(size=len(src))
+    n = len(states)
+    with pytest.raises(ts.errors.ValidationError, match="max-plus frame is not finite"):
+        _perron.solve_stack(n, src, dst, np.array([fine, huge, fine]))
+
+    def failing(frames):
+        raise ts.errors.ConvergenceError("the first row fails")
+
+    monkeypatch.setattr(_perron, "perron_stack", failing)
+    with pytest.raises(ts.errors.ConvergenceError, match="the first row fails"):
+        _perron.solve_stack(n, src, dst, np.array([fine, huge]))
+    with pytest.raises(ts.errors.ValidationError, match="max-plus frame is not finite"):
+        _perron.solve_stack(n, src, dst, np.array([huge, fine]))
 
 
 def ray(sft, phi, t):

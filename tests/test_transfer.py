@@ -388,76 +388,6 @@ def test_lipschitz_rejects_mismatched(full2, golden):
         ts.lipschitz_check(full2, ts.zero_potential(full2), ts.zero_potential(golden))
 
 
-# --- stationary polish ---------------------------------------------------------
-
-
-class CountingKernel(np.ndarray):
-    """A kernel stack that counts the matrix products taken with it."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountingKernel.products += 1
-        inputs = [i.view(np.ndarray) if isinstance(i, CountingKernel) else i for i in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def assert_polish_matches_reference(pi, kernel):
-    got = transfer._polish_stationary(pi, kernel)
-    assert got.tobytes() == oracles.polish_stationary_25_stale(pi, kernel).tobytes()
-
-
-def test_polish_stops_at_a_repeated_iterate_of_a_periodic_kernel():
-    # On a ground 3-cycle the kernel is a permutation: the steps only
-    # rotate the start vector, so its iterates repeat after 3 steps, where
-    # the 25-stale-step rule takes 25.  The start carries the 1e-14
-    # relative error of a low-temperature Perron solve.
-    cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    for error in (1.1e-14, 2.2e-14, 1e-13, 1e-6, 0.1):
-        pi = np.array([[1 / 3 + error, 1 / 3 - error, 1 / 3]])
-        CountingKernel.products = 0
-        polished = transfer._polish_stationary(pi, cycle[None].view(CountingKernel))
-        assert polished.tobytes() == oracles.polish_stationary_25_stale(pi, cycle[None]).tobytes()
-        # Wider starts round their sums apart, so a cycle closes a few
-        # steps later, still before the 26 products of the 25-step rule.
-        assert CountingKernel.products <= (4 if error < 1e-13 else 25)
-
-
-def test_polish_matches_the_25_stale_step_rule_on_a_long_sweep(monkeypatch, golden):
-    stacks = []
-    polish = transfer._polish_stationary
-
-    def recorded(pi, kernel):
-        stacks.append((pi, kernel))
-        return polish(pi, kernel)
-
-    monkeypatch.setattr(transfer, "_polish_stationary", recorded)
-    zero, phi = ts.zero_potential(golden), ts.fixed_point_potential(golden, 0)
-    ts.sweep(golden, zero, phi, np.linspace(0, 30, 1001))
-    monkeypatch.undo()
-    assert sum(len(pi) for pi, _ in stacks) == 1001
-    for pi, kernel in stacks:
-        assert_polish_matches_reference(pi, kernel)
-
-
-def test_polish_matches_the_25_stale_step_rule_on_random_kernels():
-    # Widely spread weights mix slowly: rows go stale for up to 25 steps
-    # before a better iterate turns up.
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
-        order = int(rng.integers(1, 4))
-        words = oracles.admissible_words(m, order + 1)
-        values = dict(zip(words, (3.0 * rng.normal(size=len(words))).tolist()))
-        kernel = np.exp(oracles.dense_edge_table(m, order + 1, values, order)[1])
-        kernel /= kernel.sum(axis=1, keepdims=True)
-        pi = oracles.stationary_from_kernel(kernel)
-        starts = pi * (1 + rng.normal(size=(3, len(pi))) * [[0.0], [1e-14], [1e-9]])
-        starts /= starts.sum(axis=1, keepdims=True)
-        assert_polish_matches_reference(starts, np.repeat(kernel[None], 3, axis=0))
-
-
 # --- edge-only transcendentals -------------------------------------------------
 
 def dense_path_graphs():
@@ -479,24 +409,17 @@ def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
     # so p log p meets zeros on the edges.  Stacks of weights from
     # {0, -0.5, 0.25} at t in {1, 10} add tied stationary maxima.  The
     # Perron stack is compared as handed to perron_stack, the stationary
-    # vectors as handed to the polish, the kernels and entropies as
-    # returned.
+    # vectors, the kernels and the entropies as returned.
     rng = np.random.default_rng(31)
     tie_rng = np.random.default_rng(37)
     perron_stack = ts._perron.perron_stack
-    polish = transfer._polish_stationary
-    tables, stationary = [], []
+    tables = []
 
     def recorded(e):
         tables.append(e)
         return perron_stack(e)
 
-    def recorded_polish(pi, kernel):
-        stationary.append(pi.copy())
-        return polish(pi, kernel)
-
     monkeypatch.setattr(ts._perron, "perron_stack", recorded)
-    monkeypatch.setattr(transfer, "_polish_stationary", recorded_polish)
     underflow = all_tied = some_tied = 0
     for sft, order in dense_path_graphs():
         states, src, dst = ts.sft.block_graph(sft, order)
@@ -511,11 +434,9 @@ def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
             dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
             assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), (n, left)
         for solve in (solve, ts._perron.solve_stack(n, src, dst, tied)):
-            del stationary[:]
             pi, kernel = transfer._equilibria(sft, order, solve)
             ln_pi = solve.frame_left + solve.frame_right
-            assert len(stationary) == 1, n
-            assert stationary[0].tobytes() == oracles.dense_stationary(ln_pi).tobytes(), n
+            assert pi.tobytes() == oracles.dense_stationary(ln_pi).tobytes(), n
             assert kernel.tobytes() == oracles.dense_kernels(
                 n, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
             entropy = transfer._validate_measures(sft, order, pi, kernel)
