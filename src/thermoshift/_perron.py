@@ -7,10 +7,16 @@ conjugated by a float max-plus eigenvector of its log-weights first
 (tropical diagonal scaling, `_maxplus_frame`), so every row of the
 matrix peaks near 0 and the iterates stay in the normal float range at
 any temperature; an iterate that leaves it raises ``ConvergenceError``.
-A row whose frame is not finite, as where the walk sums of weights
-near the float limit overflow, is refused with ``ValidationError``.
-A stack of all-zero weights has the zero frame, so it runs no Karp
-levels and no Bellman pass.
+The frame's maximum cycle mean ``beta`` and right eigenvector come from
+Howard's policy iteration on a graph of at least ``_HOWARD_STATES``
+states where it certifies the row's critical class unique, and from
+Karp's recurrence and a Bellman pass elsewhere.  Before any ``exp`` a
+row is refused with ``ValidationError`` whose frame is not finite, as
+where the walk sums of weights near the float limit overflow, or lost
+its precision, as where rounding at that size leaves a conjugated weight
+outside the range of ``exp``.  A stack of all-zero weights has the zero
+frame, so it runs no policy iteration, no Karp levels and no Bellman
+pass.
 Both Perron sides of every row then go through one `perron_stack`; a
 caller that reads only the values asks for the right sides alone.
 
@@ -58,6 +64,17 @@ _STALL = 40
 _NOISE_FLOOR_ACCEPT = 1e-12
 _NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
 _SMALLEST_NORMAL = np.finfo(float).tiny
+_LOG_MAX = float(np.log(np.finfo(float).max))
+_LOG_SMALLEST_NORMAL = float(np.log(_SMALLEST_NORMAL))
+# From this many states `_maxplus_frame` tries Howard's policy iteration
+# before Karp's levels.  On the N(0, 1) frames of the benchmark's warm and
+# cold workloads Howard took 1.04-1.14 times Karp's time at 36 states,
+# 0.79-0.94 at 48-49, 0.59-0.79 at 64 and 0.53 at 144; a row that ends
+# uncertified (tied values) pays both, 1.4-1.6 times Karp's time at 49-64
+# states.  Below 64 every Tier-1 corpus graph keeps Karp's bits.
+_HOWARD_STATES = 64
+_HOWARD_STEPS = 64  # policy steps per row before it falls back to Karp
+_LOOKAHEAD = 8  # value-iteration sweeps that choose Howard's first policy
 
 
 @dataclass(frozen=True)
@@ -87,8 +104,10 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
     ``n`` vertices.  Raises the error of the first row that fails: a
     ``ValidationError`` where its max-plus frame is not finite, as where
-    its walk sums pass the float range, else its ``ConvergenceError``,
-    its right side's before its left side's.
+    its walk sums pass the float range, or where a conjugated weight
+    (right or left) passes ln of the float maximum or every edge out of
+    a vertex falls below ln of the smallest normal; else its
+    ``ConvergenceError``, its right side's before its left side's.
 
     With ``left=False`` neither the left Bellman pass nor the left Perron
     slices run, for callers that read only ``value``: every field but
@@ -100,21 +119,19 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     # keeps pi frame-sized.
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
-    finite = np.isfinite(frame_w).all(axis=1)
-    if left:
-        finite &= np.isfinite(left_frame).all(axis=1)
-    if not finite.all():
-        k = int(finite.argmin())
+        refused = _refused(n, src, frame_w)
+        if left:
+            left_w = frame_w + left_frame[:, src] - left_frame[:, dst]
+            refused = np.maximum(refused, _refused(n, dst, left_w))
+    if refused.any():
+        k = int(refused.nonzero()[0][0])
         if k:  # the rows before it may fail first
             solve_stack(n, src, dst, w[:k], left=left)
-        raise ValidationError(
-            "edge weights whose max-plus frame is not finite: their walk sums "
-            "pass the float range"
-        )
+        raise ValidationError(_REFUSALS[refused[k]])
     frames = np.zeros((sides * size, n, n))
     frames[0::sides, src, dst] = np.exp(frame_w)
     if left:
-        frames[1::2, dst, src] = np.exp(frame_w + left_frame[:, src] - left_frame[:, dst])
+        frames[1::2, dst, src] = np.exp(left_w)
     values, vectors, residuals, iterations, noda = perron_stack(frames)
     return EigenSolve(
         value=values[0::sides] + beta,
@@ -151,11 +168,18 @@ def _longest_walks(n, tail_at, head_at, weights, target_at):
 def _maxplus_frame(n, src, dst, w, with_left=True):
     """Float max-plus conditioning of each row of edge weights ``w`` (a
     stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
-    ``beta`` by Karp's recurrence (Karp 1978) over the edge arrays, in
-    O(n E); a right max-plus eigenvector ``right`` of ``w - beta``; the
-    conjugated weights ``frame_w``, whose rows peak at 0; and a left
-    max-plus eigenvector ``left`` of ``frame_w``, or None when not
-    ``with_left``.  Each comes back as an array over the rows.
+    ``beta``; a right max-plus eigenvector ``right`` of ``w - beta``, 0 at
+    a vertex of a critical cycle (the row's target); the conjugated
+    weights ``frame_w``, whose rows peak at 0; and a left max-plus
+    eigenvector ``left`` of ``frame_w``, 0 at the target, or None when
+    not ``with_left``.  Each comes back as an array over the rows.
+
+    On a graph of at least ``_HOWARD_STATES`` states each row first runs
+    Howard's policy iteration (`_howard`); a row it certifies takes
+    ``beta``, the target and ``right`` from there.  Every other row, and
+    every row of a smaller graph, takes ``beta`` and the target from
+    Karp's recurrence (`_karp`) and ``right`` from a Bellman pass.  The
+    left side is a Bellman pass on every row.
 
     A stack whose weights are all zero, such as a subshift's transitions,
     takes the closed form: every cycle mean is 0 and so is every longest
@@ -166,12 +190,65 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     if not w.any():
         left = np.zeros((size, n)) if with_left else None
         return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), left
+    if n < _HOWARD_STATES:
+        beta, target, right = _karp(n, src, dst, w)
+    else:
+        certified, beta, target, right = _howard(n, src, dst, w)
+        karp = ~certified
+        if karp.any():
+            beta[karp], target[karp], right[karp] = _karp(n, src, dst, w[karp])
+    src_at, dst_at = _flat(n, size, src), _flat(n, size, dst)
+    right = right.ravel()
+    frame_w = w.ravel() - np.repeat(beta, len(src)) + right[dst_at] - right[src_at]
+    left = None
+    if with_left:
+        target_at = np.arange(size) * n + target
+        left = _longest_walks(n, dst_at, src_at, frame_w, target_at).reshape(size, n)
+    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left
+
+
+_REFUSALS = (
+    None,
+    "edge weights whose max-plus frame lost its precision: a conjugated weight passes "
+    "ln of the float maximum, or every edge out of a vertex falls below ln of the "
+    "smallest normal, as where the weights are too large for the float spacing of "
+    "their walk sums",
+    "edge weights whose max-plus frame is not finite: their walk sums pass the float range",
+)
+
+
+def _refused(n, src, conj):
+    """Why each row of conjugated weights ``conj`` (on the edges out of
+    ``src``) cannot be exponentiated, as an index into ``_REFUSALS``: 2
+    where it is not finite, 1 where its ``exp`` would overflow or leave a
+    vertex with no out-edge in the normal range, else 0."""
+    peak, low = np.maximum.reduce(conj, axis=1), np.minimum.reduce(conj, axis=1)
+    lost = peak > _LOG_MAX
+    if not low.min() >= _LOG_SMALLEST_NORMAL:  # then look at each vertex
+        top = np.full(len(conj) * n, -np.inf)
+        np.fmax.at(top, _flat(n, len(conj), src), conj.ravel())  # skips nan, without a warning
+        lost |= np.minimum.reduce(top.reshape(len(conj), n), axis=1) < _LOG_SMALLEST_NORMAL
+    return np.where(np.isfinite(peak) & np.isfinite(low), lost, 2)
+
+
+def _flat(n, size, index):
+    """Vertex ``index`` for a stack of ``size`` rows laid out flat: row
+    ``s`` lives at entries ``s*n .. s*n + n - 1``."""
+    if size == 1:
+        return index
+    return ((np.arange(size) * n)[:, None] + index).ravel()
+
+
+def _karp(n, src, dst, w):
+    """The maximum cycle mean ``beta`` of each row of ``w`` by Karp's
+    recurrence (Karp 1978) over the edge arrays, in O(n E); a target, a
+    vertex of a cycle of that mean (the first repeated vertex on a best
+    n-edge walk into a vertex that attains it); and the best weight of a
+    walk from each vertex to the target under ``w - beta``."""
+    size = len(w)
     rows = np.arange(size)
-    # Row s of the stack lives at entries s*n .. s*n + n - 1 of flat arrays.
-    src_at, dst_at, flat_w = src, dst, w.ravel()
-    if size > 1:
-        offset = (rows * n)[:, None]
-        src_at, dst_at = (offset + src).ravel(), (offset + dst).ravel()
+    src_at, dst_at = _flat(n, size, src), _flat(n, size, dst)
+    flat_w = w.ravel()
     # level[k, s*n + v]: best weight of a k-edge walk from vertex 0 to v in row s
     level = np.full((n + 1, size * n), -np.inf)
     level[0, ::n] = 0.0
@@ -195,14 +272,117 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
         walking &= ~seen[rows, vertex]
         if not np.count_nonzero(walking):
             break
-    target_at = rows * n + vertex
     excess = flat_w - np.repeat(beta, len(src))
-    right = _longest_walks(n, src_at, dst_at, excess, target_at)
-    frame_w = excess + right[dst_at] - right[src_at]
-    left = None
-    if with_left:
-        left = _longest_walks(n, dst_at, src_at, frame_w, target_at).reshape(size, n)
-    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left
+    right = _longest_walks(n, src_at, dst_at, excess, rows * n + vertex)
+    return beta, vertex, right.reshape(size, n)
+
+
+def _howard(n, src, dst, w):
+    """Multichain policy iteration (Howard's algorithm for the maximum
+    cycle mean; Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat
+    1998) on each row of ``w``, as ``(certified, beta, target, bias)``
+    over the rows.
+
+    A policy picks one out-edge per vertex; the first is greedy after
+    ``_LOOKAHEAD`` value-iteration sweeps.  Each step evaluates the policy
+    by pointer doubling: the mean of each policy cycle, and the bias, the
+    policy walk's weight less those means up to the smallest vertex of
+    its cycle, where it is 0.  It then improves the mean reached from a
+    vertex where it can, else the bias, each to the best edge; a gain
+    must pass the row's tolerance, ``n * 2**-36`` times its largest
+    weight, so that rounding cannot cycle.  A row that the step leaves
+    unchanged is certified if every sum is finite, its policy has one
+    cycle and exactly ``n`` edges have slack ``w - beta + bias(dst) -
+    bias(src)`` at or above minus the tolerance: then the near-saturated
+    edges are the policy, its cycle is the one critical class, and every
+    other cycle holds an edge below minus the tolerance, so its mean is
+    below ``beta`` by about ``2**-36`` times the largest weight or more.
+    Tied classes, non-finite sums and ``_HOWARD_STEPS`` spent
+    leave the row uncertified, with nan in its other fields.  Every
+    figure of a row comes from that row alone, so a stacked row equals
+    its solve alone bit for bit.  Edges may come in any order."""
+    size = len(w)
+    certified = np.zeros(size, dtype=bool)
+    beta, target, bias = np.full(size, np.nan), np.zeros(size, dtype=np.intp), np.full((size, n), np.nan)
+    # Edges grouped by source, slot-major: slot k of vertex v holds its
+    # k-th out-edge, or past its last a loop of weight -inf.
+    degree = np.bincount(src, minlength=n)
+    width = int(degree.max())
+    slot = np.arange(width)[:, None]
+    real = slot < degree
+    edge = np.argsort(src, kind="stable")[np.where(real, np.cumsum(degree) - degree + slot, 0)]
+    head = np.where(real, dst[edge], np.arange(n))
+    rank = np.arange(width, 0, -1)[:, None]
+    depth = (n - 1).bit_length()  # 2**depth policy steps reach a cycle
+    scale = np.abs(w).max(axis=1)
+    live = np.flatnonzero(np.isfinite(scale))
+    ws, tol = np.where(real, w[live][:, edge], -np.inf), n * 2.0 ** -36 * scale[live, None]
+
+    walk = ws
+    for _ in range(_LOOKAHEAD):
+        walk = ws + np.maximum.reduce(walk, axis=1)[:, head]
+    policy = walk.argmax(axis=1)  # a nan slot where the sweeps overflow
+    rows = 0
+    for _ in range(_HOWARD_STEPS):
+        if not live.size:
+            break
+        if rows != live.size:
+            rows = live.size
+            at = head + (np.arange(rows) * n)[:, None, None]
+            cell = (np.arange(rows) * (width * n))[:, None] + np.arange(n)
+        chosen = (cell + policy * n).ravel()
+        values = _policy_values(at.ravel()[chosen], ws.ravel()[chosen], depth)
+        named, eta, gain = (a.reshape(rows, n) for a in values)
+        # improve the mean reached first, then the bias, over the edges
+        # into the best mean
+        eta_at = eta.ravel()[at]
+        best = np.maximum.reduce(eta_at, axis=1)
+        step = np.where(eta_at == best[:, None], ws - best[:, None] + gain.ravel()[at], -np.inf)
+        top = np.maximum.reduce(step, axis=1)
+        up = best > eta + tol
+        up = np.where(up.any(axis=1)[:, None], up, (best == eta) & (top > gain + tol))
+        # to the first slot that attains the best
+        policy = np.where(up, width - np.maximum.reduce((step == top[:, None]) * rank, axis=1), policy)
+        stay = ~up.any(axis=1)
+        if stay.any():
+            done = live[stay]
+            near = step[stay] - gain[stay][:, None] >= -tol[stay, :, None]
+            certified[done] = (
+                (np.add.reduce(named[stay], axis=1) == 1)
+                & (np.add.reduce(near.reshape(done.size, -1), axis=1) == n)
+                & np.isfinite(gain[stay]).all(axis=1))
+            beta[done], target[done], bias[done] = eta[stay, 0], named[stay].argmax(axis=1), gain[stay]
+            live, ws, tol, policy = live[~stay], ws[~stay], tol[~stay], policy[~stay]
+    return certified, beta, target, bias
+
+
+def _policy_values(succ, cost, depth):
+    """Policy evaluation by pointer doubling, over vertices laid out flat
+    whose policy edges lead to ``succ`` with weights ``cost``, each
+    reaching a cycle within ``2**depth`` steps: whether each vertex names
+    its cycle (is the smallest vertex on it), the mean of the cycle that
+    each vertex reaches, and the bias, the weight of the policy walk less
+    that mean per edge up to the named vertex, where it is 0."""
+    vertex = np.arange(len(succ))
+    low, jump = vertex, succ
+    for _ in range(depth):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    root = low[jump]
+    named = root == vertex
+    on = np.zeros(len(succ), dtype=bool)  # the vertices on cycles
+    on[jump] = True
+    total = np.bincount(root[on], cost[on], len(succ))
+    length = np.bincount(root[on], None, len(succ))
+    mean = np.zeros(len(succ))
+    mean[named] = total[named] / length[named]
+    eta = mean[root]
+    gain = np.where(named, 0.0, cost - eta)
+    jump = np.where(named, vertex, succ)
+    for _ in range(depth):
+        gain = gain + gain[jump]
+        jump = jump[jump]
+    return named, eta, gain
 
 
 def _left_normal_range(smallest, iterations) -> ConvergenceError:

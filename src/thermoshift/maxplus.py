@@ -7,12 +7,15 @@ every sum and comparison is a Python int operation, and
 `fractions.Fraction` appears only in the result.  The maximum cycle mean,
 the witness cycle and the critical subgraph are exact for any float edge
 weights, and depend only on the graph and its weights.  The eigensolve's
-float max-plus frame (`_perron._maxplus_frame`, Karp's recurrence in
-floats) proposes a cycle; exact Bellman passes under the weights minus
-its mean either reach a fixed point, which certifies the mean as the
-maximum and gives the critical subgraph, or close a cycle of positive
-weight in their parent pointers, which is the next proposal.  The
-witness is a fixed rule on the critical subgraph (`canonical_witness`).
+float max-plus frame (`_perron._maxplus_frame`: Howard's policy
+iteration in floats from ``_perron._HOWARD_STATES`` states where it
+certifies a unique critical class, Karp's recurrence in floats
+elsewhere) proposes a cycle; exact Bellman passes under the weights
+minus its mean either reach a fixed point, which certifies the mean as
+the maximum and gives the critical subgraph, or close a cycle of
+positive weight in their parent pointers, which is the next proposal.
+The witness is a fixed rule on the critical subgraph
+(`canonical_witness`).
 
 The graphs handled are strongly connected (they come from primitive
 subshifts), with at most one edge per ordered vertex pair.
@@ -88,11 +91,13 @@ def _proposed_cycle(n: int, edges) -> tuple[int, ...]:
     """A cycle of the float max-plus frame (`_perron._maxplus_frame`) of
     the weights: the walk of `canonical_witness` over the edges that
     attain the largest conjugated weight out of their source, and those
-    whose conjugated weight is nan, so that the walk never stalls.  The
-    frame runs on the weights scaled by the power of two that brings the
-    largest below 1 in magnitude, exact but for underflow, so that no
-    walk sum overflows.  Rounding may make the cycle a poor one, never a
-    wrong result."""
+    whose conjugated weight is nan, so that the walk never stalls.  Where
+    Howard's policy iteration certified the frame, those edges are its
+    final policy and the walk ends on its one cycle; elsewhere they are
+    the saturated edges of Karp's frame.  The frame runs on the weights
+    scaled by the power of two that brings the largest below 1 in
+    magnitude, exact but for underflow, so that no walk sum overflows.
+    Rounding may make the cycle a poor one, never a wrong result."""
     src, dst, w = (np.array(column) for column in zip(*edges))
     w = w.astype(float)
     w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])

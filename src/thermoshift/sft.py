@@ -81,6 +81,7 @@ class Sft:
             )
         m.flags.writeable = False
         object.__setattr__(self, "transitions", m)
+        object.__setattr__(self, "_block_lists", {})
         object.__setattr__(self, "_block_graphs", {})
         object.__setattr__(self, "_out_edge_starts", {})
 
@@ -160,10 +161,21 @@ def is_admissible_block(sft: Sft, word) -> bool:
 
 
 def admissible_blocks(sft: Sft, k: int) -> list[Block]:
-    """All admissible words of length ``k`` in lexicographic order; more
-    than ``MAX_BLOCKS`` of them raise ``ValidationError`` before listing."""
+    """All admissible words of length ``k`` in lexicographic order, as a
+    fresh list; more than ``MAX_BLOCKS`` of them raise ``ValidationError``
+    before listing."""
+    return list(_listed_blocks(sft, k))
+
+
+def _listed_blocks(sft: Sft, k: int) -> tuple[Block, ...]:
+    """The listing of `admissible_blocks`, made once per ``(sft, k)`` and
+    cached on ``sft``.  Two concurrent first calls may both make it,
+    which is harmless."""
     if k < 1:
         raise BlockLengthError(f"block length must be >= 1, got {k}")
+    listed = sft._block_lists.get(k)
+    if listed is not None:
+        return listed
     # ends[s]: j-blocks ending in s, so the k-block count is the entry sum
     # of A^(k-1) (Lind and Marcus, 2.2); stopping once a length exceeds the
     # cap keeps every product below alphabet_size * MAX_BLOCKS.
@@ -184,7 +196,8 @@ def admissible_blocks(sft: Sft, k: int) -> list[Block]:
             for s in range(sft.alphabet_size)
             if sft.is_edge(b[-1], s)
         ]
-    return blocks
+    listed = sft._block_lists[k] = tuple(blocks)
+    return listed
 
 
 def topological_entropy(sft: Sft) -> float:
@@ -205,7 +218,7 @@ def block_graph(sft: Sft, k: int) -> tuple[tuple[Block, ...], np.ndarray, np.nda
         raise BlockLengthError(f"block length must be >= 1, got {k}")
     graph = sft._block_graphs.get(k)
     if graph is None:
-        states = tuple(admissible_blocks(sft, k))
+        states = _listed_blocks(sft, k)
         index = {b: i for i, b in enumerate(states)}
         follow = [np.flatnonzero(row).tolist() for row in sft.transitions]
         edges = [

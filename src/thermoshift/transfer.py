@@ -35,7 +35,7 @@ validated once: `MarkovMeasure` on construction, a grid's by
 
 Each stage of a stacked solve raises the error of its first failing
 slice: the eigensolve its ``ConvergenceError`` (or the
-``ValidationError`` of a max-plus frame that is not finite), the
+``ValidationError`` of a max-plus frame it refuses), the
 measure validation its ``ValidationError``.  A chunk is solved to the
 end before it is validated, so a later point's eigensolve failure is
 raised before an earlier point's validation failure.

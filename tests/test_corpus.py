@@ -12,13 +12,14 @@ memory with at most 600 block states (32 to 610 states in all), each
 with N(0, 1) values and with values tied in {-0.5, 0, 0.25}.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import thermoshift as ts
-from thermoshift import maxplus
+from thermoshift import _perron, maxplus
 from thermoshift._edgegraph import edge_weights, graph_order, maxplus_data
 from thermoshift.sft import block_graph
 from thermoshift._perron import _maxplus_frame
@@ -60,8 +61,10 @@ def test_stress_corpus_certifies_and_satisfies_variational_identity():
 
 
 def test_float_frame_beta_matches_exact_maxplus_beta():
-    # The eigensolve's float Karp and the exact scaled-int analysis are two
-    # routes to one maximum cycle mean; they differ only by rounding.
+    # The eigensolve's float frame and the exact scaled-int analysis are
+    # two routes to one maximum cycle mean; they differ only by rounding.
+    # The near-cap systems of at least _HOWARD_STATES states take Howard's
+    # route where it certifies a row, Karp's elsewhere.
     for trial, sft, phi in corpus():
         order = graph_order(phi.memory)
         states, src, dst = block_graph(sft, order)
@@ -71,6 +74,12 @@ def test_float_frame_beta_matches_exact_maxplus_beta():
             frame_beta = _maxplus_frame(len(states), src, dst, w[None])[0][0]
             exact = float(maxplus_data(phi_t, order).beta)
             assert abs(frame_beta - exact) <= 1e-13 * np.abs(w).max(), (trial, t)
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: n >= _perron._HOWARD_STATES):
+        w = edge_weights(phi, order)
+        exact = float(maxplus_data(phi, order).beta)
+        frame_beta = _maxplus_frame(n, src, dst, FRAME_SCALES[:, None] * w)[0]
+        for t, beta in zip(FRAME_SCALES.tolist(), frame_beta.tolist()):
+            assert abs(beta - t * exact) <= 1e-13 * t * np.abs(w).max(), (label, draw, t)
 
 
 def test_exact_analysis_matches_karp_oracle_on_the_corpus():
@@ -179,3 +188,54 @@ def test_exact_analysis_at_the_cap_is_certified_in_fractions(sft, memory, draw):
     assert dist is not None
     assert all(w + dist[j] <= dist[i] for i, j, w in normalized)
     assert oracles.saturated_critical(normalized, dist) == data.critical
+
+
+FRAME_SCALES = np.array([1.0, 10.0, 1e4])
+
+
+def cap_frames(keep):
+    """The near-cap systems whose block graph has a number of states that
+    ``keep`` accepts, each with the N(0, 1) and the tied values of
+    `test_near_cap_corpus_certifies`, as ``(label, draw, n, src, dst,
+    phi, order)``."""
+    for seed, label, sft, memory, draw in CAP_CASES:
+        order = graph_order(memory)
+        states, src, dst = block_graph(sft, order)
+        if not keep(len(states)):
+            continue
+        rng = np.random.default_rng(seed)
+        blocks = ts.admissible_blocks(sft, memory)
+        if draw == "normal":
+            values = rng.normal(size=len(blocks))
+        else:
+            values = rng.choice([-0.5, 0.0, 0.25], size=len(blocks))
+        phi = ts.Potential(sft, memory, dict(zip(blocks, values.tolist())))
+        yield label, draw, len(states), src, dst, phi, order
+
+
+# sha256 of the frames of the near-cap graphs below the crossover (32 to
+# 55 states) at FRAME_SCALES, as Karp's levels alone gave them
+KARP_FRAMES_BELOW_CROSSOVER = "e13c54afdbb922b06d50d0e8ea21e0858acba9a43979b21684b286c79a23568a"
+
+
+def test_howard_frames_agree_with_the_exact_analysis_and_karp(monkeypatch):
+    certified = uncertified = 0
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: n >= _perron._HOWARD_STATES):
+        w = FRAME_SCALES[:, None] * edge_weights(phi, order)
+        howard, _, target, _ = _perron._howard(n, src, dst, w)
+        critical = {i for edge in maxplus_data(phi, order).critical for i in edge}
+        assert set(target[howard].tolist()) <= critical, (label, draw)
+        frame = _maxplus_frame(n, src, dst, w)
+        with monkeypatch.context() as karp_only:
+            karp_only.setattr(_perron, "_HOWARD_STATES", n + 1)
+            karp = _maxplus_frame(n, src, dst, w)
+        for mine, theirs in zip(frame, karp):
+            assert mine[~howard].tobytes() == theirs[~howard].tobytes(), (label, draw)
+        certified += np.count_nonzero(howard)
+        uncertified += np.count_nonzero(~howard)
+    assert certified and uncertified  # both routes were taken
+    digest = hashlib.sha256()
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: n < _perron._HOWARD_STATES):
+        for part in _maxplus_frame(n, src, dst, FRAME_SCALES[:, None] * edge_weights(phi, order)):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == KARP_FRAMES_BELOW_CROSSOVER

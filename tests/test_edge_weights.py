@@ -138,22 +138,43 @@ def test_a_sweep_with_escalating_slices_is_pointwise(full2, monkeypatch, values,
 
 @pytest.mark.parametrize("samples_per_chunk", [1, 3])
 def test_a_sweep_across_chunks_equals_one_chunk(golden, rng, monkeypatch, samples_per_chunk):
-    psi = ts.Potential(golden, 1, oracles.random_values(rng, golden.transitions, 1))
-    phi = ts.Potential(golden, 3, oracles.random_values(rng, golden.transitions, 3))
+    full2 = ts.full_shift(2)
+    blocks = ts.admissible_blocks(full2, 7)
+    inputs = [
+        (golden, ts.Potential(golden, 1, oracles.random_values(rng, golden.transitions, 1)),
+         ts.Potential(golden, 3, oracles.random_values(rng, golden.transitions, 3))),
+        # 64 states, where the frame tries Howard first: the tied psi alone
+        # (t = 0) falls back to Karp, and every other point certifies
+        (full2, ts.Potential(full2, 7, dict(zip(blocks, rng.choice([-0.5, 0.0, 0.25], size=len(blocks)).tolist()))),
+         ts.Potential(full2, 7, dict(zip(blocks, rng.normal(size=len(blocks)).tolist())))),
+    ]
     grid = np.linspace(0.0, 13.0, 14)
-    whole = [sample_bits(s) for s in ts.sweep(golden, psi, phi, grid)]
-    n = len(ts.admissible_blocks(golden, 2))
-    monkeypatch.setattr(transfer, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
-    solves = []
+    certified = []
+    howard = _perron._howard
+
+    def recorded(*args):
+        out = howard(*args)
+        certified.extend(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(_perron, "_howard", recorded)
     solve_stack = transfer.solve_stack
+    for sft, psi, phi in inputs:
+        whole = [sample_bits(s) for s in ts.sweep(sft, psi, phi, grid)]
+        n = len(ts.admissible_blocks(sft, _edgegraph.graph_order(psi.memory, phi.memory)))
+        solves = []
 
-    def counted(n, src, dst, w):
-        solves.append(len(w))
-        return solve_stack(n, src, dst, w)
+        def counted(n, src, dst, w):
+            solves.append(len(w))
+            return solve_stack(n, src, dst, w)
 
-    monkeypatch.setattr(transfer, "solve_stack", counted)
-    assert [sample_bits(s) for s in ts.sweep(golden, psi, phi, grid)] == whole
-    assert max(solves) == samples_per_chunk and sum(solves) == len(grid)
+        with monkeypatch.context() as chunked:
+            chunked.setattr(transfer, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
+            chunked.setattr(transfer, "solve_stack", counted)
+            assert [sample_bits(s) for s in ts.sweep(sft, psi, phi, grid)] == whole
+        assert max(solves) == samples_per_chunk and sum(solves) == len(grid)
+    # certified rows were stacked beside rows that fell back to Karp
+    assert certified[:len(grid)] == [False] + [True] * (len(grid) - 1)
 
 
 def test_a_sweep_raises_the_error_of_its_first_failing_point(golden):

@@ -110,6 +110,33 @@ def test_weights_near_the_float_limit():
             ts.pressure(full2, phi)
 
 
+@pytest.mark.parametrize("memory, scale", [(6, 1e306), (7, 1e307)], ids=["karp-32", "howard-64"])
+def test_a_frame_that_lost_its_precision_is_refused(memory, scale):
+    # The walk sums of these values stay finite (Karp's levels on 32
+    # states, Howard's policy sums on 64), but their rounding leaves
+    # conjugated weights far outside the range of exp: the row is refused
+    # before any exp, with no warning.
+    full2 = ts.full_shift(2)
+    blocks = ts.admissible_blocks(full2, memory)
+    values = scale * np.random.default_rng(1).uniform(-1.0, 1.0, size=len(blocks))
+    phi = ts.Potential(full2, memory, dict(zip(blocks, values.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.errors.ValidationError, match="max-plus frame lost its precision"):
+            ts.pressure(full2, phi)
+
+
+def test_each_refusal_names_its_cause():
+    # Vertex 0 leaves by the first two edges, vertex 1 by the third.
+    conj = np.array([
+        [0.0, -1.0, 0.0],  # a frame
+        [0.0, -1.0, 710.0],  # exp overflows
+        [0.0, 0.0, -709.0],  # no edge out of vertex 1 in the normal range
+        [0.0, np.nan, 0.0],  # not finite
+    ])
+    assert _perron._refused(2, np.array([0, 0, 1]), conj).tolist() == [0, 1, 1, 2]
+
+
 def test_a_frame_refused_in_a_stack_is_the_error_of_its_row(monkeypatch):
     # A row whose frame overflows is refused after the rows before it are
     # solved, so an earlier row's Perron failure is raised first.

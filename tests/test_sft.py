@@ -232,6 +232,21 @@ def test_oversized_block_graph_is_refused_before_listing(no_block_listing):
     assert big._block_graphs == {}
 
 
+def test_a_block_listing_is_made_once_per_length(monkeypatch):
+    sft = ts.full_shift(3)
+    first = ts.admissible_blocks(sft, 4)
+
+    def listing(self, i, j):
+        raise AssertionError("admissible blocks were listed again")
+
+    monkeypatch.setattr(ts.Sft, "is_edge", listing)
+    second = ts.admissible_blocks(sft, 4)
+    assert second == first and second is not first  # a fresh list each call
+    second.clear()
+    assert ts.admissible_blocks(sft, 4) == first
+    assert list(block_graph(sft, 4)[0]) == first
+
+
 def test_block_graph_concurrent_first_calls_agree(rng):
     m = oracles.random_primitive_transitions(rng, max_alphabet=4)
     interval = sys.getswitchinterval()
