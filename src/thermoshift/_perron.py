@@ -6,17 +6,20 @@ subshift's transitions, or a critical component's weights.  Each row is
 conjugated by a float max-plus eigenvector of its log-weights first
 (tropical diagonal scaling, `_maxplus_frame`), so every row of the
 matrix peaks near 0 and the iterates stay in the normal float range at
-any temperature; an iterate that leaves it raises ``ConvergenceError``.
-The frame's maximum cycle mean ``beta`` and right eigenvector come from
-Howard's policy iteration on a graph of at least ``_HOWARD_STATES``
-states where it certifies the row's critical class unique, and from
-Karp's recurrence and a Bellman pass elsewhere.  Before any ``exp`` a
-row is refused with ``ValidationError`` whose frame is not finite, as
-where the walk sums of weights near the float limit overflow, or lost
-its precision, as where rounding at that size leaves a conjugated weight
-outside the range of ``exp``.  A stack of all-zero weights has the zero
-frame, so it runs no policy iteration, no Karp levels and no Bellman
-pass.
+any temperature; an iterate that leaves it raises ``ConvergenceError``,
+as where a product underflows to 0 (whose log is taken as ``-inf``
+without a warning).  The frame's maximum cycle mean ``beta`` and right
+eigenvector come from Howard's policy iteration on a graph of at least
+``_HOWARD_STATES`` (64) states where it certifies the row's critical
+class unique, and from Karp's recurrence and a Bellman pass elsewhere;
+a policy step that finds one mean reached from every vertex improves
+the bias alone, the first time by value-iteration sweeps.
+Before any ``exp`` a row is refused with ``ValidationError`` whose
+frame is not finite, as where the walk sums of weights near the float
+limit overflow, or lost its precision, as where rounding at that size
+leaves a conjugated weight outside the range of ``exp``.  A stack of
+all-zero weights has the zero frame, so it runs no policy iteration, no
+Karp levels and no Bellman pass.
 Both Perron sides of every row then go through one `perron_stack`; a
 caller that reads only the values asks for the right sides alone.
 
@@ -67,14 +70,23 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 _LOG_MAX = float(np.log(np.finfo(float).max))
 _LOG_SMALLEST_NORMAL = float(np.log(_SMALLEST_NORMAL))
 # From this many states `_maxplus_frame` tries Howard's policy iteration
-# before Karp's levels.  On the N(0, 1) frames of the benchmark's warm and
-# cold workloads Howard took 1.04-1.14 times Karp's time at 36 states,
-# 0.79-0.94 at 48-49, 0.59-0.79 at 64 and 0.53 at 144; a row that ends
-# uncertified (tied values) pays both, 1.4-1.6 times Karp's time at 49-64
-# states.  Below 64 every Tier-1 corpus graph keeps Karp's bits.
+# before Karp's levels.  On the N(0, 1) frames of the benchmark's warm
+# (t = 1) and cold (t >= 500) workloads the Howard route of a frame took
+# 0.97-1.21 times the Karp route's time at 25-36 states, 0.72-0.83 at
+# 48-49, 0.59-0.71 at 64 and 0.37 at 144 (interleaved medians of 60
+# rounds); a row that ends uncertified (tied values) pays both.  A
+# crossover at 48 showed no gain end to end: the warm workload read
+# ops_per_s 1.1% lower and op_tail_ms 5.5% higher than at 64 (medians of
+# 10 interleaved pairs).  Below 64 every Tier-1 corpus graph keeps Karp's
+# bits.
 _HOWARD_STATES = 64
 _HOWARD_STEPS = 64  # policy steps per row before it falls back to Karp
-_LOOKAHEAD = 8  # value-iteration sweeps that choose Howard's first policy
+# Value-iteration sweeps that choose Howard's first policy, and again its
+# policy at the first bias step.  A sweep costs about a tenth of a policy
+# step; 10 took the least time on the warm frames of 100-144 states (3, 3
+# and 2 policy steps; 8 sweeps left 3 at 144 states and 2 on the cold
+# 100-state frames, where 10 leave 1).
+_LOOKAHEAD = 10
 
 
 @dataclass(frozen=True)
@@ -285,22 +297,29 @@ def _howard(n, src, dst, w):
 
     A policy picks one out-edge per vertex; the first is greedy after
     ``_LOOKAHEAD`` value-iteration sweeps.  Each step evaluates the policy
-    by pointer doubling: the mean of each policy cycle, and the bias, the
-    policy walk's weight less those means up to the smallest vertex of
-    its cycle, where it is 0.  It then improves the mean reached from a
-    vertex where it can, else the bias, each to the best edge; a gain
+    by pointer doubling (`_policy_values`): the mean of each policy cycle,
+    and the bias, the policy walk's weight less those means up to the
+    smallest vertex of its cycle, where it is 0.  It then improves the
+    mean reached from a vertex where it can, else the bias, each to the
+    best edge (only the bias where every vertex reaches one mean); a gain
     must pass the row's tolerance, ``n * 2**-36`` times its largest
-    weight, so that rounding cannot cycle.  A row that the step leaves
-    unchanged is certified if every sum is finite, its policy has one
-    cycle and exactly ``n`` edges have slack ``w - beta + bias(dst) -
-    bias(src)`` at or above minus the tolerance: then the near-saturated
-    edges are the policy, its cycle is the one critical class, and every
-    other cycle holds an edge below minus the tolerance, so its mean is
-    below ``beta`` by about ``2**-36`` times the largest weight or more.
-    Tied classes, non-finite sums and ``_HOWARD_STEPS`` spent
-    leave the row uncertified, with nan in its other fields.  Every
-    figure of a row comes from that row alone, so a stacked row equals
-    its solve alone bit for bit.  Edges may come in any order."""
+    weight, so that rounding cannot cycle.  The first such bias step
+    instead takes the greedy policy after ``_LOOKAHEAD`` sweeps on from
+    the bias, and only once per row, so that the iteration still ends:
+    at 100 to 144 states it cut the steps from 4-6 to 2-3.
+
+    A row that the step leaves unchanged is certified if every sum is
+    finite, its policy has one cycle and exactly ``n`` edges have slack
+    ``w - beta + bias(dst) - bias(src)`` at or above minus the tolerance:
+    then the near-saturated edges are the policy, its cycle is the one
+    critical class, and every other cycle holds an edge below minus the
+    tolerance, so its mean is below ``beta`` by about ``2**-36`` times
+    the largest weight or more.  A certified row's figures depend on its
+    final policy alone, not on the sweeps and steps that led there.
+    Tied classes, non-finite sums and ``_HOWARD_STEPS`` spent leave the
+    row uncertified, and its other fields unused.  Every figure of a row,
+    and its number of steps, comes from that row alone, so a stacked row
+    equals its solve alone bit for bit.  Edges may come in any order."""
     size = len(w)
     certified = np.zeros(size, dtype=bool)
     beta, target, bias = np.full(size, np.nan), np.zeros(size, dtype=np.intp), np.full((size, n), np.nan)
@@ -312,48 +331,79 @@ def _howard(n, src, dst, w):
     real = slot < degree
     edge = np.argsort(src, kind="stable")[np.where(real, np.cumsum(degree) - degree + slot, 0)]
     head = np.where(real, dst[edge], np.arange(n))
-    rank = np.arange(width, 0, -1)[:, None]
     depth = (n - 1).bit_length()  # 2**depth policy steps reach a cycle
     scale = np.abs(w).max(axis=1)
     live = np.flatnonzero(np.isfinite(scale))
     ws, tol = np.where(real, w[live][:, edge], -np.inf), n * 2.0 ** -36 * scale[live, None]
+    rows = live.size
+    if not rows:
+        return certified, beta, target, bias
+    # Rows laid out flat: the heads, and each vertex's slot 0.
+    at = head + (np.arange(rows) * n)[:, None, None]
+    cell = (np.arange(rows) * (width * n))[:, None] + np.arange(n)
 
-    walk = ws
-    for _ in range(_LOOKAHEAD):
-        walk = ws + np.maximum.reduce(walk, axis=1)[:, head]
-    policy = walk.argmax(axis=1)  # a nan slot where the sweeps overflow
-    rows = 0
+    policy = _greedy(ws, ws, at)
+    swept = np.zeros(rows, dtype=bool)  # rows past their first bias step
     for _ in range(_HOWARD_STEPS):
-        if not live.size:
-            break
-        if rows != live.size:
-            rows = live.size
-            at = head + (np.arange(rows) * n)[:, None, None]
-            cell = (np.arange(rows) * (width * n))[:, None] + np.arange(n)
         chosen = (cell + policy * n).ravel()
         values = _policy_values(at.ravel()[chosen], ws.ravel()[chosen], depth)
         named, eta, gain = (a.reshape(rows, n) for a in values)
-        # improve the mean reached first, then the bias, over the edges
-        # into the best mean
-        eta_at = eta.ravel()[at]
-        best = np.maximum.reduce(eta_at, axis=1)
-        step = np.where(eta_at == best[:, None], ws - best[:, None] + gain.ravel()[at], -np.inf)
-        top = np.maximum.reduce(step, axis=1)
-        up = best > eta + tol
-        up = np.where(up.any(axis=1)[:, None], up, (best == eta) & (top > gain + tol))
-        # to the first slot that attains the best
-        policy = np.where(up, width - np.maximum.reduce((step == top[:, None]) * rank, axis=1), policy)
-        stay = ~up.any(axis=1)
-        if stay.any():
-            done = live[stay]
-            near = step[stay] - gain[stay][:, None] >= -tol[stay, :, None]
-            certified[done] = (
-                (np.add.reduce(named[stay], axis=1) == 1)
-                & (np.add.reduce(near.reshape(done.size, -1), axis=1) == n)
-                & np.isfinite(gain[stay]).all(axis=1))
-            beta[done], target[done], bias[done] = eta[stay, 0], named[stay].argmax(axis=1), gain[stay]
-            live, ws, tol, policy = live[~stay], ws[~stay], tol[~stay], policy[~stay]
+        gain_at = gain.ravel()[at]
+        one_mean = (eta == eta[:, :1]).all(axis=1)
+        if one_mean.all():
+            # every vertex reaches one mean, so only the bias can improve
+            step = ws - eta[:, :1, None] + gain_at
+            top = np.maximum.reduce(step, axis=1)
+            up = top > gain + tol
+        else:
+            # improve the mean reached first, then the bias, over the
+            # edges into the best mean; on a row of one mean this is the
+            # bias step above, bit for bit
+            eta_at = eta.ravel()[at]
+            best = np.maximum.reduce(eta_at, axis=1)
+            step = np.where(eta_at == best[:, None], ws - best[:, None] + gain_at, -np.inf)
+            top = np.maximum.reduce(step, axis=1)
+            up = best > eta + tol
+            up = np.where(up.any(axis=1)[:, None], up, (best == eta) & (top > gain + tol))
+        moved = np.logical_or.reduce(up, axis=1)
+        sweep = moved & one_mean & ~swept
+        if sweep.any():
+            # a row's first bias step sweeps on from the bias, as its
+            # first policy was chosen, and takes the greedy policy
+            swept |= sweep
+            k = np.flatnonzero(sweep)
+            policy[k] = _greedy(step[k], ws[k] - eta[k, :1, None], at[:k.size])
+            up[k] = False
+        switch = np.flatnonzero(up)
+        if switch.size:  # to the first slot that attains the best
+            row, vertex = np.divmod(switch, n)
+            policy[row, vertex] = step[row, :, vertex].argmax(axis=1)
+        if moved.all():
+            continue
+        stay = ~moved
+        done = live[stay]
+        near = step[stay] - gain[stay][:, None] >= -tol[stay, :, None]
+        certified[done] = (
+            (np.add.reduce(named[stay], axis=1) == 1)
+            & (np.add.reduce(near.reshape(done.size, -1), axis=1) == n)
+            & np.isfinite(gain[stay]).all(axis=1))
+        beta[done], target[done], bias[done] = eta[stay, 0], named[stay].argmax(axis=1), gain[stay]
+        if not moved.any():
+            break
+        live, ws, tol, policy, swept = live[moved], ws[moved], tol[moved], policy[moved], swept[moved]
+        rows = live.size
+        at, cell = at[:rows], cell[:rows]
     return certified, beta, target, bias
+
+
+def _greedy(walk, weights, at):
+    """The first slot of each vertex that attains the best walk after
+    ``_LOOKAHEAD`` value-iteration sweeps over the slot-major ``weights``
+    from the slot values ``walk``, whose heads are ``at`` (laid out flat);
+    a nan slot where the sweeps overflow."""
+    for _ in range(_LOOKAHEAD):
+        walk = weights + np.maximum.reduce(walk, axis=1).ravel()[at]
+    return walk.argmax(axis=1)
 
 
 def _policy_values(succ, cost, depth):
@@ -362,27 +412,40 @@ def _policy_values(succ, cost, depth):
     reaching a cycle within ``2**depth`` steps: whether each vertex names
     its cycle (is the smallest vertex on it), the mean of the cycle that
     each vertex reaches, and the bias, the weight of the policy walk less
-    that mean per edge up to the named vertex, where it is 0."""
+    that mean per edge up to the named vertex, where it is 0.  Each
+    doubling stops once its pointers settle, where every later round
+    would leave its result as it is."""
     vertex = np.arange(len(succ))
     low, jump = vertex, succ
     for _ in range(depth):
         low = np.minimum(low, low[jump])
-        jump = jump[jump]
+        settled = jump[jump]
+        if _same(settled, jump):  # low is final too
+            break
+        jump = settled
     root = low[jump]
     named = root == vertex
     on = np.zeros(len(succ), dtype=bool)  # the vertices on cycles
     on[jump] = True
-    total = np.bincount(root[on], cost[on], len(succ))
-    length = np.bincount(root[on], None, len(succ))
-    mean = np.zeros(len(succ))
-    mean[named] = total[named] / length[named]
+    ring = root[on]
+    # the cycle mean at each named vertex; no other entry is read
+    mean = np.bincount(ring, cost[on], len(succ)) / np.maximum(np.bincount(ring, None, len(succ)), 1)
     eta = mean[root]
     gain = np.where(named, 0.0, cost - eta)
     jump = np.where(named, vertex, succ)
     for _ in range(depth):
         gain = gain + gain[jump]
-        jump = jump[jump]
+        settled = jump[jump]
+        if _same(settled, jump):  # every later round adds 0
+            break
+        jump = settled
     return named, eta, gain
+
+
+def _same(a, b):
+    # comparing bytes takes a seventh of the time of (a == b).all() on
+    # the pointer arrays of 100-300 states
+    return a.tobytes() == b.tobytes()
 
 
 def _left_normal_range(smallest, iterations) -> ConvergenceError:
@@ -399,6 +462,9 @@ def _stalled(residual, iterations) -> ConvergenceError:
     )
 
 
+# A product that underflows to 0 takes log -inf without a warning: its
+# iterate leaves the normal float range in the same step and is refused.
+@np.errstate(divide="ignore")
 def perron_stack(e):
     """Dominant log-eigenvalue and log right eigenvector of each slice of
     a stack ``e`` of shape ``(S, n, n)``, each slice bit for bit as if
@@ -461,8 +527,7 @@ def perron_stack(e):
         d = np.log(ratio)
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
         # The spread hi - lo is twice the residual (halving is exact).
-        spread = hi - lo
-        history[steps % ring] = spread
+        spread = np.subtract(hi, lo, out=history[steps % ring])
         leave = spread <= TOL
         if count < live.size:
             leave &= waiting

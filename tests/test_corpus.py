@@ -239,3 +239,19 @@ def test_howard_frames_agree_with_the_exact_analysis_and_karp(monkeypatch):
         for part in _maxplus_frame(n, src, dst, FRAME_SCALES[:, None] * edge_weights(phi, order)):
             digest.update(part.tobytes())
     assert digest.hexdigest() == KARP_FRAMES_BELOW_CROSSOVER
+
+
+# sha256 of every field of `solve_stack` on the near-cap graphs of at least
+# 64 states at t = 1, pinned before the policy steps of `_howard` and the
+# plain step of `perron_stack` were reworked: both keep every bit.
+SOLVES_FROM_64_STATES = "56e92232956c86fc16e9ad283d84d236ce4d77c8b28ccc67349e4f85407a14d0"
+
+
+def test_solves_from_64_states_keep_their_bits():
+    digest = hashlib.sha256()
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: n >= 64):
+        solve = _perron.solve_stack(n, src, dst, edge_weights(phi, order)[None])
+        for field in (solve.value, solve.maxplus_right, solve.frame_w, solve.frame_right,
+                      solve.frame_left, solve.residuals, solve.iterations, solve.noda):
+            digest.update(field.tobytes())
+    assert digest.hexdigest() == SOLVES_FROM_64_STATES

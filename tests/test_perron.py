@@ -126,6 +126,22 @@ def test_a_frame_that_lost_its_precision_is_refused(memory, scale):
             ts.pressure(full2, phi)
 
 
+@pytest.mark.parametrize("memory", [6, 7], ids=["karp-32", "howard-64"])
+def test_a_product_that_underflows_is_refused_without_a_warning(memory):
+    # 1e18 * U(-1, 1) values pass the frame's refusal, but the frame has
+    # lost so much precision that a product of the Perron iteration
+    # underflows to 0: its log is -inf without a warning, and the iterate
+    # that holds the 0 is refused as out of the normal range.
+    full2 = ts.full_shift(2)
+    blocks = ts.admissible_blocks(full2, memory)
+    values = 1e18 * np.random.default_rng(1).uniform(-1.0, 1.0, size=len(blocks))
+    phi = ts.Potential(full2, memory, dict(zip(blocks, values.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.errors.ConvergenceError, match="left the normal float range"):
+            ts.pressure(full2, phi)
+
+
 def test_each_refusal_names_its_cause():
     # Vertex 0 leaves by the first two edges, vertex 1 by the third.
     conj = np.array([
