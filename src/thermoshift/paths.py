@@ -20,14 +20,18 @@ The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
 together, and those past the bracket are dropped.  A stack ends early at
 the first scan point at or past the root of the Newton tangent at the
-last point solved, so few points are solved past the bracket.  A stack
-that fails is solved again one point at a time, so a solve reports and
-raises what probing one point at a time would.  The look-ahead is 4 on
-block graphs of at most 32 states and 1 above: timed against a
-look-ahead of 1 on full shifts, stacks of four made solves faster up to
-32 states, about as fast at 64-128 and slower at 256.  The Newton steps that
-close the bracket probe one point at a time, since each depends on the
-ones before it.
+last point solved, so few points are solved past the bracket.  The Newton
+steps that close the bracket probe one point at a time, since each
+depends on the ones before it, except the last: once quadratic
+convergence puts the Newton point within a quarter of the width
+tolerance of the root, that point and the two half a width on either side
+of it are solved as one stack, and the first of the two that still lies
+inside the bracket closes it when the prediction holds.  A stack that
+fails is solved again one point at a time, so a solve reports and raises
+what probing one point at a time would.  The look-ahead is 8 on block graphs of at most 32
+states and 1 above: timed against a look-ahead of 1 on full shifts with
+random potentials, stacks of eight made the probes of a solve cheaper up
+to 32 states, about as cheap at 64 and dearer at 128.
 """
 
 from __future__ import annotations
@@ -63,10 +67,12 @@ SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
 SCAN_T_MAX = SCAN_STEP * 2**20
 _ENDPOINT_GUARD = 1e-12
-# Points solved as one stack by the bracketing scans, on block graphs of
-# at most _LOOK_AHEAD_STATES states; larger graphs scan one point at a time,
-# as stacks there timed about as fast (64-128 states) or slower (256).
-_LOOK_AHEAD = 4
+# Points solved as one stack by the bracketing scans, and the width of the
+# stack that closes a bracket, on block graphs of at most _LOOK_AHEAD_STATES
+# states; larger graphs probe one point at a time, as stacks there timed
+# about as cheap (64 states) or dearer (128).  Eight points bring the scan
+# out to t = 8 in the first stack.
+_LOOK_AHEAD = 8
 _LOOK_AHEAD_STATES = 32
 
 
@@ -95,9 +101,10 @@ class SolveReport:
 
     ``bracket`` is the interval found by the geometric scan, ``iterations``
     the number of probes made after it was found, and ``trace`` every
-    probe the solve reached, in order: the start at ``t = 0``, the scan up
-    to the end of the bracket, then the Newton probes.  Look-ahead points
-    solved past the bracket are not in it.
+    probe the solve consumed, in order: the start at ``t = 0``, the scan up
+    to the end of the bracket, then the Newton probes.  Points solved in a
+    stack past the bracket, or past the collapse of the bracket, are not
+    in it.
     """
 
     target: float
@@ -183,32 +190,39 @@ def _stacked(
     ts: Iterable[float],
     look_ahead: int,
     crossing: Callable[[PathSample], float] = lambda s: math.inf,
+    wanted: Callable[[float], bool] = lambda t: True,
 ) -> Iterator[PathSample]:
     """Samples at the points ``ts`` in order, solved in stacks of up to
-    ``look_ahead`` points as the caller asks for them.  A stack ends early
-    at its first point at or past ``crossing`` of the last sample solved,
-    where the caller expects to stop.  A stack that raises is solved again
-    one point at a time, so the error that comes out is the one of the
-    first failing point, once the points before it are yielded."""
+    ``look_ahead`` points as the caller asks for them.  A point is skipped
+    where ``wanted`` fails for it once the caller has taken the samples
+    before it.  A stack ends early at its first point at or past
+    ``crossing`` of the last sample solved, where the caller expects to
+    stop.  A stack that raises is solved again one wanted point at a time,
+    so the error that comes out is the one of the first failing point the
+    caller wants, once the points before it are yielded."""
     ts = iter(ts)
     end = math.inf
     while True:
         stack = []
         for t in ts:
+            if not wanted(t):
+                continue
             stack.append(t)
             if len(stack) == look_ahead or t >= end:
                 break
         if not stack:
             return
         try:
-            samples = evaluate(stack)
+            solved = evaluate(stack)
         except (ConvergenceError, ValidationError):
             if len(stack) == 1:
                 raise
-            samples = (evaluate([t])[0] for t in stack)
-        for s in samples:
-            yield s
-        end = crossing(s)
+            solved = [None] * len(stack)
+        for t, s in zip(stack, solved):
+            if wanted(t):
+                last = s if s is not None else evaluate([t])[0]
+                yield last
+        end = crossing(last)
 
 
 def _solve_monotone(
@@ -235,7 +249,12 @@ def _solve_monotone(
     bracket, else the midpoint (``rtsafe``, Numerical Recipes section
     9.4).  A Newton step shorter than the width tolerance is pushed half
     that tolerance past the root, so the next probe lands on the other
-    side of it and closes the bracket.
+    side of it and closes the bracket.  When a step taken inside the
+    bracket is short enough that quadratic convergence (the error of the
+    new point about ``step**3 / previous**2``) puts its point within a
+    quarter width of the root, the points half a width beyond and short
+    of it are solved with it: in order, each is probed unless it lies
+    outside the bracket or the bracket has collapsed.
 
     The returned parameter carries both guarantees: objective within
     ``tol`` of the target and a bracket collapsed to near round-off, so
@@ -275,23 +294,41 @@ def _solve_monotone(
     lo, hi = bracket
     best = min(trace, key=lambda s: abs(value_of(s) - target))
     iterations = 0
-    while hi - lo > (width := 1e-10 * max(1.0, hi)):
-        t = 0.5 * (lo + hi)
+    previous = None  # the last Newton step probed, None after a midpoint
+
+    def width() -> float:
+        return 1e-10 * max(1.0, hi)
+
+    def open_at(t: float) -> bool:
+        return lo < t < hi and hi - lo > width()
+
+    while hi - lo > (w := width()):
+        points = [0.5 * (lo + hi)]
         step = newton_step(best)
         if step is not None:
-            if abs(step) < width:
-                step += math.copysign(0.5 * width, step)
+            pushed = abs(step) < w
+            if pushed:
+                step += math.copysign(0.5 * w, step)
             if lo < best.t + step < hi:
                 t = best.t + step
-        s = evaluate([t])[0]
-        trace.append(s)
-        iterations += 1
-        if abs(value_of(s) - target) < abs(value_of(best) - target):
-            best = s
-        if value_of(s) >= target:
-            lo = t
-        else:
-            hi = t
+                points = [t]
+                # quadratic convergence puts t within w / 4 of the root:
+                # solve the points that close the bracket with it
+                if not pushed and previous is not None and abs(step) ** 3 < 0.25 * w * previous**2:
+                    half = math.copysign(0.5 * w, step)
+                    points += [t + half, t - half]
+            else:
+                step = None
+        previous = step
+        for s in _stacked(evaluate, points, look_ahead, wanted=open_at):
+            trace.append(s)
+            iterations += 1
+            if abs(value_of(s) - target) < abs(value_of(best) - target):
+                best = s
+            if value_of(s) >= target:
+                lo = s.t
+            else:
+                hi = s.t
     residual = abs(value_of(best) - target)
     if residual > tol:
         raise ConvergenceError(

@@ -534,7 +534,7 @@ def ray_family_solves(full2, golden, full3, rng):
 def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng, monkeypatch):
     cases = 0
     for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
-        assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 4, label
+        assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 8, label
         with monkeypatch.context() as m:
             stacks = recorded_stacks(m)
             ahead = solve_outcome(solve)
@@ -552,23 +552,63 @@ def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng
 def test_the_look_ahead_is_one_above_32_block_states(full2):
     # memory m puts the ray on the 2^(m-1) blocks of length m - 1
     zero = ts.zero_potential(full2)
-    assert paths._look_ahead(full2, zero, ts.zero_potential(full2, 6)) == 4
+    assert paths._look_ahead(full2, zero, ts.zero_potential(full2, 6)) == 8
     assert paths._look_ahead(full2, ts.zero_potential(full2, 7), zero) == 1
 
 
 def test_a_scan_stack_ends_past_the_root_of_the_newton_tangent(golden, monkeypatch):
     stacks = recorded_stacks(monkeypatch)
-    report = golden_entropy_solve(golden)
-    assert report.bracket == (1.0, 2.0)
-    # the tangent at t = 0.5 meets the target between 1 and 2
-    assert stacks[:2] == [[0.0, 0.125, 0.25, 0.5], [1.0, 2.0]]
-    assert max(map(len, stacks[2:])) == 1
+    phi = ts.fixed_point_potential(golden, 0)
+    report = ts.solve_intermediate_entropy(golden, phi, 1e-9)
+    assert report.bracket == (8.0, 16.0)
+    # the tangent at t = 8 meets the target between 8 and 16, so the
+    # second stack stops at 16 instead of running on to 2048
+    assert stacks[:2] == [[0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [16.0]]
+    # then one point per Newton step, or three where the bracket closes
+    assert {len(s) for s in stacks[2:]} == {1, 3}
+
+
+def test_every_solver_probe_equals_sample_at_its_point(full2, golden, full3, rng):
+    cases = 0
+    for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
+        trace = solve_outcome(solve)[2]
+        at_t = [sample_bits(ts.sample_at(*ray, float.fromhex(bits[0]))) for bits in trace]
+        assert trace == at_t, label
+        cases += 1
+    assert cases == 34
+
+
+def test_the_stacked_route_above_32_block_states_has_the_same_outcome(full2, rng, monkeypatch):
+    # memory 7 puts the ray on 64 block states
+    psi = ts.Potential(full2, 1, oracles.random_values(rng, full2.transitions, 1))
+    phi = ts.Potential(full2, 7, oracles.random_values(rng, full2.transitions, 7, scale=0.5))
+    zero = ts.zero_potential(full2)
+    a = ts.sample_at(full2, zero, phi, 2.3).entropy
+    b = ts.sample_at(full2, psi, phi, 2.3).psi_pressure
+    solves = [
+        ((full2, zero, phi), lambda: ts.solve_intermediate_entropy(full2, phi, a)),
+        ((full2, psi, phi), lambda: ts.solve_intermediate_pressure(full2, psi, phi, b)),
+    ]
+    for ray, solve in solves:
+        assert paths._look_ahead(*ray) == 1
+        with monkeypatch.context() as m:
+            stacks = recorded_stacks(m)
+            one_at_a_time = solve_outcome(solve)
+        assert max(map(len, stacks)) == 1
+        with monkeypatch.context() as m:
+            m.setattr(paths, "_LOOK_AHEAD_STATES", 64)
+            assert paths._look_ahead(*ray) == 8
+            stacks = recorded_stacks(m)
+            stacked = solve_outcome(solve)
+        assert max(map(len, stacks)) == 8
+        assert isinstance(stacked[0], tuple) and stacked == one_at_a_time
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, ValidationError])
 def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, monkeypatch, error):
-    # the bracket of this solve is (1, 2); the stack [1, 2, 4] fails, as
-    # would the point 4 alone, which a scan one point at a time never probes
+    # the bracket of this solve is (1, 2); the first stack [0, ..., 8]
+    # fails, as would the point 4 alone, which a scan one point at a time
+    # never probes
     phi = ts.fixed_point_potential(golden, 0)
     solve = lambda: ts.solve_intermediate_entropy(golden, phi, 0.1)  # noqa: E731
     expected = solve_outcome(solve)
@@ -584,7 +624,38 @@ def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, mo
 
     monkeypatch.setattr(paths, "_samples", failing_past_the_bracket)
     assert solve_outcome(solve) == expected
-    assert failed == [[1.0, 2.0, 4.0]]
+    assert failed == [[0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]]
+
+
+@pytest.mark.parametrize("a, skipped", [(0.3, 1), (0.24, 2)])
+def test_a_closing_stack_failing_on_a_skipped_point_leaves_the_report_unchanged(
+    golden, monkeypatch, a, skipped
+):
+    # the closing stack [t, t + w/2, t - w/2] of the target 0.3 skips its
+    # second point, which lies outside the bracket once t is probed; that
+    # of 0.24 drops its third, as the second point closes the bracket
+    phi = ts.fixed_point_potential(golden, 0)
+    solve = lambda: ts.solve_intermediate_entropy(golden, phi, a)  # noqa: E731
+    with monkeypatch.context() as m:
+        stacks = recorded_stacks(m)
+        expected = solve_outcome(solve)
+    closing = stacks[-1]
+    assert len(closing) == 3
+    assert [t.hex() not in {bits[0] for bits in expected[2]} for t in closing] == [
+        i == skipped for i in range(3)
+    ]
+    failed = []
+    samples = paths._samples
+
+    def failing_on_the_skipped_point(sft, psi, phi, ts_):
+        if closing[skipped] in ts_:
+            failed.append(ts_)
+            raise ConvergenceError("skipped point")
+        return samples(sft, psi, phi, ts_)
+
+    monkeypatch.setattr(paths, "_samples", failing_on_the_skipped_point)
+    assert solve_outcome(solve) == expected
+    assert failed == [closing]
 
 
 def test_a_failing_scan_raises_the_error_of_its_first_failing_point(golden, monkeypatch):
@@ -605,7 +676,7 @@ def test_a_failing_scan_raises_the_error_of_its_first_failing_point(golden, monk
 
 def test_a_refusing_scan_raises_the_error_of_its_first_failing_point(monkeypatch):
     # tied maximizing classes: the eigensolve fails from t = 4096 on, the
-    # last point of the refusing scan's stack [512, 1024, 2048, 4096]
+    # last point of the refusing scan's stack [32, 64, ..., 4096]
     sft = ts.build_sft(3, [[1, 1, 1], [0, 1, 1], [1, 0, 1]])
     values = dict.fromkeys(["000", "001", "011", "012", "022", "111", "112", "120", "201"], 0.25)
     values.update(dict.fromkeys(["002", "020", "122", "202", "220", "222"], -0.5), **{"200": 0.0})
@@ -615,8 +686,8 @@ def test_a_refusing_scan_raises_the_error_of_its_first_failing_point(monkeypatch
     solve = lambda: ts.solve_intermediate_pressure(sft, zero, phi, alpha)  # noqa: E731
     stacks = recorded_stacks(monkeypatch)
     ahead = solve_outcome(solve)
-    fallback = [[512.0, 1024.0, 2048.0, 4096.0], [512.0], [1024.0], [2048.0], [4096.0]]
-    assert stacks[-5:] == fallback
+    scan = [32.0 * 2**k for k in range(8)]
+    assert stacks[-9:] == [scan] + [[t] for t in scan]
     monkeypatch.setattr(paths, "_LOOK_AHEAD", 1)
     assert ahead == solve_outcome(solve)
     assert ahead[0] is ConvergenceError and "left the normal float range" in ahead[1]
