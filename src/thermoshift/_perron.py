@@ -246,8 +246,6 @@ def _refused(n, src, conj):
 def _flat(n, size, index):
     """Vertex ``index`` for a stack of ``size`` rows laid out flat: row
     ``s`` lives at entries ``s*n .. s*n + n - 1``."""
-    if size == 1:
-        return index
     return ((np.arange(size) * n)[:, None] + index).ravel()
 
 
@@ -301,12 +299,12 @@ def _howard(n, src, dst, w):
     and the bias, the policy walk's weight less those means up to the
     smallest vertex of its cycle, where it is 0.  It then improves the
     mean reached from a vertex where it can, else the bias, each to the
-    best edge (only the bias where every vertex reaches one mean); a gain
-    must pass the row's tolerance, ``n * 2**-36`` times its largest
-    weight, so that rounding cannot cycle.  The first such bias step
-    instead takes the greedy policy after ``_LOOKAHEAD`` sweeps on from
-    the bias, and only once per row, so that the iteration still ends:
-    at 100 to 144 states it cut the steps from 4-6 to 2-3.
+    best edge; a gain must pass the row's tolerance, ``n * 2**-36``
+    times its largest weight, so that rounding cannot cycle.  The first
+    such bias step instead takes the greedy policy after ``_LOOKAHEAD``
+    sweeps on from the bias, and only once per row, so that the
+    iteration still ends: at 100 to 144 states it cut the steps from 4-6
+    to 2-3.
 
     A row that the step leaves unchanged is certified if every sum is
     finite, its policy has one cycle and exactly ``n`` edges have slack
@@ -349,23 +347,16 @@ def _howard(n, src, dst, w):
         values = _policy_values(at.ravel()[chosen], ws.ravel()[chosen], depth)
         named, eta, gain = (a.reshape(rows, n) for a in values)
         gain_at = gain.ravel()[at]
-        one_mean = (eta == eta[:, :1]).all(axis=1)
-        if one_mean.all():
-            # every vertex reaches one mean, so only the bias can improve
-            step = ws - eta[:, :1, None] + gain_at
-            top = np.maximum.reduce(step, axis=1)
-            up = top > gain + tol
-        else:
-            # improve the mean reached first, then the bias, over the
-            # edges into the best mean; on a row of one mean this is the
-            # bias step above, bit for bit
-            eta_at = eta.ravel()[at]
-            best = np.maximum.reduce(eta_at, axis=1)
-            step = np.where(eta_at == best[:, None], ws - best[:, None] + gain_at, -np.inf)
-            top = np.maximum.reduce(step, axis=1)
-            up = best > eta + tol
-            up = np.where(up.any(axis=1)[:, None], up, (best == eta) & (top > gain + tol))
+        # improve the mean reached first, then the bias, over the edges
+        # into the best mean; on a row of one mean only the bias can improve
+        eta_at = eta.ravel()[at]
+        best = np.maximum.reduce(eta_at, axis=1)
+        step = np.where(eta_at == best[:, None], ws - best[:, None] + gain_at, -np.inf)
+        top = np.maximum.reduce(step, axis=1)
+        up = best > eta + tol
+        up = np.where(up.any(axis=1)[:, None], up, (best == eta) & (top > gain + tol))
         moved = np.logical_or.reduce(up, axis=1)
+        one_mean = (eta == eta[:, :1]).all(axis=1)
         sweep = moved & one_mean & ~swept
         if sweep.any():
             # a row's first bias step sweeps on from the bias, as its
@@ -412,17 +403,12 @@ def _policy_values(succ, cost, depth):
     reaching a cycle within ``2**depth`` steps: whether each vertex names
     its cycle (is the smallest vertex on it), the mean of the cycle that
     each vertex reaches, and the bias, the weight of the policy walk less
-    that mean per edge up to the named vertex, where it is 0.  Each
-    doubling stops once its pointers settle, where every later round
-    would leave its result as it is."""
+    that mean per edge up to the named vertex, where it is 0."""
     vertex = np.arange(len(succ))
     low, jump = vertex, succ
     for _ in range(depth):
         low = np.minimum(low, low[jump])
-        settled = jump[jump]
-        if _same(settled, jump):  # low is final too
-            break
-        jump = settled
+        jump = jump[jump]
     root = low[jump]
     named = root == vertex
     on = np.zeros(len(succ), dtype=bool)  # the vertices on cycles
@@ -435,17 +421,8 @@ def _policy_values(succ, cost, depth):
     jump = np.where(named, vertex, succ)
     for _ in range(depth):
         gain = gain + gain[jump]
-        settled = jump[jump]
-        if _same(settled, jump):  # every later round adds 0
-            break
-        jump = settled
+        jump = jump[jump]
     return named, eta, gain
-
-
-def _same(a, b):
-    # comparing bytes takes a seventh of the time of (a == b).all() on
-    # the pointer arrays of 100-300 states
-    return a.tobytes() == b.tobytes()
 
 
 def _left_normal_range(smallest, iterations) -> ConvergenceError:
@@ -519,7 +496,6 @@ def perron_stack(e):
     since = np.zeros(size, dtype=int)
     waiting, count = np.ones(size, dtype=bool), size
     steps = 0
-    switched = False  # whether a slice has entered Noda's phase
     while count:
         steps += 1
         y = np.matmul(stack, x[:, :, None])[:, :, 0]
@@ -548,7 +524,6 @@ def perron_stack(e):
                     stalled.append(j)
                 elif slow:
                     since[j] = steps
-                    switched = True
             if stalled:
                 # a stall in Noda's phase, or the budget spent: accepted
                 # at the noise floor, refused above it
@@ -564,20 +539,18 @@ def perron_stack(e):
             done = live[certified]
             values[done], residuals[done] = (hi + lo)[certified] / 2.0, spread[certified] / 2.0
             vectors[done], iterations[done] = np.log(x[certified]), steps
-            if switched:
-                noda[done] = since[certified] > 0
-                since[leave] = 0
+            noda[done] = since[certified] > 0
+            since[leave] = 0
             count -= leaving
             if not count:
                 break
             waiting &= ~leave
         update = y / np.maximum.reduce(y, axis=1, keepdims=True)
-        if switched:
-            rows = since.nonzero()[0]  # the waiting slices in Noda's phase
-            if rows.size:
-                z, good = _noda_steps(stack, rows, x, ratio)
-                update[rows[good]] = z[good]
-                since[rows[~good]] = 0
+        rows = since.nonzero()[0]  # the waiting slices in Noda's phase
+        if rows.size:
+            z, good = _noda_steps(stack, rows, x, ratio)
+            update[rows[good]] = z[good]
+            since[rows[~good]] = 0
         x = update
         if leaving and 4 * count <= live.size:
             live, stack, x, since, history, waiting = _compact(waiting, live, stack, x, since, history)

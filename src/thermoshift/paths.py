@@ -18,7 +18,8 @@ error is raised.
 
 The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
-together, and those past the bracket are dropped.  A stack ends early at
+together, and those past the bracket are dropped.  A target at the value
+at ``t = 0`` is solved at the start alone.  A stack ends early at
 the first scan point at or past the root of the Newton tangent at the
 last point solved, so few points are solved past the bracket.  The Newton
 steps that close the bracket probe one point at a time, since each
@@ -244,12 +245,15 @@ def _solve_monotone(
     holds only the points the scan reached.
 
     Both objectives have derivative ``-t p''(t)``.  From the probe
-    closest to the target (an end of the bracket, as the objective is
-    monotone) the Newton step is taken when it lands strictly inside the
+    closest to the target (the latest of those tied, so an end of the
+    bracket) the Newton step is taken when it lands strictly inside the
     bracket, else the midpoint (``rtsafe``, Numerical Recipes section
     9.4).  A Newton step shorter than the width tolerance is pushed half
     that tolerance past the root, so the next probe lands on the other
-    side of it and closes the bracket.  When a step taken inside the
+    side of it and closes the bracket.  A probe on the target has a step
+    of 0, pushed twice as far as the last push: where rounding leaves the
+    objective on the target over many widths, the probes cross that
+    plateau in a few doublings.  When a step taken inside the
     bracket is short enough that quadratic convergence (the error of the
     new point about ``step**3 / previous**2``) puts its point within a
     quarter width of the root, the points half a width beyond and short
@@ -292,9 +296,10 @@ def _solve_monotone(
         raise exhausted(trace)
 
     lo, hi = bracket
-    best = min(trace, key=lambda s: abs(value_of(s) - target))
+    best = min(reversed(trace), key=lambda s: abs(value_of(s) - target))
     iterations = 0
     previous = None  # the last Newton step probed, None after a midpoint
+    push = 0.0  # the last push of a Newton step
 
     def width() -> float:
         return 1e-10 * max(1.0, hi)
@@ -308,7 +313,8 @@ def _solve_monotone(
         if step is not None:
             pushed = abs(step) < w
             if pushed:
-                step += math.copysign(0.5 * w, step)
+                push = 2.0 * push if step == 0.0 and push else 0.5 * w
+                step += math.copysign(push, step)
             if lo < best.t + step < hi:
                 t = best.t + step
                 points = [t]
@@ -323,7 +329,7 @@ def _solve_monotone(
         for s in _stacked(evaluate, points, look_ahead, wanted=open_at):
             trace.append(s)
             iterations += 1
-            if abs(value_of(s) - target) < abs(value_of(best) - target):
+            if abs(value_of(s) - target) <= abs(value_of(best) - target):
                 best = s
             if value_of(s) >= target:
                 lo = s.t
@@ -366,7 +372,8 @@ def solve_intermediate_entropy(
     def exhausted(trace) -> Exception:  # pragma: no cover - endpoint hit first
         return AsymptoteUnreachableError("unreachable")
 
-    if abs(a - h_top) > tol:  # not the t = 0 endpoint: certify reachability
+    endpoint = abs(a - h_top) <= tol
+    if not endpoint:  # certify reachability
         from .ergopt import max_ergodic_average  # here, so that a sweep loads no ergopt
 
         maximization = max_ergodic_average(sft, phi)
@@ -387,9 +394,8 @@ def solve_intermediate_entropy(
                 f"scan reached t = {t_max} with entropy {lowest} still above {a}"
             )
 
-    return _solve_monotone(
-        evaluate, _look_ahead(sft, psi, phi), lambda s: s.entropy, a, tol, t_max, exhausted
-    )
+    look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
+    return _solve_monotone(evaluate, look_ahead, lambda s: s.entropy, a, tol, t_max, exhausted)
 
 
 def solve_intermediate_pressure(
@@ -422,9 +428,10 @@ def solve_intermediate_pressure(
         )
 
     evaluate = partial(_samples, sft, psi, phi)
-    look_ahead = _look_ahead(sft, psi, phi)
+    endpoint = abs(target - top) <= tol
+    look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
 
-    if target <= alpha + _ENDPOINT_GUARD and abs(target - top) > tol:
+    if target <= alpha + _ENDPOINT_GUARD and not endpoint:
         # The bound value itself is attained only in the limit; scan to
         # document the approach before refusing.
         trace = list(_stacked(evaluate, _scan_grid(t_max), look_ahead))

@@ -255,3 +255,44 @@ def test_solves_from_64_states_keep_their_bits():
                       solve.frame_left, solve.residuals, solve.iterations, solve.noda):
             digest.update(field.tobytes())
     assert digest.hexdigest() == SOLVES_FROM_64_STATES
+
+
+# sha256 of `_maxplus_frame` (all four outputs) and `_howard`'s certified
+# flags on stacks of 2 to 8 rows on the near-cap graphs of at least 64
+# states, and of `perron_stack` on stacks that mix plain slices with
+# slices that switch to Noda's phase; pinned before the shortcuts of
+# `_howard`, `_policy_values` and `perron_stack` were deleted.
+STACKED_FRAMES_AND_PHASES = "b4d09ebb3b55679d330469be2074bb3718a1824b3404a0b72edec631b8d26c95"
+
+
+def test_stacked_frames_and_mixed_phases_keep_their_bits():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2026)
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: n >= 64):
+        if draw != "normal":  # one stack per graph
+            continue
+        size = int(rng.integers(2, 9))
+        rows = []
+        for kind, scale in zip(rng.integers(0, 3, size).tolist(), rng.choice(FRAME_SCALES, size).tolist()):
+            if kind == 0:
+                values = rng.normal(size=len(src))
+            elif kind == 1:
+                values = rng.choice([-0.5, 0.0, 0.25], size=len(src))
+            else:
+                values = np.round(2.0 * rng.normal(size=len(src)))
+            rows.append(scale * values)
+        w = np.array(rows)
+        for part in _maxplus_frame(n, src, dst, w):
+            digest.update(part.tobytes())
+        digest.update(_perron._howard(n, src, dst, w)[0].tobytes())
+    # diag(d)^-1 (0.03 J/n + 0.97 I) diag(d) switches to Noda's phase at
+    # the probe; the random dense slices certify in plain steps.
+    n = 64
+    d = np.exp(np.linspace(0.0, -1.0, n))
+    steady = (np.full((n, n), 0.03 / n) + 0.97 * np.eye(n)) * d / d[:, None]
+    fast = rng.uniform(0.1, 1.0, (5, n, n))
+    fast /= fast.max(axis=2, keepdims=True)
+    for stack in ([steady, fast[0]], [fast[1], steady, steady.T], [*fast, steady], [*fast[:2]]):
+        for part in _perron.perron_stack(np.array(stack)):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == STACKED_FRAMES_AND_PHASES

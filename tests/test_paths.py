@@ -532,13 +532,19 @@ def ray_family_solves(full2, golden, full3, rng):
 
 
 def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng, monkeypatch):
-    cases = 0
+    cases = endpoints = 0
     for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
         assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 8, label
         with monkeypatch.context() as m:
             stacks = recorded_stacks(m)
             ahead = solve_outcome(solve)
-        assert max(map(len, stacks)) > 1, label
+        # a target at the value at t = 0 solves the start alone
+        endpoint = isinstance(ahead[0], tuple) and float.fromhex(ahead[0][1]) == 0.0
+        if endpoint:
+            assert stacks == [[0.0]], label
+        else:
+            assert max(map(len, stacks)) > 1, label
+        endpoints += endpoint
         with monkeypatch.context() as m:
             m.setattr(paths, "_LOOK_AHEAD", 1)
             stacks = recorded_stacks(m)
@@ -546,7 +552,21 @@ def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng
         assert max(map(len, stacks)) == 1, label
         assert ahead == one_at_a_time, label
         cases += 1
-    assert cases == 34
+    assert (cases, endpoints) == (34, 3)
+
+
+def test_a_plateau_on_the_target_is_crossed_in_few_calls(full2, golden, full3, rng, monkeypatch):
+    # The psi-pressure of "random 7 b" rounds to its target exactly from
+    # t = 9.24172129228745 to at least 9.24172129828745, six widths of the
+    # closing bracket: probes on the target push on by doubling steps,
+    # where midpoints from the far end of the bracket took 41 calls.
+    (solve,) = [solve for label, _, solve in ray_family_solves(full2, golden, full3, rng)
+                if label.startswith("random 7 b=")]
+    stacks = recorded_stacks(monkeypatch)
+    report = solve()
+    assert len(stacks) <= 20
+    assert report.residual == 0.0
+    assert_newton_solve(report, lambda s: s.psi_pressure, (8.0, 16.0), len(report.trace))
 
 
 def test_the_look_ahead_is_one_above_32_block_states(full2):
