@@ -28,9 +28,12 @@ formed once per solve: ``exp`` of the conjugated log-weights is taken on
 the edge arrays alone and scattered into a zero-filled dense table, so
 no transcendental runs over its padding.  The Collatz-Wielandt enclosure
 ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in logs,
-certifies the result to the fixed tolerance ``TOL``.  A conjugation
-keeps the spectrum and the enclosure is certified on the conjugated
-matrix, so frame rounding cannot weaken it.
+certifies the result to the fixed tolerance ``TOL``; it holds for any
+positive ``x``, so a slice in its first plain phase takes it only at
+step 1 and every ``_BLOCK``-th step, and bare products ``x <- E x``
+(no log, bound or normalization) between.  A conjugation keeps the
+spectrum and the enclosure is certified on the conjugated matrix, so
+frame rounding cannot weaken it.
 
 Every slice starts with plain steps, on the whole stack of matrices at
 once.  At a fixed probe step each open slice's contraction predicts the
@@ -63,6 +66,9 @@ TOL = 1e-13
 _BUDGET = 2000  # steps per slice, plain and Noda together
 _PROBE = 8  # the step that measures each slice's contraction
 _PROBE_WINDOW = 4
+# Products per enclosure in the first plain phase; `_PROBE`, `_PROBE_WINDOW`,
+# `_STALL` and `_BUDGET` are its multiples, so their steps take one.
+_BLOCK = 4
 _STALL = 40
 _NOISE_FLOOR_ACCEPT = 1e-12
 _NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
@@ -428,7 +434,7 @@ def _policy_values(succ, cost, depth):
 def _left_normal_range(smallest, iterations) -> ConvergenceError:
     return ConvergenceError(
         f"Perron iterate left the normal float range (smallest entry "
-        f"{smallest:g} of a max-1 vector after {iterations} iterations)"
+        f"{smallest:g} of the iterate after {iterations} iterations)"
     )
 
 
@@ -439,9 +445,10 @@ def _stalled(residual, iterations) -> ConvergenceError:
     )
 
 
-# A product that underflows to 0 takes log -inf without a warning: its
-# iterate leaves the normal float range in the same step and is refused.
-@np.errstate(divide="ignore")
+# A product that underflows to 0 takes log -inf, and a bare one that
+# overflows gives inf and then nan, without a warning: the iterate that
+# holds them leaves the normal float range and is refused at its check.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def perron_stack(e):
     """Dominant log-eigenvalue and log right eigenvector of each slice of
     a stack ``e`` of shape ``(S, n, n)``, each slice bit for bit as if
@@ -455,21 +462,24 @@ def perron_stack(e):
     True where the slice certified in Noda's phase.
 
     Every step takes one stacked product ``E x``, which certifies and, in
-    the plain phase, is the update; a slice leaves once it certifies.  At
-    step ``_PROBE`` a slice whose contraction over the last
-    ``_PROBE_WINDOW`` steps predicts more plain steps than four Noda
-    steps are counted to cost switches to Noda's phase, as does a slice
-    whose contraction over the last ``_STALL`` steps later predicts as
-    much, or more than the budget holds; where four Noda steps count for
-    more than the budget, from about 500 states, no slice switches at the
-    probe.  A Noda step solves ``(sigma I - E) z = x`` at the
-    Collatz-Wielandt upper bound ``sigma``, one batched solve over the
-    switched slices; a solve that is not positive, finite and in the
-    normal range sends its slice back to plain steps.  A slice that
-    stalls in Noda's phase, or spends the budget, is accepted at the
-    floating-point noise floor or refused.  Raises the
-    ``ConvergenceError`` of the first refused slice, or of the first
-    whose iterate leaves the normal float range.
+    the plain phase, is the update; a slice leaves once it certifies.  A
+    slice never in Noda's phase takes the enclosure only at step 1 and
+    every ``_BLOCK``-th step, bare products between (in one inner loop
+    while every waiting slice is such), so it counts 1 or a multiple of
+    ``_BLOCK`` products, the iterations returned.  At step ``_PROBE`` a
+    slice whose contraction over the last ``_PROBE_WINDOW`` steps predicts
+    more plain steps than four Noda steps are counted to cost switches to
+    Noda's phase, as does a slice whose contraction over the last
+    ``_STALL`` steps later predicts as much, or more than the budget
+    holds; where four Noda steps count for more than the budget, from
+    about 500 states, no slice switches at the probe.  A Noda step solves
+    ``(sigma I - E) z = x`` at the Collatz-Wielandt upper bound ``sigma``,
+    one batched solve over the switched slices; a solve that is not
+    positive, finite and in the normal range sends its slice back to plain
+    steps.  A slice that stalls in Noda's phase, or spends the budget, is
+    accepted at the floating-point noise floor or refused.  Raises the
+    ``ConvergenceError`` of the first refused slice, or of the first whose
+    iterate leaves the normal float range.
     """
     size, n = e.shape[:2]
     values = np.empty(size)
@@ -480,20 +490,22 @@ def perron_stack(e):
     failures = {}
     # Plain steps that cost about as much as four Noda steps, at or above
     # every measured cost of a Noda step (in plain steps: 7 at n = 32, 12
-    # at 64, 23-47 at 128, 78-84 at 192, 69-107 at 256, 173-205 at 1,024).
+    # at 64, 23-47 at 128, 78-84 at 192, 69-107 at 256, 173-205 at 1,024,
+    # measured when each step took the enclosure; it counts products).
     # From n of about 500 it passes the budget: there no slice switches at
     # the probe, and only a stall sends one to Noda's phase.
     horizon = 4 * (2 + n / 8 + (n / 24) ** 2)
     probe = _PROBE if horizon < _BUDGET else 0
 
     ring = _STALL + 1
-    history = np.empty((ring, size))  # the spreads of the last `ring` steps
+    history = np.empty((ring, size))  # the spreads of the last `ring` steps, nan if not taken
     # The stack holds the slices `live` with their matrices and iterates,
-    # and the step at which each switched to Noda's phase (0: plain).  A
-    # slice with a verdict stops `waiting` but stays in the stack, its
-    # steps unused, until a quarter of the stack is left to wait.
+    # the step at which each switched to Noda's phase (0: plain), and
+    # whether it is `blocked`: in its first plain phase, or done.  A slice
+    # with a verdict stops `waiting` but stays in the stack, its steps
+    # unused, until a quarter of the stack is left to wait.
     live, stack, x = np.arange(size), e, np.ones((size, n))
-    since = np.zeros(size, dtype=int)
+    since, blocked = np.zeros(size, dtype=int), np.ones(size, dtype=bool)
     waiting, count = np.ones(size, dtype=bool), size
     steps = 0
     while count:
@@ -504,6 +516,9 @@ def perron_stack(e):
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
         # The spread hi - lo is twice the residual (halving is exact).
         spread = np.subtract(hi, lo, out=history[steps % ring])
+        bare = steps > 1 and steps % _BLOCK  # a step between the checks of blocked slices
+        if bare:
+            spread[blocked] = np.nan
         leave = spread <= TOL
         if count < live.size:
             leave &= waiting
@@ -523,7 +538,7 @@ def perron_stack(e):
                 if steps == _BUDGET or (slow and start[j]):
                     stalled.append(j)
                 elif slow:
-                    since[j] = steps
+                    since[j], blocked[j] = steps, False
             if stalled:
                 # a stall in Noda's phase, or the budget spent: accepted
                 # at the noise floor, refused above it
@@ -538,14 +553,20 @@ def perron_stack(e):
         if leaving:
             done = live[certified]
             values[done], residuals[done] = (hi + lo)[certified] / 2.0, spread[certified] / 2.0
-            vectors[done], iterations[done] = np.log(x[certified]), steps
+            kept = x[certified]
+            if steps > 1:  # a bare iterate, scaled back to max 1
+                kept /= np.maximum.reduce(kept, axis=1, keepdims=True)
+            vectors[done], iterations[done] = np.log(kept), steps
             noda[done] = since[certified] > 0
             since[leave] = 0
             count -= leaving
             if not count:
                 break
             waiting &= ~leave
+            blocked |= leave  # a verdict's steps are unused
         update = y / np.maximum.reduce(y, axis=1, keepdims=True)
+        if bare:
+            update[blocked] = y[blocked]
         rows = since.nonzero()[0]  # the waiting slices in Noda's phase
         if rows.size:
             z, good = _noda_steps(stack, rows, x, ratio)
@@ -553,14 +574,22 @@ def perron_stack(e):
             since[rows[~good]] = 0
         x = update
         if leaving and 4 * count <= live.size:
-            live, stack, x, since, history, waiting = _compact(waiting, live, stack, x, since, history)
+            live, stack, x, since, blocked, history, waiting = _compact(
+                waiting, live, stack, x, since, blocked, history)
+        if blocked.all():  # bare products up to the next check, in one loop
+            for _ in range(-(steps + 1) % _BLOCK):
+                steps += 1
+                history[steps % ring] = np.nan
+                x = np.matmul(stack, x[:, :, None])[:, :, 0]
         if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
             smallest = np.minimum.reduce(x, axis=1)
             normal = smallest >= _SMALLEST_NORMAL
+            if (steps + 1) % _BLOCK:  # blocked slices are checked before their next check
+                normal |= blocked
             for j in np.flatnonzero(waiting & ~normal).tolist():
                 failures[int(live[j])] = _left_normal_range(smallest[j], steps)
-            live, stack, x, since, history, waiting = _compact(
-                waiting & normal, live, stack, x, since, history)
+            live, stack, x, since, blocked, history, waiting = _compact(
+                waiting & normal, live, stack, x, since, blocked, history)
             count = live.size
     if failures:
         raise failures[min(failures)]

@@ -74,6 +74,10 @@ class PressureResult:
     ``right_vector`` are the log-domain Perron vectors on the edge
     graph; ``residual`` is the certified half-width of the
     Collatz-Wielandt enclosure, measured in the conditioned frame.
+    ``iterations`` is the larger count of products ``E x`` of the two
+    Perron sides; a side that stays in the plain phase takes the
+    enclosure only at its first and every fourth product, so it counts 1
+    or a multiple of 4.
     """
 
     value: float

@@ -243,8 +243,10 @@ def test_howard_frames_agree_with_the_exact_analysis_and_karp(monkeypatch):
 
 # sha256 of every field of `solve_stack` on the near-cap graphs of at least
 # 64 states at t = 1, pinned before the policy steps of `_howard` and the
-# plain step of `perron_stack` were reworked: both keep every bit.
-SOLVES_FROM_64_STATES = "56e92232956c86fc16e9ad283d84d236ce4d77c8b28ccc67349e4f85407a14d0"
+# plain step of `perron_stack` were reworked: both keep every bit.  Taken
+# again when plain slices began to take the enclosure once per four
+# products, with the default OpenBLAS threads.
+SOLVES_FROM_64_STATES = "3997041e3222d59b285f4458b03d5d658ead07e917ec847403fe5e751a97ae37"
 
 
 def test_solves_from_64_states_keep_their_bits():
@@ -261,8 +263,9 @@ def test_solves_from_64_states_keep_their_bits():
 # flags on stacks of 2 to 8 rows on the near-cap graphs of at least 64
 # states, and of `perron_stack` on stacks that mix plain slices with
 # slices that switch to Noda's phase; pinned before the shortcuts of
-# `_howard`, `_policy_values` and `perron_stack` were deleted.
-STACKED_FRAMES_AND_PHASES = "b4d09ebb3b55679d330469be2074bb3718a1824b3404a0b72edec631b8d26c95"
+# `_howard`, `_policy_values` and `perron_stack` were deleted, and taken
+# again when plain slices began to take the enclosure once per four products.
+STACKED_FRAMES_AND_PHASES = "24cd208dedb387af69c62f516dd854ee535d2d1bf62df528af05c09a1aa9f73b"
 
 
 def test_stacked_frames_and_mixed_phases_keep_their_bits():

@@ -8,9 +8,10 @@ import pytest
 
 import thermoshift as ts
 from thermoshift import _perron, transfer
-from thermoshift._edgegraph import edge_weights
+from thermoshift._edgegraph import edge_weights, graph_order
 
 import oracles
+from test_corpus import corpus
 
 
 def test_import_loads_no_scipy():
@@ -274,6 +275,16 @@ def test_a_stack_solves_each_slice_as_if_alone():
             _perron.perron_stack(np.exp(mixed))
         assert str(stacked.value) == errors[first]
 
+    # On 16 states: a plain slice whose bare products run on beside a
+    # slice in Noda's phase, and a slice that certifies at step 1.
+    stack = mixed_phases()
+    got = _perron.perron_stack(stack)
+    for k in range(len(stack)):
+        alone = _perron.perron_stack(stack[k][None])
+        for stacked, lone in zip(got, alone):
+            assert stacked[k].tobytes() == lone[0].tobytes()
+    assert got[3][0] >= 12 and got[3][2] == 1 and got[4].tolist() == [False, True, False]
+
 
 def test_a_steady_contraction_stays_plain_past_the_stall_window():
     # diag(d)^-1 (J/4n + 3I/4) diag(d) on n = 256 states: every eigenvalue
@@ -298,6 +309,61 @@ def steady_contraction(n, rho):
     other eigenvalue ``rho``."""
     d = np.exp(np.linspace(0.0, -1.0, n))
     return (np.full((n, n), (1.0 - rho) / n) + rho * np.eye(n)) * d / d[:, None]
+
+
+def mixed_phases():
+    """Three 16-state slices: one that stays plain for 28 products, one
+    that the probe sends to Noda's phase and one of equal row sums."""
+    return np.array([steady_contraction(16, 0.3), steady_contraction(16, 0.5), np.full((16, 16), 0.5)])
+
+
+def assert_recertified(e, values, log_vectors, residuals, iterations, noda, beta=0.0):
+    """One product ``E x`` of each returned vector ``x`` gives bounds
+    within the residual of the value less ``beta``, up to a few ulps, and
+    every slice certified in the plain phase took the enclosure at step 1
+    or at a multiple of the block.  Each log vector has max 0."""
+    assert not log_vectors.max(axis=1).any()
+    x = np.exp(log_vectors)
+    d = np.log(np.matmul(e, x[:, :, None])[:, :, 0] / x)
+    lam = values - beta
+    ulps = 4 * np.finfo(float).eps * (len(x[0]) + np.abs(values) + np.abs(beta) + np.abs(log_vectors).max(axis=1))
+    assert (d.max(axis=1) <= lam + residuals + ulps).all()
+    assert (d.min(axis=1) >= lam - residuals - ulps).all()
+    plain = iterations[~noda]
+    assert ((plain == 1) | (plain % _perron._BLOCK == 0)).all(), plain
+
+
+def test_returned_vectors_recertify():
+    # A plain slice takes the enclosure only at some of its products: the
+    # vector it returns must be the one whose product certified it.
+    for trial, sft, phi in corpus():
+        order = graph_order(phi.memory)
+        states, src, dst = ts.sft.block_graph(sft, order)
+        n = len(states)
+        w = np.array([0.0, 1.0, 10.0])[:, None] * edge_weights(phi, order)
+        solve = _perron.solve_stack(n, src, dst, w)
+        beta = _perron._maxplus_frame(n, src, dst, w, False)[0]
+        e = np.zeros((len(w), n, n))
+        e[:, src, dst] = np.exp(solve.frame_w)
+        assert_recertified(e, solve.value, solve.frame_right, solve.residuals[0::2],
+                           solve.iterations[0::2], solve.noda[0::2], beta)
+    stack = mixed_phases()
+    assert_recertified(stack, *_perron.perron_stack(stack))
+
+
+def test_a_tie_sent_back_from_noda_certifies():
+    # The system of trial 128 of the stress corpus with values drawn from
+    # {-0.5, 0, 0.25}, at t = 100 (16 states): both slices leave Noda's
+    # phase on failed solves and come back; a slice sent back takes its
+    # enclosure at every step, and certifies.
+    sft = ts.build_sft(5, [[1, 0, 0, 1, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 0], [0, 1, 0, 1, 1], [1, 0, 1, 0, 0]])
+    tied = {"-": -0.5, "0": 0.0, "+": 0.25}
+    draw = "000+-++--0++--00--+0+00-+--0--------0+-+-+-+0-0++++"
+    phi = ts.Potential(sft, 3, dict(zip(ts.admissible_blocks(sft, 3), [tied[c] for c in draw])))
+    phi_t = ray(sft, phi, 100.0)
+    result, mu = ts.pressure_and_equilibrium(sft, phi_t)
+    assert result.residual <= 1e-12
+    assert abs(result.value - (mu.entropy + ts.integrate(mu, phi_t))) <= 1e-9
 
 
 def test_large_graphs_switch_to_noda_only_when_they_stall():
