@@ -120,12 +120,13 @@ class EigenSolve:
 def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenSolve:
     """Log Perron values and vectors of the rows of edge weights ``w``
     (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
-    ``n`` vertices.  Raises the error of the first row that fails: a
-    ``ValidationError`` where its max-plus frame is not finite, as where
-    its walk sums pass the float range, or where a conjugated weight
-    (right or left) passes ln of the float maximum or every edge out of
-    a vertex falls below ln of the smallest normal; else its
-    ``ConvergenceError``, its right side's before its left side's.
+    ``n`` vertices.  Before any Perron step, raises the ``ValidationError``
+    of the first row it refuses: one whose max-plus frame is not finite,
+    as where its walk sums pass the float range, or where a conjugated
+    weight (right or left) passes ln of the float maximum or every edge
+    out of a vertex falls below ln of the smallest normal.  Else raises
+    the ``ConvergenceError`` of the first row that fails, its right
+    side's before its left side's.
 
     With ``left=False`` neither the left Bellman pass nor the left Perron
     slices run, for callers that read only ``value``: every field but
@@ -142,10 +143,7 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
             left_w = frame_w + left_frame[:, src] - left_frame[:, dst]
             refused = np.maximum(refused, _refused(n, dst, left_w))
     if refused.any():
-        k = int(refused.nonzero()[0][0])
-        if k:  # the rows before it may fail first
-            solve_stack(n, src, dst, w[:k], left=left)
-        raise ValidationError(_REFUSALS[refused[k]])
+        raise ValidationError(_REFUSALS[refused[refused > 0][0]])
     frames = np.zeros((sides * size, n, n))
     frames[0::sides, src, dst] = np.exp(frame_w)
     if left:

@@ -143,30 +143,26 @@ def zero_temperature_diagnostics(
 
     For each ``t`` the defect ``beta - integral(phi, mu_t)`` is
     nonnegative, bounded by ``h(f) / t`` and non-increasing in ``t``;
-    violations beyond round-off signal a numerical fault and raise.
+    violations beyond round-off signal a numerical fault and raise.  The
+    ray is one `paths.sweep`, which raises what `paths.sample_at` raises
+    at its first failing point before any row is checked.
     """
-    from .transfer import _checked_grid, _ray_samples  # here, so that maximizing loads no transfer
+    from .paths import sweep  # here, so that maximizing loads no ray code
+    from .transfer import _checked_grid
 
     ts = _checked_grid("t_list", t_list, positive=True)
     beta = max_ergodic_average(sft, phi).beta
     h_top = topological_entropy(sft)
-    # every t in one stacked solve, which raises a failed point's error
-    # before any row is checked
-    ray = _ray_samples(sft, zero_potential(sft), phi, ts)
-
     rows = []
-    previous = None
-    for t, avg, entropy in zip(ts, ray.phi_avg, ray.entropy):
-        defect = beta - avg
-        bound = h_top / t
+    previous = -math.inf
+    for s in sweep(sft, zero_potential(sft), phi, ts):
+        defect, bound = beta - s.phi_avg, h_top / s.t
         if defect < -1e-12:
-            raise CheckFailedError(f"negative defect {defect} at t={t}")
+            raise CheckFailedError(f"negative defect {defect} at t={s.t}")
         if defect > bound + 1e-9:
-            raise CheckFailedError(
-                f"defect {defect} exceeds bound h(f)/t = {bound} at t={t}"
-            )
-        if previous is not None and avg < previous - 1e-12:
-            raise CheckFailedError(f"phi average decreased along the ray at t={t}")
-        previous = avg
-        rows.append(ZeroTemperatureRow(t, avg, entropy, defect, bound))
+            raise CheckFailedError(f"defect {defect} exceeds bound h(f)/t = {bound} at t={s.t}")
+        if s.phi_avg < previous - 1e-12:
+            raise CheckFailedError(f"phi average decreased along the ray at t={s.t}")
+        previous = s.phi_avg
+        rows.append(ZeroTemperatureRow(s.t, s.phi_avg, s.entropy, defect, bound))
     return rows

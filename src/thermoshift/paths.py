@@ -11,10 +11,9 @@ by Newton steps safeguarded by bisection inside the bracket.
 
 A sweep solves its whole grid as stacks (see `transfer`), and each of its
 samples equals `sample_at` at that point bit for bit; `sample_at` is a
-sweep of one point.  A failing grid raises the error that `sample_at`
-raises at its first failing point, unless one chunk holds a point that
-fails validation before one whose eigensolve fails: the eigensolve's
-error is raised.
+sweep of one point.  Every multi-point solve raises what `sample_at`
+raises at its first failing point: a stack that fails is solved again
+one point at a time (`_stacked`), by a sweep and by the solvers alike.
 
 The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
@@ -56,6 +55,7 @@ from .potentials import Potential, combine, zero_potential
 from .sft import Sft, topological_entropy
 from .transfer import (
     _IDENTITY_TOL,
+    PathSample,
     _checked_grid,
     _identity_gap,
     _ray_graph,
@@ -75,25 +75,6 @@ _ENDPOINT_GUARD = 1e-12
 # out to t = 8 in the first stack.
 _LOOK_AHEAD = 8
 _LOOK_AHEAD_STATES = 32
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One point of the ray ``t -> psi + t*phi``.
-
-    ``pressure`` is ``P(psi + t phi)``; ``entropy`` and ``phi_avg`` are
-    taken in the unique equilibrium state ``mu_t``; ``psi_pressure`` is
-    ``h(mu_t) + integral(psi, mu_t)``; ``phi_var`` is ``p''(t)``, the
-    asymptotic variance of ``phi`` under ``mu_t`` (``nan`` on a sample
-    built by hand or where the kernel of ``mu_t`` is reducible).
-    """
-
-    t: float
-    pressure: float
-    entropy: float
-    phi_avg: float
-    psi_pressure: float
-    phi_var: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -117,25 +98,18 @@ class SolveReport:
     trace: tuple[PathSample, ...] = field(repr=False)
 
 
-def _samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> list[PathSample]:
-    ray = _ray_samples(sft, psi, phi, ts)
-    return [
-        PathSample(t, p, h, a, h + b, v)
-        for t, p, h, a, b, v in zip(
-            ts, ray.pressure, ray.entropy, ray.phi_avg, ray.psi_avg, ray.phi_var
-        )
-    ]
-
-
 def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
     """Evaluate one path sample at parameter ``t``: a sweep of one point."""
-    return _samples(sft, psi, phi, [float(t)])[0]
+    return _ray_samples(sft, psi, phi, [float(t)])[0]
 
 
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
     """Path samples on an increasing grid of parameters ``t >= 0``,
-    solved as stacks; each equals `sample_at` at its point bit for bit."""
-    return _samples(sft, psi, phi, _checked_grid("t_grid", t_grid, positive=False))
+    solved as stacks; each equals `sample_at` at its point bit for bit.
+    A grid that fails is solved again one point at a time, so it raises
+    what `sample_at` raises at its first failing point."""
+    ts = _checked_grid("t_grid", t_grid, positive=False)
+    return list(_stacked(partial(_ray_samples, sft, psi, phi), ts, len(ts)))
 
 
 @dataclass(frozen=True)
@@ -367,7 +341,7 @@ def solve_intermediate_entropy(
             f"entropy target {a} outside [0, h(f)] = [0, {h_top}]"
         )
     psi = zero_potential(sft)
-    evaluate = partial(_samples, sft, psi, phi)
+    evaluate = partial(_ray_samples, sft, psi, phi)
 
     def exhausted(trace) -> Exception:  # pragma: no cover - endpoint hit first
         return AsymptoteUnreachableError("unreachable")
@@ -427,7 +401,7 @@ def solve_intermediate_pressure(
             f"target {target} lies below the ground-state bound alpha = {alpha}"
         )
 
-    evaluate = partial(_samples, sft, psi, phi)
+    evaluate = partial(_ray_samples, sft, psi, phi)
     endpoint = abs(target - top) <= tol
     look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
 

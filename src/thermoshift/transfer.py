@@ -33,19 +33,17 @@ solved in chunks whose largest stacked table holds at most
 validated once: `MarkovMeasure` on construction, a grid's by
 `_validate_measures` on the whole chunk.
 
-Each stage of a stacked solve raises the error of its first failing
-slice: the eigensolve its ``ConvergenceError`` (or the
-``ValidationError`` of a max-plus frame it refuses), the
-measure validation its ``ValidationError``.  A chunk is solved to the
-end before it is validated, so a later point's eigensolve failure is
-raised before an earlier point's validation failure.
+A multi-point solve raises what ``paths.sample_at`` raises at its first
+failing point, as ``paths._stacked`` solves a stack that fails again one
+point at a time.  So each stage of a stack raises the error of its own
+first failing slice: the eigensolve its ``ValidationError`` or
+``ConvergenceError``, the measure validation its ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -272,15 +270,23 @@ def pressure_and_equilibrium(sft: Sft, phi: Potential) -> tuple[PressureResult, 
     return _pressure_result(solve), _equilibrium(sft, graph_order(phi.memory), solve)
 
 
-class _RaySamples(NamedTuple):
-    """Equilibrium quantities of ``psi + t * phi`` over a grid of ``t``,
-    as lists over the grid."""
+@dataclass(frozen=True)
+class PathSample:
+    """One point of the ray ``t -> psi + t*phi``.
 
-    pressure: list[float]
-    entropy: list[float]
-    phi_avg: list[float]
-    psi_avg: list[float]
-    phi_var: list[float]
+    ``pressure`` is ``P(psi + t phi)``; ``entropy`` and ``phi_avg`` are
+    taken in the unique equilibrium state ``mu_t``; ``psi_pressure`` is
+    ``h(mu_t) + integral(psi, mu_t)``; ``phi_var`` is ``p''(t)``, the
+    asymptotic variance of ``phi`` under ``mu_t`` (``nan`` on a sample
+    built by hand or where the kernel of ``mu_t`` is reducible).
+    """
+
+    t: float
+    pressure: float
+    entropy: float
+    phi_avg: float
+    psi_pressure: float
+    phi_var: float = math.nan
 
 
 def _checked_grid(name: str, grid, *, positive: bool) -> list[float]:
@@ -308,39 +314,37 @@ def _ray_graph(sft: Sft, psi: Potential, phi: Potential):
     return order, block_graph(sft, order)
 
 
-def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> _RaySamples:
-    """Pressure, equilibrium entropy, the integrals of ``phi`` and ``psi``
-    and the asymptotic variance of ``phi`` at each point of ``ts`` on the
-    ray ``psi + t * phi``, solved as stacks at the common order on the
-    cached edge weights of both potentials: the weights of
-    ``combine(psi, phi, t)`` bit for bit, without building that potential
-    or its dense edge table.
+def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> list[PathSample]:
+    """The path samples at the points ``ts`` of the ray ``psi + t * phi``,
+    solved as stacks at the common order on the cached edge weights of
+    both potentials: the weights of ``combine(psi, phi, t)`` bit for bit,
+    without building that potential or its dense edge table.
 
-    Chunk by chunk, raises the first error met: the eigensolve's, then the
-    validation's (see the module docstring), then that of a point whose
-    weights are not finite, once the points before it are solved."""
+    Raises the error of a failing point of the first chunk that has one:
+    the ``ValidationError`` of its first point whose weights are not
+    finite, before any solve; else the first error of its eigensolve,
+    then of its measure validation (see the module docstring)."""
     order, (states, src, dst) = _ray_graph(sft, psi, phi)
     n = len(states)
     w_psi, w_phi = edge_weights(psi, order), edge_weights(phi, order)
     chunk = max(1, _STACK_ENTRIES // (2 * n * n))
-    out = _RaySamples([], [], [], [], [])
+    out = []
     for start in range(0, len(ts), chunk):
-        grid = np.array(ts[start:start + chunk], dtype=float)
+        grid = ts[start:start + chunk]
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            w = w_psi + grid[:, None] * w_phi
+            w = w_psi + np.array(grid, dtype=float)[:, None] * w_phi
         finite = np.isfinite(w).all(axis=1)
-        k = len(w) if finite.all() else int(finite.argmin())
-        if k:
-            solve = solve_stack(n, src, dst, w[:k])
-            pi, kernel = _equilibria(sft, order, solve)
-            out.pressure.extend(solve.value.tolist())
-            out.entropy.extend(_validate_measures(sft, order, pi, kernel))
-            phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
-            out.phi_avg.extend(phi_avg)
-            out.psi_avg.extend(psi_avg)
-            out.phi_var.extend(_variances(sft, order, pi, kernel, w_phi).tolist())
-        if k < len(w):
-            raise ValidationError(f"psi + t * phi has a non-finite value at t = {ts[start + k]}")
+        if not finite.all():
+            raise ValidationError(
+                f"psi + t * phi has a non-finite value at t = {grid[int(finite.argmin())]}"
+            )
+        solve = solve_stack(n, src, dst, w)
+        pi, kernel = _equilibria(sft, order, solve)
+        entropy = _validate_measures(sft, order, pi, kernel)
+        phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
+        phi_var = _variances(sft, order, pi, kernel, w_phi).tolist()
+        psi_pressure = [h + b for h, b in zip(entropy, psi_avg)]
+        out += map(PathSample, grid, solve.value.tolist(), entropy, phi_avg, psi_pressure, phi_var)
     return out
 
 
@@ -385,19 +389,6 @@ def _integrals(sft: Sft, order: int, pi, kernel, *weights) -> list[list[float]]:
     # fsum is exactly rounded, so the order of the edges cannot matter, and
     # it sums zeros to +0.0, so uncharged edges (zero terms) cannot either.
     return [[math.fsum(row) for row in (mass * w).tolist()] for w in weights]
-
-
-def _asymptotic_variance(mu: MarkovMeasure, phi: Potential) -> float:
-    """Asymptotic variance of ``phi`` under the Markov measure ``mu``.
-
-    ``phi`` must live on the subshift of ``mu`` with memory at most
-    ``mu.order + 1``, as it does when ``mu`` is the equilibrium state
-    ``mu_t`` of ``psi + t * phi``; the result is then the second
-    derivative ``p''(t)`` of the pressure along the ray.  See
-    `_variances`.
-    """
-    weights = edge_weights(phi, mu.order)
-    return float(_variances(mu.sft, mu.order, mu.stationary[None], mu.kernel[None], weights)[0])
 
 
 def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:

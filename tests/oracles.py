@@ -6,6 +6,8 @@ log-domain power iteration, networkx cycle enumeration instead of Karp
 (and Karp's recurrence, the Bellman pass and the critical subgraph in
 ``Fraction``s instead of scaled integers), sequential matrix powers
 instead of repeated squaring, and closed-form inversions where available.
+The one exception is `asymptotic_variance`, the package's own variance
+route applied to a single measure, which the tests compare samples with.
 """
 
 import itertools
@@ -355,3 +357,17 @@ def random_stochastic_kernel(rng, transitions, order):
                 kernel[i, index[b[1:] + (s,)]] = rng.uniform(0.1, 1.0)
     kernel /= kernel.sum(axis=1, keepdims=True)
     return states, kernel, stationary_from_kernel(kernel)
+
+
+# --- the package's variance of one measure ------------------------------------
+
+def asymptotic_variance(mu, phi):
+    """Asymptotic variance of ``phi`` under the Markov measure ``mu`` by
+    ``transfer._variances`` on a stack of one: the ``phi_var`` of a path
+    sample whose equilibrium state is ``mu``.  ``phi`` must have memory
+    at most ``mu.order + 1``."""
+    from thermoshift._edgegraph import edge_weights
+    from thermoshift.transfer import _variances
+
+    weights = edge_weights(phi, mu.order)
+    return float(_variances(mu.sft, mu.order, mu.stationary[None], mu.kernel[None], weights)[0])

@@ -15,7 +15,6 @@ from thermoshift import _edgegraph, _perron, ergopt, paths, potentials, transfer
 from thermoshift._edgegraph import edge_weights
 from thermoshift.cli import main
 from thermoshift.errors import ValidationError
-from thermoshift.transfer import _asymptotic_variance
 
 import oracles
 
@@ -51,7 +50,7 @@ def dense_integral(mu, phi):
 
 
 def dense_variance(mu, phi):
-    """``_asymptotic_variance`` as computed on the dense table."""
+    """``oracles.asymptotic_variance`` as computed on the dense table."""
     kernel, pi = mu.kernel, mu.stationary
     f = np.where(kernel > 0, dense_logw(mu.sft, phi, mu.order), 0.0)
     weighted = kernel * f
@@ -80,10 +79,10 @@ def test_sample_at_matches_the_combine_route_bit_for_bit():
             entropy = mu.entropy
             phi_avg = ts.integrate(mu, phi)
             want = (t, result.value, entropy, phi_avg,
-                    entropy + ts.integrate(mu, psi), _asymptotic_variance(mu, phi))
+                    entropy + ts.integrate(mu, psi), oracles.asymptotic_variance(mu, phi))
             assert sample_bits(sample) == bits(*want), (trial, t)
             assert sample_bits(stacked) == bits(*want), (trial, t)
-            assert bits(phi_avg, _asymptotic_variance(mu, phi)) == bits(
+            assert bits(phi_avg, oracles.asymptotic_variance(mu, phi)) == bits(
                 dense_integral(mu, phi), dense_variance(mu, phi)
             ), (trial, t)
 

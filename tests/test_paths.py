@@ -16,7 +16,6 @@ from thermoshift.errors import (
     ThermoshiftError,
     ValidationError,
 )
-from thermoshift.transfer import _asymptotic_variance
 
 import oracles
 
@@ -76,6 +75,41 @@ def test_sweep_validates_grid(full2, monkeypatch):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError, match=f"t_grid must be finite, got {bad}"):
             ts.sweep(full2, psi, phi, [0.0, 1.0, bad])
+
+
+def test_a_sweep_raises_the_error_of_its_first_failing_point_across_stages(golden, monkeypatch):
+    # In one chunk t = 1 fails its measure validation and the later t = 2
+    # its eigensolve, which runs first: the sweep still raises what
+    # sample_at raises at t = 1.
+    phi = ts.Potential(golden, 1, {(0,): 1.0, (1,): 0.0})  # each row of t * phi peaks at t
+    zero = ts.zero_potential(golden)
+    solve_stack, validate = transfer.solve_stack, transfer._validate_measures
+    stack = []
+
+    def failing_at_2(n, src, dst, w):
+        stack[:] = np.maximum.reduce(w, axis=1).tolist()
+        if 2.0 in stack:
+            raise ConvergenceError("the eigensolve fails at t = 2")
+        return solve_stack(n, src, dst, w)
+
+    def refusing_1(sft, order, pi, kernel):
+        if 1.0 in stack:
+            raise ValidationError("the measure at t = 1 is refused")
+        return validate(sft, order, pi, kernel)
+
+    monkeypatch.setattr(transfer, "solve_stack", failing_at_2)
+    monkeypatch.setattr(transfer, "_validate_measures", refusing_1)
+    ts.sample_at(golden, zero, phi, 0.5)
+    with pytest.raises(ConvergenceError):
+        ts.sample_at(golden, zero, phi, 2.0)
+    with pytest.raises(ValidationError) as alone:
+        ts.sample_at(golden, zero, phi, 1.0)
+    with pytest.raises(ValidationError) as swept:
+        ts.sweep(golden, zero, phi, [0.0, 0.5, 1.0, 2.0])
+    assert str(swept.value) == str(alone.value) == "the measure at t = 1 is refused"
+    with pytest.raises(ValidationError) as diagnosed:
+        ts.zero_temperature_diagnostics(golden, phi, [0.5, 1.0, 2.0])
+    assert str(diagnosed.value) == str(alone.value)
 
 
 def test_sample_invariants_along_sweep(golden, rng):
@@ -150,7 +184,7 @@ def test_a_singular_variance_system_is_nan_in_its_own_slice_only(full2):
     weights = edge_weights(two_loops, 1)
     pi = np.array([0.5, 0.5])
     mixing = np.array([[0.75, 0.25], [0.25, 0.75]])
-    want = _asymptotic_variance(ts.MarkovMeasure(full2, 1, pi, mixing), two_loops)
+    want = oracles.asymptotic_variance(ts.MarkovMeasure(full2, 1, pi, mixing), two_loops)
     assert math.isfinite(want)
     for kernels, singular in (([np.eye(2), mixing], 0), ([mixing, np.eye(2)], 1)):
         got = transfer._variances(full2, 1, np.array([pi, pi]), np.array(kernels), weights)
@@ -164,7 +198,7 @@ def test_phi_var_is_nan_on_a_reducible_kernel(full2):
     )
     # two disjoint loops: I - P + 1 pi is singular
     mu = ts.MarkovMeasure(full2, 1, np.array([0.5, 0.5]), np.eye(2))
-    assert math.isnan(_asymptotic_variance(mu, two_loops))
+    assert math.isnan(oracles.asymptotic_variance(mu, two_loops))
     # far out on the ray the kernel between the loops underflows, and the
     # samples still come back
     samples = ts.sweep(full2, ts.zero_potential(full2), two_loops, [1000.0, 1e6])
@@ -279,7 +313,7 @@ def test_solvers_refuse_bad_t_max(golden, monkeypatch, t_max):
     def no_probe(*args):
         raise AssertionError("a probe ran")
 
-    monkeypatch.setattr(paths, "_samples", no_probe)
+    monkeypatch.setattr(paths, "_ray_samples", no_probe)
     with pytest.raises(ValidationError, match="t_max"):
         ts.solve_intermediate_entropy(golden, phi, 0.3, t_max=t_max)
     with pytest.raises(ValidationError, match="t_max"):
@@ -375,9 +409,9 @@ def test_newton_steps_leaving_the_bracket_fall_back_to_midpoints(
 ):
     # a vanishing second derivative sends every Newton step out of the
     # bracket, so only midpoints are probed
-    samples = paths._samples
+    samples = paths._ray_samples
     monkeypatch.setattr(
-        paths, "_samples",
+        paths, "_ray_samples",
         lambda *args: [dataclasses.replace(s, phi_var=1e-300) for s in samples(*args)],
     )
     report = golden_entropy_solve(golden)
@@ -479,13 +513,13 @@ def solve_outcome(solve):
 def recorded_stacks(monkeypatch):
     """Record every stack of points the solvers evaluate."""
     stacks = []
-    samples = paths._samples
+    samples = paths._ray_samples
 
     def recorded(sft, psi, phi, ts_):
         stacks.append(list(ts_))
         return samples(sft, psi, phi, ts_)
 
-    monkeypatch.setattr(paths, "_samples", recorded)
+    monkeypatch.setattr(paths, "_ray_samples", recorded)
     return stacks
 
 
@@ -634,7 +668,7 @@ def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, mo
     expected = solve_outcome(solve)
     assert expected[0][-2:] == (1.0.hex(), 2.0.hex())
     failed = []
-    samples = paths._samples
+    samples = paths._ray_samples
 
     def failing_past_the_bracket(sft, psi, phi, ts_):
         if 4.0 in ts_:
@@ -642,7 +676,7 @@ def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, mo
             raise error("past the bracket")
         return samples(sft, psi, phi, ts_)
 
-    monkeypatch.setattr(paths, "_samples", failing_past_the_bracket)
+    monkeypatch.setattr(paths, "_ray_samples", failing_past_the_bracket)
     assert solve_outcome(solve) == expected
     assert failed == [[0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]]
 
@@ -665,7 +699,7 @@ def test_a_closing_stack_failing_on_a_skipped_point_leaves_the_report_unchanged(
         i == skipped for i in range(3)
     ]
     failed = []
-    samples = paths._samples
+    samples = paths._ray_samples
 
     def failing_on_the_skipped_point(sft, psi, phi, ts_):
         if closing[skipped] in ts_:
@@ -673,20 +707,20 @@ def test_a_closing_stack_failing_on_a_skipped_point_leaves_the_report_unchanged(
             raise ConvergenceError("skipped point")
         return samples(sft, psi, phi, ts_)
 
-    monkeypatch.setattr(paths, "_samples", failing_on_the_skipped_point)
+    monkeypatch.setattr(paths, "_ray_samples", failing_on_the_skipped_point)
     assert solve_outcome(solve) == expected
     assert failed == [closing]
 
 
 def test_a_failing_scan_raises_the_error_of_its_first_failing_point(golden, monkeypatch):
-    samples = paths._samples
+    samples = paths._ray_samples
 
     def failing_at_4(sft, psi, phi, ts_):
         if 4.0 in ts_:
             raise ConvergenceError(f"failed on {ts_}")
         return samples(sft, psi, phi, ts_)
 
-    monkeypatch.setattr(paths, "_samples", failing_at_4)
+    monkeypatch.setattr(paths, "_ray_samples", failing_at_4)
     phi = ts.fixed_point_potential(golden, 0)
     solve = lambda: ts.solve_intermediate_entropy(golden, phi, 1e-3)  # noqa: E731
     ahead = solve_outcome(solve)
