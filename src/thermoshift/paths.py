@@ -7,31 +7,36 @@ the entropy and the ``psi``-pressure of the equilibrium state,
 ``p(t) - t p'(t)``, are non-increasing for ``t >= 0`` with derivative
 ``-t p''(t)``.  Targets between the asymptotic ground value and the value
 at ``t = 0`` are therefore found by a geometric bracketing scan followed
-by Newton steps safeguarded by bisection inside the bracket.
+by interpolation safeguarded by bisection inside the bracket.
 
 A sweep solves its whole grid as stacks (see `transfer`), and each of its
 samples equals `sample_at` at that point bit for bit; `sample_at` is a
 sweep of one point.  Every multi-point solve raises what `sample_at`
-raises at its first failing point: a stack that fails is solved again
-one point at a time (`_stacked`), by a sweep and by the solvers alike.
+raises at its first failing point: a stack that fails is solved again by
+halves (`_stacked`), by a sweep and by the solvers alike.
 
 The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
 together, and those past the bracket are dropped.  A target at the value
-at ``t = 0`` is solved at the start alone.  A stack ends early at
-the first scan point at or past the root of the Newton tangent at the
-last point solved, so few points are solved past the bracket.  The Newton
-steps that close the bracket probe one point at a time, since each
-depends on the ones before it, except the last: once quadratic
-convergence puts the Newton point within a quarter of the width
-tolerance of the root, that point and the two half a width on either side
-of it are solved as one stack, and the first of the two that still lies
-inside the bracket closes it when the prediction holds.  A stack that
-fails is solved again one point at a time, so a solve reports and raises
-what probing one point at a time would.  The look-ahead is 8 on block graphs of at most 32
-states and 1 above: timed against a look-ahead of 1 on full shifts with
-random potentials, stacks of eight made the probes of a solve cheaper up
-to 32 states, about as cheap at 64 and dearer at 128.
+at ``t = 0`` is solved at the start alone.  A stack ends early at the
+first scan point at or past the root of the Newton tangent at the last
+point solved, so few points are solved past the bracket.  Each sample
+carries the objective's value and slope, so the first probe inside the
+bracket is the root of the cubic Hermite interpolant of its two ends.
+The probes that close the bracket go one call at a time, since each
+depends on the ones before it, except the last: once the Newton error
+predicted from the bend of the objective puts the Newton point within a
+few widths of the root, that point and the points half a width apart on
+either side of it are solved as one stack, and the first that lies past
+the root closes the bracket when the prediction holds.  So a solve
+reports and raises what probing one point at a time would.
+
+On block graphs of at most 32 states a stack costs about one point: the
+scan takes four points per octave, 26 points a stack, and a closing stack
+reaches up to four points either side.  Above 32 states every point is
+solved alone, as stacks of eight there timed about as cheap (64 states)
+or dearer (128), so the scan takes one point per octave and a closing
+stack one point either side.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -68,12 +73,13 @@ SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
 SCAN_T_MAX = SCAN_STEP * 2**20
 _ENDPOINT_GUARD = 1e-12
-# Points solved as one stack by the bracketing scans, and the width of the
-# stack that closes a bracket, on block graphs of at most _LOOK_AHEAD_STATES
-# states; larger graphs probe one point at a time, as stacks there timed
-# about as cheap (64 states) or dearer (128).  Eight points bring the scan
-# out to t = 8 in the first stack.
-_LOOK_AHEAD = 8
+# On block graphs of at most _LOOK_AHEAD_STATES states: points solved as
+# one stack by the bracketing scans (the first, the start and 25 scan
+# points, reaches t = 8), scan points per octave, and the points a closing
+# stack may solve on either side of its probe.
+_LOOK_AHEAD = 26
+_SCAN_SPLIT = 4
+_SPREAD = 4
 _LOOK_AHEAD_STATES = 32
 
 
@@ -81,12 +87,14 @@ _LOOK_AHEAD_STATES = 32
 class SolveReport:
     """Result of an intermediate-value solve along a ray.
 
-    ``bracket`` is the interval found by the geometric scan, ``iterations``
-    the number of probes made after it was found, and ``trace`` every
-    probe the solve consumed, in order: the start at ``t = 0``, the scan up
-    to the end of the bracket, then the Newton probes.  Points solved in a
-    stack past the bracket, or past the collapse of the bracket, are not
-    in it.
+    ``bracket`` is the interval found by the geometric scan: two
+    neighbouring points of ``SCAN_STEP * 2**(k / 4)`` on block graphs of at
+    most 32 states, of ``SCAN_STEP * 2**k`` above, or ``(0, SCAN_STEP)``.
+    ``iterations`` is the number of probes made after it was found, and
+    ``trace`` every probe the solve consumed, in order: the start at
+    ``t = 0``, the scan up to the end of the bracket, then the probes that
+    close it.  Points solved in a stack past the bracket, or past the
+    collapse of the bracket, are not in it.
     """
 
     target: float
@@ -106,8 +114,8 @@ def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
     """Path samples on an increasing grid of parameters ``t >= 0``,
     solved as stacks; each equals `sample_at` at its point bit for bit.
-    A grid that fails is solved again one point at a time, so it raises
-    what `sample_at` raises at its first failing point."""
+    A grid that fails is solved again by halves, so it raises what
+    `sample_at` raises at its first failing point."""
     ts = _checked_grid("t_grid", t_grid, positive=False)
     return list(_stacked(partial(_ray_samples, sft, psi, phi), ts, len(ts)))
 
@@ -146,18 +154,27 @@ def _check_positive(name: str, value: float):
 _Evaluator = Callable[[list[float]], list[PathSample]]
 
 
+def _stacks_pay(sft: Sft, psi: Potential, phi: Potential) -> bool:
+    """Whether ``psi + t * phi`` lies on a block graph of at most
+    ``_LOOK_AHEAD_STATES`` states, where a stack costs about one point."""
+    _, (states, _, _) = _ray_graph(sft, psi, phi)
+    return len(states) <= _LOOK_AHEAD_STATES
+
+
 def _look_ahead(sft: Sft, psi: Potential, phi: Potential) -> int:
     """Points per stack of a bracketing scan along ``psi + t * phi``."""
-    _, (states, _, _) = _ray_graph(sft, psi, phi)
-    return _LOOK_AHEAD if len(states) <= _LOOK_AHEAD_STATES else 1
+    return _LOOK_AHEAD if _stacks_pay(sft, psi, phi) else 1
 
 
-def _scan_grid(t_max: float) -> Iterator[float]:
-    """The geometric scan ``SCAN_STEP * 2**k`` up to ``t_max``."""
-    t = SCAN_STEP
-    while t <= t_max:
+def _scan_grid(t_max: float, fine: bool) -> Iterator[float]:
+    """The geometric scan ``SCAN_STEP * 2**(k / n)`` up to ``t_max``, with
+    ``n = _SCAN_SPLIT`` points per octave where ``fine``, else 1."""
+    n = _SCAN_SPLIT if fine else 1
+    for k in count():
+        t = SCAN_STEP * 2 ** (k / n)
+        if t > t_max:
+            return
         yield t
-        t *= 2.0
 
 
 def _stacked(
@@ -172,9 +189,27 @@ def _stacked(
     where ``wanted`` fails for it once the caller has taken the samples
     before it.  A stack ends early at its first point at or past
     ``crossing`` of the last sample solved, where the caller expects to
-    stop.  A stack that raises is solved again one wanted point at a time,
-    so the error that comes out is the one of the first failing point the
-    caller wants, once the points before it are yielded."""
+    stop.  A stack that raises is solved again by halves: the first half
+    as a stack, whose samples are yielded, then the wanted points of the
+    rest, each half split again where it raises.  So the error that comes
+    out is the one of the first failing point the caller wants, once the
+    points before it are yielded, after about two solves per halving."""
+    def solved(stack: list[float]) -> Iterator[PathSample]:
+        try:
+            samples = evaluate(stack)
+        except (ConvergenceError, ValidationError):
+            if len(stack) == 1:
+                raise
+            half = len(stack) // 2
+            yield from solved(stack[:half])
+            rest = [t for t in stack[half:] if wanted(t)]
+            if rest:
+                yield from solved(rest)
+            return
+        for t, s in zip(stack, samples):
+            if wanted(t):
+                yield s
+
     ts = iter(ts)
     end = math.inf
     while True:
@@ -187,22 +222,15 @@ def _stacked(
                 break
         if not stack:
             return
-        try:
-            solved = evaluate(stack)
-        except (ConvergenceError, ValidationError):
-            if len(stack) == 1:
-                raise
-            solved = [None] * len(stack)
-        for t, s in zip(stack, solved):
-            if wanted(t):
-                last = s if s is not None else evaluate([t])[0]
-                yield last
+        for last in solved(stack):
+            yield last
         end = crossing(last)
 
 
 def _solve_monotone(
     evaluate: _Evaluator,
     look_ahead: int,
+    fine: bool,
     value_of: Callable[[PathSample], float],
     target: float,
     tol: float,
@@ -210,44 +238,73 @@ def _solve_monotone(
     exhausted: Callable[[list[PathSample]], Exception],
 ) -> SolveReport:
     """Bracket a non-increasing objective on a geometric grid, then close
-    the bracket by safeguarded Newton steps.
+    the bracket by safeguarded interpolation.
 
-    The start and the scan are solved in stacks of up to ``look_ahead``
-    points (see `_stacked`).  A stack after the first ends early at the
-    first scan point at or past the root of the Newton tangent at the last
-    point solved, so the points solved past the bracket are few; the report
-    holds only the points the scan reached.
+    The start and the scan (``_scan_grid(t_max, fine)``) are solved in
+    stacks of up to ``look_ahead`` points (see `_stacked`).  A stack after
+    the first ends early at the first scan point at or past the root of the
+    Newton tangent at the last point solved, so the points solved past the
+    bracket are few; the report holds only the points the scan reached.
 
-    Both objectives have derivative ``-t p''(t)``.  From the probe
-    closest to the target (the latest of those tied, so an end of the
-    bracket) the Newton step is taken when it lands strictly inside the
-    bracket, else the midpoint (``rtsafe``, Numerical Recipes section
-    9.4).  A Newton step shorter than the width tolerance is pushed half
-    that tolerance past the root, so the next probe lands on the other
-    side of it and closes the bracket.  A probe on the target has a step
-    of 0, pushed twice as far as the last push: where rounding leaves the
-    objective on the target over many widths, the probes cross that
-    plateau in a few doublings.  When a step taken inside the
-    bracket is short enough that quadratic convergence (the error of the
-    new point about ``step**3 / previous**2``) puts its point within a
-    quarter width of the root, the points half a width beyond and short
-    of it are solved with it: in order, each is probed unless it lies
-    outside the bracket or the bracket has collapsed.
+    Both objectives have derivative ``-t p''(t)``, so each sample carries
+    the objective's value and slope.  Each probe is the root of the cubic
+    Hermite interpolant of the samples at the two ends of the bracket,
+    else, where that root is not strictly inside the bracket, the Newton
+    step from the sample closest to the target (the latest of those tied,
+    so an end of the bracket), else the midpoint (``rtsafe``, Numerical
+    Recipes section 9.4).  A sample on the target has a Newton step of 0,
+    pushed on by half the width tolerance ``w``, then twice as far as the
+    last push: where rounding leaves the objective on the target over many
+    widths, the probes cross that plateau in a few doublings.
+
+    The last call closes the bracket.  The error of the Newton point is
+    about ``bend * step**2 / (2 |slope|)``, with the objective's bend taken
+    between the ends of the bracket.  When it is under ``k w / 4`` for some
+    ``k`` up to ``_SPREAD`` where ``fine`` (else 1), or the Newton step is
+    shorter than ``w`` (then ``k = 1``), the probe is the Newton point, and
+    the points ``j w / 2`` beyond and short of it, ``j = 1 .. k``, are
+    solved with it.  In order, each is probed unless it lies outside the
+    bracket or the bracket has collapsed.
 
     The returned parameter carries both guarantees: objective within
     ``tol`` of the target and a bracket collapsed to near round-off, so
     the parameter itself is close to the true crossing.
     """
+    def slope(s: PathSample) -> float:
+        return -s.t * s.phi_var
+
     def newton_step(s: PathSample) -> float | None:
-        curvature = s.t * s.phi_var  # minus the objective's slope
-        return (value_of(s) - target) / curvature if curvature > 0.0 else None
+        return (value_of(s) - target) / -slope(s) if slope(s) < 0.0 else None
 
     def crossing(s: PathSample) -> float:
         step = newton_step(s)
         return math.inf if step is None else s.t + step
 
+    def hermite_root(a: PathSample, b: PathSample) -> float:
+        # The root in [0, 1] of the cubic p(u) that has the objective less
+        # the target, and its slope, at t = a.t + u * h at both ends; nan
+        # where a slope is not finite.  Newton steps on p from the secant
+        # root, with bisection where one leaves the bracket of the root.
+        h = b.t - a.t
+        pa, pb = value_of(a) - target, value_of(b) - target
+        da, db = h * slope(a), h * slope(b)
+        if not math.isfinite(da + db):
+            return math.nan
+        c2, c3 = 3.0 * (pb - pa) - 2.0 * da - db, 2.0 * (pa - pb) + da + db
+        above, below, u = 0.0, 1.0, pa / (pa - pb)
+        for _ in range(64):
+            p, dp = ((c3 * u + c2) * u + da) * u + pa, (3.0 * c3 * u + 2.0 * c2) * u + da
+            above, below = (u, below) if p > 0.0 else (above, u)
+            new = u - p / dp if dp < 0.0 else math.nan
+            if not above < new < below:
+                new = 0.5 * (above + below)
+            if abs(new - u) <= 1e-16:
+                break
+            u = new
+        return a.t + new * h
+
     trace: list[PathSample] = []
-    scan = _stacked(evaluate, chain([0.0], _scan_grid(t_max)), look_ahead, crossing)
+    scan = _stacked(evaluate, chain([0.0], _scan_grid(t_max, fine)), look_ahead, crossing)
     start = next(scan)
     trace.append(start)
     if abs(value_of(start) - target) <= tol:
@@ -258,57 +315,57 @@ def _solve_monotone(
             f"target {target} exceeds the value {value_of(start)} at t = 0"
         )
 
-    low_t = 0.0
-    bracket = None
     for s in scan:
         trace.append(s)
         if value_of(s) <= target:
-            bracket = (low_t, s.t)
             break
-        low_t = s.t
-    if bracket is None:
+    else:
         raise exhausted(trace)
 
-    lo, hi = bracket
+    low, high = trace[-2:]  # the samples at the ends of the bracket
+    bracket = (low.t, high.t)
     best = min(reversed(trace), key=lambda s: abs(value_of(s) - target))
+    spread = _SPREAD if fine else 1
     iterations = 0
-    previous = None  # the last Newton step probed, None after a midpoint
-    push = 0.0  # the last push of a Newton step
+    push = 0.0  # the last push off the target
 
     def width() -> float:
-        return 1e-10 * max(1.0, hi)
+        return 1e-10 * max(1.0, high.t)
 
     def open_at(t: float) -> bool:
-        return lo < t < hi and hi - lo > width()
+        return low.t < t < high.t and high.t - low.t > width()
 
-    while hi - lo > (w := width()):
-        points = [0.5 * (lo + hi)]
+    while high.t - low.t > (w := width()):
         step = newton_step(best)
-        if step is not None:
-            pushed = abs(step) < w
-            if pushed:
-                push = 2.0 * push if step == 0.0 and push else 0.5 * w
-                step += math.copysign(push, step)
-            if lo < best.t + step < hi:
-                t = best.t + step
-                points = [t]
-                # quadratic convergence puts t within w / 4 of the root:
-                # solve the points that close the bracket with it
-                if not pushed and previous is not None and abs(step) ** 3 < 0.25 * w * previous**2:
-                    half = math.copysign(0.5 * w, step)
-                    points += [t + half, t - half]
-            else:
-                step = None
-        previous = step
+        reach = 0  # the points on either side of the probe solved with it
+        if step == 0.0:
+            push = 2.0 * push if push else 0.5 * w
+        elif step is not None:
+            bend = abs((slope(high) - slope(low)) / (high.t - low.t))
+            quarters = 2.0 * bend * step * step / -slope(best) / w  # Newton's error
+            if quarters < spread:  # nan fails
+                reach = max(1, math.ceil(quarters))
+            elif abs(step) < w:
+                reach = 1
+        newton = math.nan if step is None else best.t + (step or push)
+        t = newton if reach else hermite_root(low, high)
+        if not open_at(t):
+            t = newton
+        if not open_at(t):
+            t, reach = 0.5 * (low.t + high.t), 0
+        points = [t]
+        for j in range(1, reach + 1):
+            half = math.copysign(0.5 * j * w, step)
+            points += [t + half, t - half]
         for s in _stacked(evaluate, points, look_ahead, wanted=open_at):
             trace.append(s)
             iterations += 1
             if abs(value_of(s) - target) <= abs(value_of(best) - target):
                 best = s
             if value_of(s) >= target:
-                lo = s.t
+                low = s
             else:
-                hi = s.t
+                high = s
     residual = abs(value_of(best) - target)
     if residual > tol:
         raise ConvergenceError(
@@ -369,7 +426,8 @@ def solve_intermediate_entropy(
             )
 
     look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
-    return _solve_monotone(evaluate, look_ahead, lambda s: s.entropy, a, tol, t_max, exhausted)
+    return _solve_monotone(evaluate, look_ahead, _stacks_pay(sft, psi, phi),
+                           lambda s: s.entropy, a, tol, t_max, exhausted)
 
 
 def solve_intermediate_pressure(
@@ -407,8 +465,8 @@ def solve_intermediate_pressure(
 
     if target <= alpha + _ENDPOINT_GUARD and not endpoint:
         # The bound value itself is attained only in the limit; scan to
-        # document the approach before refusing.
-        trace = list(_stacked(evaluate, _scan_grid(t_max), look_ahead))
+        # document the approach before refusing, one point per octave.
+        trace = list(_stacked(evaluate, _scan_grid(t_max, False), look_ahead))
         last = (
             f"psi-pressure {trace[-1].psi_pressure} at t = {trace[-1].t}"
             if trace
@@ -428,9 +486,8 @@ def solve_intermediate_pressure(
             f"{target}; the target is approached only as t -> infinity"
         )
 
-    return _solve_monotone(
-        evaluate, look_ahead, lambda s: s.psi_pressure, target, tol, t_max, exhausted
-    )
+    return _solve_monotone(evaluate, look_ahead, _stacks_pay(sft, psi, phi),
+                           lambda s: s.psi_pressure, target, tol, t_max, exhausted)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ validated once: `MarkovMeasure` on construction, a grid's by
 `_validate_measures` on the whole chunk.
 
 A multi-point solve raises what ``paths.sample_at`` raises at its first
-failing point, as ``paths._stacked`` solves a stack that fails again one
-point at a time.  So each stage of a stack raises the error of its own
+failing point, as ``paths._stacked`` solves a stack that fails again by
+halves, down to that point alone.  So each stage of a stack raises the error of its own
 first failing slice: the eigensolve its ``ValidationError`` or
 ``ConvergenceError``, the measure validation its ``ValidationError``.
 """

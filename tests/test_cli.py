@@ -395,7 +395,8 @@ def test_results_only_on_stdout(tmp_path):
 
 # Stdout recorded before the Perron solver moved to a float max-plus frame
 # and a linear-domain iteration, a move that changes the last digits of
-# every eigensolve; the configs sit next to the recordings.
+# every eigensolve; the configs sit next to the recordings.  The two solver
+# recordings were taken again when the solvers' probe sequence changed.
 DATA = pathlib.Path(__file__).parent / "data"
 RECORDED = json.loads((DATA / "cli_stdout.json").read_text())
 

@@ -318,9 +318,10 @@ def test_stdout_matches_pinned_bytes(case, capsys, monkeypatch):
     # ray probes moved onto cached edge weights; pins 01, 02 and 04 to 07
     # were taken again when slow Perron slices moved to Noda's iteration,
     # pins 02, 04 to 07 and 10 when the equilibrium's stationary vector
-    # lost its kernel-power polish, and pins 01, 02, 04 to 07, 09 and 10
+    # lost its kernel-power polish, pins 01, 02, 04 to 07, 09 and 10
     # when plain Perron slices began to take the enclosure once per four
-    # products.
+    # products, and pins 05 and 06 when the solvers' scan took four points
+    # per octave and their closing probes became Hermite roots.
     reason = recording_environment_differs()
     if reason:
         pytest.skip(reason)

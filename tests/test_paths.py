@@ -396,30 +396,33 @@ def full3_pressure_solve(full3, rng):
 
 def test_solve_entropy_newton_probe_count(golden):
     report = golden_entropy_solve(golden)
-    assert_newton_solve(report, lambda s: s.entropy, (1.0, 2.0), 12)
+    assert_newton_solve(report, lambda s: s.entropy, (2**0.25, 2**0.5), 20)
 
 
 def test_solve_pressure_newton_probe_count(full3, rng):
     report = full3_pressure_solve(full3, rng)
-    assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 4.0), 14)
+    assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 2**1.25), 25)
 
 
 def test_newton_steps_leaving_the_bracket_fall_back_to_midpoints(
     golden, full3, rng, monkeypatch
 ):
     # a vanishing second derivative sends every Newton step out of the
-    # bracket, so only midpoints are probed
+    # bracket, and the Hermite roots of flat ends still close it; without
+    # a second derivative there is neither, so only midpoints are probed
     samples = paths._ray_samples
-    monkeypatch.setattr(
-        paths, "_ray_samples",
-        lambda *args: [dataclasses.replace(s, phi_var=1e-300) for s in samples(*args)],
-    )
-    report = golden_entropy_solve(golden)
-    assert_newton_solve(report, lambda s: s.entropy, (1.0, 2.0), 45)
-    assert report.iterations > 30  # one probe per halving of the bracket
-    report = full3_pressure_solve(full3, rng)
-    assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 4.0), 45)
-    assert report.iterations > 30
+    for phi_var, probes in ((1e-300, range(20)), (math.nan, range(31, 45))):
+        with monkeypatch.context() as m:
+            m.setattr(
+                paths, "_ray_samples",
+                lambda *args: [dataclasses.replace(s, phi_var=phi_var) for s in samples(*args)],
+            )
+            report = golden_entropy_solve(golden)
+            assert_newton_solve(report, lambda s: s.entropy, (2**0.25, 2**0.5), 60)
+            assert report.iterations in probes  # midpoints: one per halving of the bracket
+            report = full3_pressure_solve(full3, rng)
+            assert_newton_solve(report, lambda s: s.psi_pressure, (2.0, 2**1.25), 60)
+            assert report.iterations in probes
 
 
 # --- intermediate pressure ----------------------------------------------------------
@@ -568,7 +571,7 @@ def ray_family_solves(full2, golden, full3, rng):
 def test_the_look_ahead_leaves_no_trace_in_the_results(full2, golden, full3, rng, monkeypatch):
     cases = endpoints = 0
     for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
-        assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 8, label
+        assert paths._look_ahead(*ray) == paths._LOOK_AHEAD == 26, label
         with monkeypatch.context() as m:
             stacks = recorded_stacks(m)
             ahead = solve_outcome(solve)
@@ -600,13 +603,13 @@ def test_a_plateau_on_the_target_is_crossed_in_few_calls(full2, golden, full3, r
     report = solve()
     assert len(stacks) <= 20
     assert report.residual == 0.0
-    assert_newton_solve(report, lambda s: s.psi_pressure, (8.0, 16.0), len(report.trace))
+    assert_newton_solve(report, lambda s: s.psi_pressure, (8.0, 2**3.25), len(report.trace))
 
 
 def test_the_look_ahead_is_one_above_32_block_states(full2):
     # memory m puts the ray on the 2^(m-1) blocks of length m - 1
     zero = ts.zero_potential(full2)
-    assert paths._look_ahead(full2, zero, ts.zero_potential(full2, 6)) == 8
+    assert paths._look_ahead(full2, zero, ts.zero_potential(full2, 6)) == 26
     assert paths._look_ahead(full2, ts.zero_potential(full2, 7), zero) == 1
 
 
@@ -614,12 +617,14 @@ def test_a_scan_stack_ends_past_the_root_of_the_newton_tangent(golden, monkeypat
     stacks = recorded_stacks(monkeypatch)
     phi = ts.fixed_point_potential(golden, 0)
     report = ts.solve_intermediate_entropy(golden, phi, 1e-9)
-    assert report.bracket == (8.0, 16.0)
-    # the tangent at t = 8 meets the target between 8 and 16, so the
-    # second stack stops at 16 instead of running on to 2048
-    assert stacks[:2] == [[0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [16.0]]
-    # then one point per Newton step, or three where the bracket closes
-    assert {len(s) for s in stacks[2:]} == {1, 3}
+    scan = [0.125 * 2 ** (k / 4) for k in range(28)]
+    assert report.bracket == (scan[26], scan[27])
+    # the tangent at t = 8 meets the target short of the next scan point,
+    # so the second stack stops there instead of running on to 2048, and
+    # so does each next one
+    assert stacks[:4] == [[0.0] + scan[:25], [scan[25]], [scan[26]], [scan[27]]]
+    # then one point per probe, or up to three where the bracket closes
+    assert {len(s) for s in stacks[4:]} == {1, 2, 3}
 
 
 def test_every_solver_probe_equals_sample_at_its_point(full2, golden, full3, rng):
@@ -632,41 +637,112 @@ def test_every_solver_probe_equals_sample_at_its_point(full2, golden, full3, rng
     assert cases == 34
 
 
-def test_the_stacked_route_above_32_block_states_has_the_same_outcome(full2, rng, monkeypatch):
-    # memory 7 puts the ray on 64 block states
+def sixty_four_state_solves(full2, rng):
+    """(ray, solve) for an entropy and a pressure solve on rays of 64
+    block states (memory 7), each with its target at t = 2.3."""
     psi = ts.Potential(full2, 1, oracles.random_values(rng, full2.transitions, 1))
     phi = ts.Potential(full2, 7, oracles.random_values(rng, full2.transitions, 7, scale=0.5))
     zero = ts.zero_potential(full2)
     a = ts.sample_at(full2, zero, phi, 2.3).entropy
     b = ts.sample_at(full2, psi, phi, 2.3).psi_pressure
-    solves = [
+    return [
         ((full2, zero, phi), lambda: ts.solve_intermediate_entropy(full2, phi, a)),
         ((full2, psi, phi), lambda: ts.solve_intermediate_pressure(full2, psi, phi, b)),
     ]
-    for ray, solve in solves:
+
+
+def test_the_stacked_route_above_32_block_states_has_the_same_outcome(full2, rng, monkeypatch):
+    # the scan on 64 block states takes one point per octave, four where
+    # stacks are used, so the stacked route is compared with one point at
+    # a time on the same grid
+    for ray, solve in sixty_four_state_solves(full2, rng):
         assert paths._look_ahead(*ray) == 1
         with monkeypatch.context() as m:
             stacks = recorded_stacks(m)
-            one_at_a_time = solve_outcome(solve)
+            alone = solve_outcome(solve)
         assert max(map(len, stacks)) == 1
+        assert isinstance(alone[0], tuple) and float.fromhex(alone[0][-1]) == 4.0  # t = 2 * 2
         with monkeypatch.context() as m:
             m.setattr(paths, "_LOOK_AHEAD_STATES", 64)
-            assert paths._look_ahead(*ray) == 8
+            assert paths._look_ahead(*ray) == 26
             stacks = recorded_stacks(m)
             stacked = solve_outcome(solve)
-        assert max(map(len, stacks)) == 8
+            m.setattr(paths, "_LOOK_AHEAD", 1)
+            one_at_a_time = solve_outcome(solve)
+        assert max(map(len, stacks)) == 26
+        assert float.fromhex(stacked[0][-1]) == 2**1.25
         assert isinstance(stacked[0], tuple) and stacked == one_at_a_time
+
+
+def test_a_short_newton_step_closes_the_bracket_in_one_stack(full2, monkeypatch):
+    # On the Bernoulli ray the bracket (8, 2**3.25) closes in three calls
+    # after the scan: a Hermite and a Newton probe, then the Newton point
+    # within a width of the root and the two points half a width on
+    # either side of it, as one stack.
+    phi = ts.Potential(full2, 1, {(0,): 0.0, (1,): -1.0})
+    a = ts.sample_at(full2, ts.zero_potential(full2), phi, 8.6734643762763).entropy
+    stacks = recorded_stacks(monkeypatch)
+    report = ts.solve_intermediate_entropy(full2, phi, a)
+    assert report.bracket == (8.0, 2**3.25)
+    assert_newton_solve(report, lambda s: s.entropy, report.bracket, len(report.trace))
+    assert [len(s) for s in stacks[:2]] == [26, 1]  # the scan
+    closing = stacks[2:]
+    assert len(closing) <= 3 and len(closing[-1]) == 3
+    t, beyond, short = closing[-1]
+    assert beyond - t == pytest.approx(t - short, rel=1e-6)
+    assert abs(beyond - t) <= 1e-10 * report.t_found
+
+
+def test_the_ray_family_solves_keep_their_call_budget(full2, golden, full3, rng, monkeypatch):
+    calls = 0
+    for label, ray, solve in ray_family_solves(full2, golden, full3, rng):
+        with monkeypatch.context() as m:
+            stacks = recorded_stacks(m)
+            solve_outcome(solve)
+        points = [t for stack in stacks for t in stack]
+        assert len(points) == len(set(points)), label  # no point is solved twice
+        calls += len(stacks)
+    assert calls <= 150  # 140 on x86-64 with numpy 2.4; 160 without the Hermite probe
+
+
+def test_the_64_state_solves_keep_their_call_budget(full2, rng, monkeypatch):
+    phi = ts.Potential(full2, 7, dict(zip(
+        ts.admissible_blocks(full2, 7), np.random.default_rng(7).uniform(-0.5, 0.5, size=128).tolist())))
+    a = ts.sample_at(full2, ts.zero_potential(full2), phi, 2.3).entropy
+    solves = [lambda: ts.solve_intermediate_entropy(full2, phi, a)]
+    solves += [solve for _, solve in sixty_four_state_solves(full2, rng)]
+    for solve, budget in zip(solves, (11, 11, 12)):
+        with monkeypatch.context() as m:
+            stacks = recorded_stacks(m)
+            assert solve().residual <= ts.paths.SOLVER_TOL
+        assert len(stacks) <= budget
+
+
+def test_a_failing_sweep_finds_its_first_failing_point_by_halves(golden, monkeypatch):
+    # the last of 1,001 points is not finite: the grid is solved again by
+    # halves, each first half as a stack, not one point at a time
+    phi = ts.Potential(golden, 1, {(0,): 0.0, (1,): 1e150})
+    zero = ts.zero_potential(golden)
+    grid = [*np.linspace(0.0, 30.0, 1000), 1e200]
+    with pytest.raises(ValidationError) as alone:
+        ts.sample_at(golden, zero, phi, 1e200)
+    stacks = recorded_stacks(monkeypatch)
+    with pytest.raises(ValidationError) as swept:
+        ts.sweep(golden, zero, phi, grid)
+    assert str(swept.value) == str(alone.value) == "psi + t * phi has a non-finite value at t = 1e+200"
+    assert len(stacks) <= 2 * math.ceil(math.log2(1001)) + 2
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, ValidationError])
 def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, monkeypatch, error):
-    # the bracket of this solve is (1, 2); the first stack [0, ..., 8]
-    # fails, as would the point 4 alone, which a scan one point at a time
-    # never probes
+    # the bracket of this solve is (2**0.75, 2); the first stack
+    # [0, ..., 8] fails, as would the point 4 alone, which a scan one point
+    # at a time never probes: its halves [0, ..., 2**-0.25] and
+    # [1, ..., 8], then the half [1, ..., 2**1.25] of the second, are solved
     phi = ts.fixed_point_potential(golden, 0)
     solve = lambda: ts.solve_intermediate_entropy(golden, phi, 0.1)  # noqa: E731
     expected = solve_outcome(solve)
-    assert expected[0][-2:] == (1.0.hex(), 2.0.hex())
+    assert expected[0][-2:] == ((2**0.75).hex(), 2.0.hex())
     failed = []
     samples = paths._ray_samples
 
@@ -678,31 +754,34 @@ def test_a_stack_failing_past_the_bracket_leaves_the_report_unchanged(golden, mo
 
     monkeypatch.setattr(paths, "_ray_samples", failing_past_the_bracket)
     assert solve_outcome(solve) == expected
-    assert failed == [[0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]]
+    scan = [0.125 * 2 ** (k / 4) for k in range(25)]
+    assert failed == [[0.0] + scan, scan[12:]]
 
 
-@pytest.mark.parametrize("a, skipped", [(0.3, 1), (0.24, 2)])
+@pytest.mark.parametrize("a, skipped", [(0.3, 1), (0.24, 2), (0.35, 1)])
 def test_a_closing_stack_failing_on_a_skipped_point_leaves_the_report_unchanged(
     golden, monkeypatch, a, skipped
 ):
     # the closing stack [t, t + w/2, t - w/2] of the target 0.3 skips its
-    # second point, which lies outside the bracket once t is probed; that
-    # of 0.24 drops its third, as the second point closes the bracket
+    # second point, which lies outside the bracket once t is probed, and
+    # that of 0.24, [t, t + w/2, t - w/2, t + w, t - w], its second and
+    # fourth; that of 0.35 drops its third, as the second point closes the
+    # bracket
     phi = ts.fixed_point_potential(golden, 0)
     solve = lambda: ts.solve_intermediate_entropy(golden, phi, a)  # noqa: E731
     with monkeypatch.context() as m:
         stacks = recorded_stacks(m)
         expected = solve_outcome(solve)
     closing = stacks[-1]
-    assert len(closing) == 3
-    assert [t.hex() not in {bits[0] for bits in expected[2]} for t in closing] == [
-        i == skipped for i in range(3)
-    ]
+    probed = [t.hex() in {bits[0] for bits in expected[2]} for t in closing]
+    assert probed == {0.3: [1, 0, 1], 0.24: [1, 0, 1, 0, 1], 0.35: [1, 1, 0]}[a]
+    assert probed.count(False) == skipped
+    last_skipped = closing[max(i for i, p in enumerate(probed) if not p)]
     failed = []
     samples = paths._ray_samples
 
     def failing_on_the_skipped_point(sft, psi, phi, ts_):
-        if closing[skipped] in ts_:
+        if last_skipped in ts_:
             failed.append(ts_)
             raise ConvergenceError("skipped point")
         return samples(sft, psi, phi, ts_)
@@ -728,23 +807,30 @@ def test_a_failing_scan_raises_the_error_of_its_first_failing_point(golden, monk
     assert ahead == solve_outcome(solve) == (ConvergenceError, "failed on [4.0]", [])
 
 
-def test_a_refusing_scan_raises_the_error_of_its_first_failing_point(monkeypatch):
-    # tied maximizing classes: the eigensolve fails from t = 4096 on, the
-    # last point of the refusing scan's stack [32, 64, ..., 4096]
-    sft = ts.build_sft(3, [[1, 1, 1], [0, 1, 1], [1, 0, 1]])
-    values = dict.fromkeys(["000", "001", "011", "012", "022", "111", "112", "120", "201"], 0.25)
-    values.update(dict.fromkeys(["002", "020", "122", "202", "220", "222"], -0.5), **{"200": 0.0})
-    phi = ts.Potential(sft, 3, {tuple(map(int, w)): v for w, v in values.items()})
-    zero = ts.zero_potential(sft)
-    alpha = ts.ground_state_pressure_bound(sft, zero, phi)
-    solve = lambda: ts.solve_intermediate_pressure(sft, zero, phi, alpha)  # noqa: E731
+def test_a_refusing_scan_raises_the_error_of_its_first_failing_point(full2, monkeypatch):
+    # the scan of a target at alpha runs on to t_max in one stack; where
+    # the eigensolve fails from t = 4096 on, it is solved again by halves
+    # down to that point alone
+    samples = paths._ray_samples
+
+    def failing_from_4096(sft, psi, phi, ts_):
+        if max(ts_) >= 4096.0:
+            raise ConvergenceError(f"failed on {ts_}")
+        return samples(sft, psi, phi, ts_)
+
+    monkeypatch.setattr(paths, "_ray_samples", failing_from_4096)
+    psi = ts.Potential(full2, 1, {(0,): 0.0, (1,): 1.0})
+    phi = ts.fixed_point_potential(full2, 0)
+    assert ts.ground_state_pressure_bound(full2, psi, phi) == 0.0
+    solve = lambda: ts.solve_intermediate_pressure(full2, psi, phi, 0.0)  # noqa: E731
     stacks = recorded_stacks(monkeypatch)
     ahead = solve_outcome(solve)
-    scan = [32.0 * 2**k for k in range(8)]
-    assert stacks[-9:] == [scan] + [[t] for t in scan]
+    scan = [0.125 * 2**k for k in range(21)]  # one point per octave, out to t_max
+    assert scan[15] == 4096.0
+    assert stacks == [scan[i:j] for i, j in ((0, 21), (0, 10), (10, 21), (10, 15), (15, 21),
+                                             (15, 18), (15, 16))]
     monkeypatch.setattr(paths, "_LOOK_AHEAD", 1)
-    assert ahead == solve_outcome(solve)
-    assert ahead[0] is ConvergenceError and "left the normal float range" in ahead[1]
+    assert ahead == solve_outcome(solve) == (ConvergenceError, "failed on [4096.0]", [])
 
 
 # --- grid continuity --------------------------------------------------------------
