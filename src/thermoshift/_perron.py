@@ -50,8 +50,19 @@ and the same enclosure on ``E`` certifies it.  The counted cost grows
 faster than ``n`` and passes the step budget at about 500 states, so
 larger graphs never switch at the probe and stay plain unless they
 stall.  The 3- to 9-state N(0, 1) potentials at ``t = 8`` of
-``tests/test_perron.py`` certify every slice in 11 or 12 steps, where
-plain steps alone took 995 to 1,931.
+``tests/test_perron.py`` certify every slice in 11 steps, where plain
+steps alone took 995 to 1,931.
+
+Before those phases, on a graph of at most ``_SQUARE_STATES`` (32)
+states, a slice that step 1 does not certify, and leaves with a spread
+above ``_SQUARE_SPREAD`` (1e-4), takes ``P^(2^K) x`` as its next
+iterate, ``x`` being its step-1 update: its matrix is squared ``K``
+times (``_SQUARINGS``, 7), each power scaled by its largest entry, one
+batched product per squaring over those slices.  A slice whose second
+eigenvalue is below about 0.8 of the Perron root then certifies at its
+next check, step 4; the squarings only choose the iterate, and the
+enclosure on the true product ``E x`` still decides.  A slice they do
+not finish goes on through the phases above.
 """
 
 from __future__ import annotations
@@ -72,6 +83,22 @@ _BLOCK = 4
 _STALL = 40
 _NOISE_FLOOR_ACCEPT = 1e-12
 _NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
+# A slice of at most `_SQUARE_STATES` states that step 1 does not
+# certify, and whose step-1 spread is above `_SQUARE_SPREAD`, takes
+# P^(2^_SQUARINGS) times its step-1 update as its next iterate.  At seed
+# 1, 7 squarings certify at step 4 every warm slice up to 32 states that
+# 8 to 12 do (5 leave 10 of them to Noda's phase); 10 cost 1.4-1.6% more
+# of the warm pass in process (seeds 2 and 5).  Seven squarings of two
+# slices cost 62-109 us up to 32 states and 323 us at 64, and of 26
+# slices 3.5 ms at 64, which a slice they do not finish pays for nothing;
+# the warm pass read within 2% squaring up to 32, 49 or 64 states.  A
+# frame at low temperature starts near its Perron vector and contracts
+# fast: on the cold and ray workloads (seed 1) every slice whose step-1
+# spread was at most 1e-4 certified at step 4 on plain products, and
+# squaring those too cost the cold pass 4-6% in process.
+_SQUARE_STATES = 32
+_SQUARINGS = 7
+_SQUARE_SPREAD = 1e-4
 _SMALLEST_NORMAL = np.finfo(float).tiny
 _LOG_MAX = float(np.log(np.finfo(float).max))
 _LOG_SMALLEST_NORMAL = float(np.log(_SMALLEST_NORMAL))
@@ -464,7 +491,14 @@ def perron_stack(e):
     slice never in Noda's phase takes the enclosure only at step 1 and
     every ``_BLOCK``-th step, bare products between (in one inner loop
     while every waiting slice is such), so it counts 1 or a multiple of
-    ``_BLOCK`` products, the iterations returned.  At step ``_PROBE`` a
+    ``_BLOCK`` products, the iterations returned.  Up to
+    ``_SQUARE_STATES`` states, a slice still waiting after step 1 with a
+    spread above ``_SQUARE_SPREAD`` there takes ``P^(2^K)`` times its
+    step-1 update, scaled to ``max = 1`` (``K`` being ``_SQUARINGS``), as
+    its next iterate where both are finite and in the normal range, else
+    the update itself; a squared slice that certifies at step 4 returns
+    ``iterations`` 4 (the squarings are not counted) and ``noda`` False.
+    At step ``_PROBE`` a
     slice whose contraction over the last ``_PROBE_WINDOW`` steps predicts
     more plain steps than four Noda steps are counted to cost switches to
     Noda's phase, as does a slice whose contraction over the last
@@ -565,6 +599,14 @@ def perron_stack(e):
         update = y / np.maximum.reduce(y, axis=1, keepdims=True)
         if bare:
             update[blocked] = y[blocked]
+        elif steps == 1 and n <= _SQUARE_STATES and (far := waiting & (spread > _SQUARE_SPREAD)).any():
+            # the waiting slices far from their Perron vector, whose step-1
+            # update is in the normal range
+            rows = np.flatnonzero(far & (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL))
+            if rows.size:
+                z = _squared_steps(stack, rows, update)
+                good = np.isfinite(z).all(axis=1) & (np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
+                update[rows[good]] = z[good]
         rows = since.nonzero()[0]  # the waiting slices in Noda's phase
         if rows.size:
             z, good = _noda_steps(stack, rows, x, ratio)
@@ -607,6 +649,21 @@ def _too_slow(width, oldest, window, horizon):
     steps, stays above ``TOL``."""
     ratio = width / oldest
     return ratio >= 1.0 or width * ratio ** (horizon / window) > TOL
+
+
+def _squared_steps(stack, rows, x):
+    """``P^(2^K) x[rows]`` for the slices ``P`` of ``stack[rows]``, ``K``
+    being ``_SQUARINGS``, scaled to ``max = 1``: each slice is squared
+    ``K`` times, one batched product per squaring, and each power scaled
+    by its largest entry, so the powers stay in range whatever the
+    Perron root."""
+    p = stack[rows]
+    for _ in range(_SQUARINGS):
+        p = np.matmul(p, p)
+        p /= np.maximum.reduce(p.reshape(len(p), -1), axis=1)[:, None, None]
+    z = np.matmul(p, x[rows][:, :, None])[:, :, 0]
+    z /= np.maximum.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def _noda_steps(stack, rows, x, ratio):

@@ -19,10 +19,13 @@ The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
 together, and those past the bracket are dropped.  A target at the value
 at ``t = 0`` is solved at the start alone.  A stack ends early at the
-first scan point at or past the root of the Newton tangent at the last
-point solved, so few points are solved past the bracket.  Each sample
-carries the objective's value and slope, so the first probe inside the
-bracket is the root of the cubic Hermite interpolant of its two ends.
+first scan point at or past twice the Newton step from the last point
+solved.  Where the objective is convex its tangent's root falls short
+of the root, and twice the step reaches past it once the tangent is
+near; so few points are solved past the bracket, and few stacks short
+of it.  Each sample carries the objective's value and slope, so the
+first probe inside the bracket is the root of the cubic Hermite
+interpolant of its two ends.
 The probes that close the bracket go one call at a time, since each
 depends on the ones before it, except the last: once the Newton error
 predicted from the bend of the objective puts the Newton point within a
@@ -242,8 +245,8 @@ def _solve_monotone(
 
     The start and the scan (``_scan_grid(t_max, fine)``) are solved in
     stacks of up to ``look_ahead`` points (see `_stacked`).  A stack after
-    the first ends early at the first scan point at or past the root of the
-    Newton tangent at the last point solved, so the points solved past the
+    the first ends early at the first scan point at or past twice the
+    Newton step from the last point solved, so the points solved past the
     bracket are few; the report holds only the points the scan reached.
 
     Both objectives have derivative ``-t p''(t)``, so each sample carries
@@ -278,7 +281,7 @@ def _solve_monotone(
 
     def crossing(s: PathSample) -> float:
         step = newton_step(s)
-        return math.inf if step is None else s.t + step
+        return math.inf if step is None else s.t + 2.0 * step
 
     def hermite_root(a: PathSample, b: PathSample) -> float:
         # The root in [0, 1] of the cubic p(u) that has the objective less

@@ -320,8 +320,10 @@ def test_stdout_matches_pinned_bytes(case, capsys, monkeypatch):
     # pins 02, 04 to 07 and 10 when the equilibrium's stationary vector
     # lost its kernel-power polish, pins 01, 02, 04 to 07, 09 and 10
     # when plain Perron slices began to take the enclosure once per four
-    # products, and pins 05 and 06 when the solvers' scan took four points
-    # per octave and their closing probes became Hermite roots.
+    # products, pins 05 and 06 when the solvers' scan took four points per
+    # octave and their closing probes became Hermite roots, and every pin
+    # but 03 when Perron slices of at most 32 states began to take a
+    # squared iterate after step 1.
     reason = recording_environment_differs()
     if reason:
         pytest.skip(reason)

@@ -619,12 +619,28 @@ def test_a_scan_stack_ends_past_the_root_of_the_newton_tangent(golden, monkeypat
     report = ts.solve_intermediate_entropy(golden, phi, 1e-9)
     scan = [0.125 * 2 ** (k / 4) for k in range(28)]
     assert report.bracket == (scan[26], scan[27])
-    # the tangent at t = 8 meets the target short of the next scan point,
+    # twice the tangent step at t = 8 falls short of the next scan point,
     # so the second stack stops there instead of running on to 2048, and
     # so does each next one
     assert stacks[:4] == [[0.0] + scan[:25], [scan[25]], [scan[26]], [scan[27]]]
     # then one point per probe, or up to three where the bracket closes
     assert {len(s) for s in stacks[4:]} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("t", [9.6, 10.5, 11.25])
+def test_a_root_two_scan_points_past_the_first_stack_costs_one_more_scan_call(full2, monkeypatch, t):
+    # On the Bernoulli ray the tangent at t = 8 meets the target short of
+    # 2**3.25, where the entropy is still above it; twice its step reaches
+    # past 2**3.5, so the scan brackets the root in (2**3.25, 2**3.5) with
+    # one stack after the first, where a stack ended at the tangent's root
+    # took two.
+    phi = ts.Potential(full2, 1, {(0,): 0.0, (1,): -1.0})
+    a = ts.sample_at(full2, ts.zero_potential(full2), phi, t).entropy
+    stacks = recorded_stacks(monkeypatch)
+    report = ts.solve_intermediate_entropy(full2, phi, a)
+    assert report.bracket == (2**3.25, 2**3.5)
+    assert stacks[1] == [2**3.25, 2**3.5]
+    assert all(2**3.25 < u < 2**3.5 for stack in stacks[2:] for u in stack)  # closing probes
 
 
 def test_every_solver_probe_equals_sample_at_its_point(full2, golden, full3, rng):

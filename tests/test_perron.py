@@ -20,16 +20,32 @@ def test_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_slow_plain_contraction_escalates_early():
+def recorded_squarings(monkeypatch):
+    """Record the slices that each call of `_squared_steps` squares."""
+    squared = []
+    squared_steps = _perron._squared_steps
+
+    def recorded(stack, rows, x):
+        squared.append(rows.tolist())
+        return squared_steps(stack, rows, x)
+
+    monkeypatch.setattr(_perron, "_squared_steps", recorded)
+    return squared
+
+
+def test_slow_plain_contraction_escalates_early(monkeypatch):
     # Nearly periodic support at t = 10 (|lambda_2 / lambda_1| about
-    # 0.9998): the plain residual shrinks too slowly to reach the
-    # tolerance within the budget, so Noda's phase must take over at the
-    # probe step, long before the stall window ends.
+    # 0.9998): the squarings after step 1 leave it far from the tolerance
+    # and the plain residual shrinks too slowly to reach it within the
+    # budget, so Noda's phase must take over at the probe step, long
+    # before the stall window ends.
     full2 = ts.full_shift(2)
     values = {(0, 0): 0.500, (0, 1): 1.589, (1, 0): 1.103, (1, 1): -1.099}
     phi = ts.combine(ts.zero_potential(full2, 2), ts.Potential(full2, 2, values), 10.0)
+    squared = recorded_squarings(monkeypatch)
     solve = transfer._solve_potential(full2, phi)
-    assert solve.noda.all()  # both sides
+    assert squared == [[0, 1]]  # both sides were squared after step 1
+    assert solve.noda.all()  # and both still certify in Noda's phase
     assert solve.iterations.max() <= 20
     result = ts.pressure(full2, phi)
     _, W = oracles.dense_weighted_matrix([[1, 1], [1, 1]], 2, values, 10.0)
@@ -206,9 +222,14 @@ def test_near_tied_loops_certify_within_tolerance(full2, detune, t):
 
 @pytest.mark.parametrize("budget, accepted", [(42, False), (45, True)])
 def test_a_budget_spent_is_accepted_only_at_the_noise_floor(full2, monkeypatch, budget, accepted):
-    # The tied loops at t = 30 halve their spread with every Noda step and
-    # certify at step 48; a budget cut short ends them at half-width
-    # 3.6e-12 (step 42: refused) or 4.5e-13 (step 45: within the floor).
+    # The tied loops at t = 30 halve their spread with every Noda step.
+    # Without the squarings after step 1 they certify at step 48, and a
+    # budget cut short ends them at half-width 3.6e-12 (step 42: refused)
+    # or 4.5e-13 (step 45: within the floor).  The squarings start them
+    # four halvings nearer, within the floor (4.2e-13) by step 41, the
+    # first step past the _STALL window, where a budget past the probe is
+    # first read; so the budget is tested without them.
+    monkeypatch.setattr(_perron, "_SQUARE_STATES", 0)
     monkeypatch.setattr(_perron, "_BUDGET", budget)
     values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 0.0}
     phi = ray(full2, ts.Potential(full2, 2, values), 30.0)
@@ -285,6 +306,106 @@ def test_a_stack_solves_each_slice_as_if_alone():
     assert got[3][0] >= 12 and got[3][2] == 1 and got[4].tolist() == [False, True, False]
 
 
+def squaring_stack(n, rng):
+    """Slices of ``n`` states that step 1 does not certify but the
+    squarings after it finish: contractions by 0.3, 0.6 and 0.75 a step,
+    and two random dense slices whose rows peak at 1."""
+    dense = rng.uniform(0.1, 1.0, (2, n, n))
+    dense /= dense.max(axis=2, keepdims=True)
+    return np.array([*(steady_contraction(n, rho) for rho in (0.3, 0.6, 0.75)), *dense])
+
+
+def test_small_slices_that_miss_step_1_certify_at_step_4():
+    # Up to 32 states, the squarings after step 1 put each slice so near
+    # its Perron vector that its next check, at step 4, certifies it on a
+    # true product E x, with no probe and no Noda step.  From 33 states
+    # there are no squarings: the same contractions take plain steps or
+    # Noda's phase.
+    rng = np.random.default_rng(34)
+    for n in (2, 3, 5, 8, 16, 23, 32):
+        stack = squaring_stack(n, rng)
+        got = _perron.perron_stack(stack)
+        assert got[3].tolist() == [4] * len(stack) and not got[4].any(), n
+        assert (got[2] <= _perron.TOL).all()
+        assert_recertified(stack, *got)
+    iterations = _perron.perron_stack(squaring_stack(33, rng))[3]
+    assert (iterations > 4).all()
+
+
+def test_a_slice_that_starts_near_its_perron_vector_is_not_squared(monkeypatch):
+    # At t = 500 and 1e4 the frame of an N(0, 1) potential on 16 states
+    # leaves step 1 with a spread below _SQUARE_SPREAD and certifies by
+    # step 4 on plain products alone; at t = 1 both sides are squared.
+    squared = recorded_squarings(monkeypatch)
+    full4 = ts.full_shift(4)
+    blocks = ts.admissible_blocks(full4, 2)
+    phi = ts.Potential(full4, 2, dict(zip(blocks, np.random.default_rng(42).normal(size=len(blocks)).tolist())))
+    for t, want in ((1.0, [[0, 1]]), (500.0, []), (1e4, [])):
+        del squared[:]
+        solve = transfer._solve_potential(full4, ray(full4, phi, t))
+        assert squared == want and (solve.iterations <= 4).all() and not solve.noda.any(), t
+
+
+def test_squared_slices_stacked_with_plain_and_noda_slices_equal_their_lone_solves(monkeypatch):
+    # Slices that the squarings finish, beside one that they leave to 28
+    # plain products, one they leave to Noda's phase and one that step 1
+    # certifies, which is not squared: each comes back as its lone solve,
+    # bit for bit.
+    squared = recorded_squarings(monkeypatch)
+    rng = np.random.default_rng(35)
+    for n in (16, 32):
+        stack = np.array([*squaring_stack(n, rng)[[0, 3]], steady_contraction(n, 0.83),
+                          steady_contraction(n, 0.9), np.full((n, n), 0.5)])
+        del squared[:]
+        got = _perron.perron_stack(stack)
+        assert squared == [[0, 1, 2, 3]]
+        for k in range(len(stack)):
+            alone = _perron.perron_stack(stack[k][None])
+            for stacked, lone in zip(got, alone):
+                assert stacked[k].tobytes() == lone[0].tobytes(), (n, k)
+        assert got[3][:2].tolist() == [4, 4] and got[3][2] > 4 and got[3][4] == 1, n
+        assert got[4].tolist() == [False, False, False, True, False], n
+
+
+def test_a_squared_iterate_out_of_the_normal_range_is_dropped(monkeypatch):
+    # A squared iterate that is not finite, positive and normal is not
+    # taken: its slice keeps its plain update, and so runs as with no
+    # squarings at all, bit for bit, while the others keep theirs.
+    stack = squaring_stack(8, np.random.default_rng(36))
+    squared = _perron.perron_stack(stack)
+    with monkeypatch.context() as plain:
+        plain.setattr(_perron, "_SQUARE_STATES", 0)
+        unsquared = _perron.perron_stack(stack)
+    squared_steps = _perron._squared_steps
+
+    def spoiled(stack, rows, x):
+        z = squared_steps(stack, rows, x)
+        z[0, 0], z[1, 1], z[2, 2], z[3, 3] = np.nan, np.inf, 0.0, 1e-310
+        return z
+
+    monkeypatch.setattr(_perron, "_squared_steps", spoiled)
+    got = _perron.perron_stack(stack)
+    for k in range(len(stack)):
+        want = unsquared if k < 4 else squared
+        for field, expected in zip(got, want):
+            assert field[k].tobytes() == expected[k].tobytes(), k
+
+
+def test_a_step_1_update_out_of_the_normal_range_is_not_squared(monkeypatch):
+    # The last row sums to below the smallest normal: the step-1 update
+    # leaves the normal range, so the slice is not squared and is refused
+    # as with no squarings at all (its squared iterate would be refused
+    # with another smallest entry).
+    e = np.array([[0.0, 0.5, 0.93], [0.0, 0.42, 0.65], [1.3e-308, 3.9e-309, 0.0]])[None]
+    errors = []
+    for states in (_perron._SQUARE_STATES, 0):
+        monkeypatch.setattr(_perron, "_SQUARE_STATES", states)
+        with pytest.raises(ts.errors.ConvergenceError, match="normal float range") as failed:
+            _perron.perron_stack(e)
+        errors.append(str(failed.value))
+    assert errors[0] == errors[1]
+
+
 def test_a_steady_contraction_stays_plain_past_the_stall_window():
     # diag(d)^-1 (J/4n + 3I/4) diag(d) on n = 256 states: every eigenvalue
     # but the Perron root is 3/4, so the residual shrinks by a steady
@@ -311,9 +432,10 @@ def steady_contraction(n, rho):
 
 
 def mixed_phases():
-    """Three 16-state slices: one that stays plain for 28 products, one
-    that the probe sends to Noda's phase and one of equal row sums."""
-    return np.array([steady_contraction(16, 0.3), steady_contraction(16, 0.5), np.full((16, 16), 0.5)])
+    """Three 16-state slices that the squarings after step 1 do not
+    finish: one that stays plain for 28 products, one that the probe sends
+    to Noda's phase, and one of equal row sums, which step 1 certifies."""
+    return np.array([steady_contraction(16, 0.83), steady_contraction(16, 0.9), np.full((16, 16), 0.5)])
 
 
 def assert_recertified(e, values, log_vectors, residuals, iterations, noda, beta=0.0):
