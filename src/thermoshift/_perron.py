@@ -28,19 +28,26 @@ formed once per solve: ``exp`` of the conjugated log-weights is taken on
 the edge arrays alone and scattered into a zero-filled dense table, so
 no transcendental runs over its padding.  The Collatz-Wielandt enclosure
 ``min_i (Ex)_i/x_i <= lambda <= max_i (Ex)_i/x_i``, taken in logs,
-certifies the result to the fixed tolerance ``TOL``; it holds for any
-positive ``x``, so a slice in its first plain phase takes it only at
-step 1 and every ``_BLOCK``-th step, and bare products ``x <- E x``
-(no log, bound or normalization) between.  A conjugation keeps the
-spectrum and the enclosure is certified on the conjugated matrix, so
-frame rounding cannot weaken it.
+certifies the result to the fixed tolerance ``TOL``.  A conjugation
+keeps the spectrum and the enclosure is certified on the conjugated
+matrix, so frame rounding cannot weaken it.
+
+The enclosure holds for any positive ``x``, so one schedule decides
+which products take it: a slice in its first plain phase takes it at
+step 1 and every ``_BLOCK``-th step, with bare products ``x <- E x`` (no
+log, bound or normalization) between, and a slice in Noda's phase, or
+sent back from it, at every step.  At each step that takes its
+enclosure a slice is refused if its iterate left the normal float range;
+else it certifies, or reads the budget ``_BUDGET``, the probe (at step
+``_PROBE``) and the stall window, so a budget ends a run at any value.
+Every slice with a verdict leaves the stack at once.
 
 Every slice starts with plain steps, on the whole stack of matrices at
-once.  At a fixed probe step each open slice's contraction predicts the
-plain steps it still needs; a slice that would need more than four Noda
-steps are counted to cost, from ``n`` alone, switches to Noda's
-iteration (Noda 1971), as does a slice whose contraction over a longer
-window later predicts as much, or stalls.  A Noda step solves
+once.  At the probe each open slice's contraction predicts the plain
+steps it still needs; a slice that would need more than four Noda steps
+are counted to cost, from ``n`` alone, switches to Noda's iteration
+(Noda 1971), as does a slice whose contraction over a longer window
+later predicts as much, or stalls.  A Noda step solves
 ``(sigma I - E) z = x`` at the Collatz-Wielandt upper bound
 ``sigma = max_i (Ex)_i/x_i``, so every iterate stays positive and the
 bounds converge quadratically (Elsner 1976), or halve per step where the
@@ -77,8 +84,9 @@ TOL = 1e-13
 _BUDGET = 2000  # steps per slice, plain and Noda together
 _PROBE = 8  # the step that measures each slice's contraction
 _PROBE_WINDOW = 4
-# Products per enclosure in the first plain phase; `_PROBE`, `_PROBE_WINDOW`,
-# `_STALL` and `_BUDGET` are its multiples, so their steps take one.
+# Products per enclosure in the first plain phase; `_PROBE`, `_PROBE_WINDOW`
+# and `_STALL` are its multiples, so the probe and both windows read spreads
+# that were taken.
 _BLOCK = 4
 _STALL = 40
 _NOISE_FLOOR_ACCEPT = 1e-12
@@ -456,23 +464,10 @@ def _policy_values(succ, cost, depth):
     return named, eta, gain
 
 
-def _left_normal_range(smallest, iterations) -> ConvergenceError:
-    return ConvergenceError(
-        f"Perron iterate left the normal float range (smallest entry "
-        f"{smallest:g} of the iterate after {iterations} iterations)"
-    )
-
-
-def _stalled(residual, iterations) -> ConvergenceError:
-    return ConvergenceError(
-        f"Perron enclosure stalled at half-width {residual:g} "
-        f"(tolerance {TOL:g}, {iterations} iterations)"
-    )
-
-
 # A product that underflows to 0 takes log -inf, and a bare one that
 # overflows gives inf and then nan, without a warning: the iterate that
-# holds them leaves the normal float range and is refused at its check.
+# holds them leaves the normal float range and is refused before its
+# product next takes the enclosure.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def perron_stack(e):
     """Dominant log-eigenvalue and log right eigenvector of each slice of
@@ -486,32 +481,27 @@ def perron_stack(e):
     to ``residuals``, each log vector has ``max = 0``, and ``noda`` is
     True where the slice certified in Noda's phase.
 
-    Every step takes one stacked product ``E x``, which certifies and, in
-    the plain phase, is the update; a slice leaves once it certifies.  A
-    slice never in Noda's phase takes the enclosure only at step 1 and
-    every ``_BLOCK``-th step, bare products between (in one inner loop
-    while every waiting slice is such), so it counts 1 or a multiple of
-    ``_BLOCK`` products, the iterations returned.  Up to
-    ``_SQUARE_STATES`` states, a slice still waiting after step 1 with a
-    spread above ``_SQUARE_SPREAD`` there takes ``P^(2^K)`` times its
-    step-1 update, scaled to ``max = 1`` (``K`` being ``_SQUARINGS``), as
-    its next iterate where both are finite and in the normal range, else
-    the update itself; a squared slice that certifies at step 4 returns
+    Every step takes one stacked product ``E x`` (`_product`), and one
+    schedule (`_schedule`) decides from the step and each slice's phase
+    whether the slice takes the enclosure on it: in its first plain phase
+    at step 1 and every ``_BLOCK``-th step, its products between bare (not
+    normalized), so that it returns ``iterations`` 1 or a multiple of
+    ``_BLOCK``; in Noda's phase, or plain again after it, at every step.
+    At each step that takes its enclosure a slice is refused if its
+    iterate left the normal float range; else it certifies, or reads the
+    budget, the probe and the stall window.  The stack drops every slice
+    with a verdict at once.
+
+    The phases are those of the module docstring.  The probe looks back
+    ``_PROBE_WINDOW`` steps, the stall window ``_STALL`` steps of the
+    slice's phase.  A squared slice that certifies at step 4 returns
     ``iterations`` 4 (the squarings are not counted) and ``noda`` False.
-    At step ``_PROBE`` a
-    slice whose contraction over the last ``_PROBE_WINDOW`` steps predicts
-    more plain steps than four Noda steps are counted to cost switches to
-    Noda's phase, as does a slice whose contraction over the last
-    ``_STALL`` steps later predicts as much, or more than the budget
-    holds; where four Noda steps count for more than the budget, from
-    about 500 states, no slice switches at the probe.  A Noda step solves
-    ``(sigma I - E) z = x`` at the Collatz-Wielandt upper bound ``sigma``,
-    one batched solve over the switched slices; a solve that is not
-    positive, finite and in the normal range sends its slice back to plain
-    steps.  A slice that stalls in Noda's phase, or spends the budget, is
-    accepted at the floating-point noise floor or refused.  Raises the
-    ``ConvergenceError`` of the first refused slice, or of the first whose
-    iterate leaves the normal float range.
+    A squared iterate, or a Noda solve, that is not finite, positive and
+    in the normal range is not taken; the Noda solve's slice goes back to
+    plain steps.  A slice that stalls in Noda's phase, or takes its
+    enclosure at or past ``_BUDGET`` steps, is accepted at the
+    floating-point noise floor or refused.  Raises the
+    ``ConvergenceError`` of the first refused slice.
     """
     size, n = e.shape[:2]
     values = np.empty(size)
@@ -531,116 +521,118 @@ def perron_stack(e):
 
     ring = _STALL + 1
     history = np.empty((ring, size))  # the spreads of the last `ring` steps, nan if not taken
-    # The stack holds the slices `live` with their matrices and iterates,
-    # the step at which each switched to Noda's phase (0: plain), and
-    # whether it is `blocked`: in its first plain phase, or done.  A slice
-    # with a verdict stops `waiting` but stays in the stack, its steps
-    # unused, until a quarter of the stack is left to wait.
-    live, stack, x = np.arange(size), e, np.ones((size, n))
-    since, blocked = np.zeros(size, dtype=int), np.ones(size, dtype=bool)
-    waiting, count = np.ones(size, dtype=bool), size
+    # The stack holds the open slices `live` with their matrices, iterates
+    # and phases: `since` is 0 in the first plain phase, the step at which
+    # the slice switched to Noda's phase, or -1 once sent back from it.
+    live, stack, x, since = np.arange(size), e, np.ones((size, n)), np.zeros(size, dtype=int)
     steps = 0
-    while count:
-        steps += 1
-        y = np.matmul(stack, x[:, :, None])[:, :, 0]
+    while live.size:
+        check, bare = _schedule(steps, since)
+        for steps in range(steps + 1, check):  # a bare product for every slice
+            history[steps % ring] = np.nan
+            x = _product(stack, x)
+        steps = check
+        if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
+            smallest = np.minimum.reduce(x, axis=1)
+            out = ~(smallest >= _SMALLEST_NORMAL) & ~bare
+            for j in out.nonzero()[0].tolist():
+                failures[int(live[j])] = ConvergenceError(
+                    f"Perron iterate left the normal float range (smallest entry "
+                    f"{smallest[j]:g} of the iterate after {steps - 1} iterations)")
+            history, live, stack, x, since, bare = _compact(~out, history, live, stack, x, since, bare)
+        y = _product(stack, x)
         ratio = y / x
         d = np.log(ratio)
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
         # The spread hi - lo is twice the residual (halving is exact).
         spread = np.subtract(hi, lo, out=history[steps % ring])
-        bare = steps > 1 and steps % _BLOCK  # a step between the checks of blocked slices
-        if bare:
-            spread[blocked] = np.nan
+        spread[bare] = np.nan
         leave = spread <= TOL
-        if count < live.size:
-            leave &= waiting
         certified = leave
-        if steps == probe or steps > _STALL:
-            # A slice is slow when its spread has not shrunk over the last
-            # `window` steps of its phase, or shrinks too slowly to reach
-            # TOL within the budget (in the plain phase: within what
-            # Noda's steps are counted to cost).
-            window = _PROBE_WINDOW if steps == probe else _STALL
-            left = _BUDGET - steps
-            widths, oldest, start = spread.tolist(), history[(steps - window) % ring].tolist(), since.tolist()
+        # A slice is slow when its spread has not shrunk over the last
+        # `window` steps of its phase, or shrinks too slowly to reach TOL
+        # within the budget (in the plain phase: within what Noda's steps
+        # are counted to cost); before step `window + 1` none can be.
+        window = _PROBE_WINDOW if steps == probe else _STALL
+        left = _BUDGET - steps
+        if steps > window or left <= 0:
+            widths, oldest, phase = spread.tolist(), history[(steps - window) % ring].tolist(), since.tolist()
             stalled = []
-            for j in (waiting & ~leave).nonzero()[0].tolist():
-                slow = steps - start[j] > window and _too_slow(
-                    widths[j], oldest[j], window, left if start[j] else min(horizon, left))
-                if steps == _BUDGET or (slow and start[j]):
+            for j in (~leave & ~bare).nonzero()[0].tolist():
+                start = max(phase[j], 0)
+                slow = steps - start > window and _too_slow(
+                    widths[j], oldest[j], window, left if start else min(horizon, left))
+                if left <= 0 or (slow and start):
                     stalled.append(j)
                 elif slow:
-                    since[j], blocked[j] = steps, False
+                    since[j] = steps
             if stalled:
-                # a stall in Noda's phase, or the budget spent: accepted
-                # at the noise floor, refused above it
+                # a stall in Noda's phase, or the budget spent: accepted at
+                # the noise floor, refused above it
                 certified = leave.copy()
                 leave[stalled] = True
                 for j in stalled:
                     if spread[j] / 2.0 <= _NOISE_FLOOR_ACCEPT:
                         certified[j] = True
                     else:
-                        failures[int(live[j])] = _stalled(spread[j] / 2.0, steps)
+                        failures[int(live[j])] = ConvergenceError(
+                            f"Perron enclosure stalled at half-width {spread[j] / 2.0:g} "
+                            f"(tolerance {TOL:g}, {steps} iterations)")
         leaving = np.count_nonzero(leave)
         if leaving:
             done = live[certified]
             values[done], residuals[done] = (hi + lo)[certified] / 2.0, spread[certified] / 2.0
-            kept = x[certified]
-            if steps > 1:  # a bare iterate, scaled back to max 1
-                kept /= np.maximum.reduce(kept, axis=1, keepdims=True)
-            vectors[done], iterations[done] = np.log(kept), steps
-            noda[done] = since[certified] > 0
-            since[leave] = 0
-            count -= leaving
-            if not count:
+            kept = x[certified]  # bare in the first plain phase: scaled back to max 1
+            vectors[done] = np.log(kept / np.maximum.reduce(kept, axis=1, keepdims=True))
+            iterations[done], noda[done] = steps, since[certified] > 0
+            if leaving == live.size:
                 break
-            waiting &= ~leave
-            blocked |= leave  # a verdict's steps are unused
-        update = y / np.maximum.reduce(y, axis=1, keepdims=True)
-        if bare:
-            update[blocked] = y[blocked]
-        elif steps == 1 and n <= _SQUARE_STATES and (far := waiting & (spread > _SQUARE_SPREAD)).any():
-            # the waiting slices far from their Perron vector, whose step-1
+            history, live, stack, x, y, ratio, spread, since, bare = _compact(
+                ~leave, history, live, stack, x, y, ratio, spread, since, bare)
+        scale = np.maximum.reduce(y, axis=1, keepdims=True)
+        scale[bare] = 1.0  # a bare product is its own update
+        update = y / scale
+        if steps == 1 and n <= _SQUARE_STATES:
+            # the open slices far from their Perron vector, whose step-1
             # update is in the normal range
-            rows = np.flatnonzero(far & (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL))
+            far = (spread > _SQUARE_SPREAD) & (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL)
+            rows = far.nonzero()[0]
             if rows.size:
                 z = _squared_steps(stack, rows, update)
                 good = np.isfinite(z).all(axis=1) & (np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
                 update[rows[good]] = z[good]
-        rows = since.nonzero()[0]  # the waiting slices in Noda's phase
+        rows = (since > 0).nonzero()[0]  # the slices in Noda's phase
         if rows.size:
             z, good = _noda_steps(stack, rows, x, ratio)
             update[rows[good]] = z[good]
-            since[rows[~good]] = 0
+            since[rows[~good]] = -1
         x = update
-        if leaving and 4 * count <= live.size:
-            live, stack, x, since, blocked, history, waiting = _compact(
-                waiting, live, stack, x, since, blocked, history)
-        if blocked.all():  # bare products up to the next check, in one loop
-            for _ in range(-(steps + 1) % _BLOCK):
-                steps += 1
-                history[steps % ring] = np.nan
-                x = np.matmul(stack, x[:, :, None])[:, :, 0]
-        if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
-            smallest = np.minimum.reduce(x, axis=1)
-            normal = smallest >= _SMALLEST_NORMAL
-            if (steps + 1) % _BLOCK:  # blocked slices are checked before their next check
-                normal |= blocked
-            for j in np.flatnonzero(waiting & ~normal).tolist():
-                failures[int(live[j])] = _left_normal_range(smallest[j], steps)
-            live, stack, x, since, blocked, history, waiting = _compact(
-                waiting & normal, live, stack, x, since, blocked, history)
-            count = live.size
     if failures:
         raise failures[min(failures)]
     return values, vectors, residuals, iterations, noda
 
 
-def _compact(keep, *arrays):
-    """The rows ``keep`` of each array (the columns of the last, the
-    spread history), and an all-True waiting mask for them."""
-    *rows, history = arrays
-    return (*(a[keep] for a in rows), history[:, keep], np.ones(np.count_nonzero(keep), dtype=bool))
+def _schedule(step, since):
+    """The next step after ``step`` at which a slice takes the
+    Collatz-Wielandt enclosure, and a mask of the slices that take none
+    there, by their phase ``since``: a slice in its first plain phase (0)
+    takes it at step 1 and every ``_BLOCK``-th step, every other slice at
+    every step.  Every product before that step is bare."""
+    block = (step // _BLOCK + 1) * _BLOCK if step else 1
+    if block > step + 1 and np.count_nonzero(since):
+        return step + 1, since == 0
+    return block, np.zeros(since.shape, dtype=bool)
+
+
+def _product(stack, x):
+    """``E x`` for each slice ``E`` of ``stack`` and its row of ``x``."""
+    return np.matmul(stack, x[:, :, None])[:, :, 0]
+
+
+def _compact(keep, history, *rows):
+    """The columns ``keep`` of the spread history, and the rows ``keep``
+    of every other array."""
+    return (history[:, keep], *(a[keep] for a in rows))
 
 
 def _too_slow(width, oldest, window, horizon):
@@ -661,7 +653,7 @@ def _squared_steps(stack, rows, x):
     for _ in range(_SQUARINGS):
         p = np.matmul(p, p)
         p /= np.maximum.reduce(p.reshape(len(p), -1), axis=1)[:, None, None]
-    z = np.matmul(p, x[rows][:, :, None])[:, :, 0]
+    z = _product(p, x[rows])
     z /= np.maximum.reduce(z, axis=1, keepdims=True)
     return z
 

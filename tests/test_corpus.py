@@ -106,9 +106,8 @@ def test_census_certifies_every_draw_but_the_known_failures():
     pytest.param(*case, marks=pytest.mark.xfail(raises=ts.errors.ConvergenceError, strict=True))
     for case in CENSUS_FAILURES])
 def test_census_known_failure(trial, draw, t):
-    for case in census():
-        if case[:2] == (trial, draw):
-            assert_census_solve(*case, t)
+    _, _, sft, phi = next(case for case in census() if case[:2] == (trial, draw))
+    assert_census_solve(trial, draw, sft, phi, t)
 
 
 def test_float_frame_beta_matches_exact_maxplus_beta():

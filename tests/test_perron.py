@@ -11,7 +11,7 @@ from thermoshift import _perron, transfer
 from thermoshift._edgegraph import edge_weights, graph_order
 
 import oracles
-from test_corpus import corpus
+from test_corpus import census, corpus
 
 
 def test_import_loads_no_scipy():
@@ -220,21 +220,22 @@ def test_near_tied_loops_certify_within_tolerance(full2, detune, t):
     assert result.residual <= _perron.TOL / 2
 
 
-@pytest.mark.parametrize("budget, accepted", [(42, False), (45, True)])
+@pytest.mark.parametrize("budget, accepted", [(20, False), (36, False), (42, False), (45, True)])
 def test_a_budget_spent_is_accepted_only_at_the_noise_floor(full2, monkeypatch, budget, accepted):
-    # The tied loops at t = 30 halve their spread with every Noda step.
-    # Without the squarings after step 1 they certify at step 48, and a
-    # budget cut short ends them at half-width 3.6e-12 (step 42: refused)
-    # or 4.5e-13 (step 45: within the floor).  The squarings start them
-    # four halvings nearer, within the floor (4.2e-13) by step 41, the
-    # first step past the _STALL window, where a budget past the probe is
-    # first read; so the budget is tested without them.
+    # The tied loops at t = 30 switch to Noda's phase at the probe and then
+    # halve their spread with every step.  Without the squarings after
+    # step 1 they certify at step 48; each of their steps takes the
+    # enclosure and reads the budget, so a budget cut short ends them at
+    # that step, at half-width 1.5e-5 (step 20), 2.3e-10 (step 36) or
+    # 3.6e-12 (step 42), refused, or 4.5e-13 (step 45: within the floor).
+    # The squarings start them four halvings nearer, so the budget is
+    # tested without them.
     monkeypatch.setattr(_perron, "_SQUARE_STATES", 0)
     monkeypatch.setattr(_perron, "_BUDGET", budget)
     values = {(0, 0): 0.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 0.0}
     phi = ray(full2, ts.Potential(full2, 2, values), 30.0)
     if not accepted:
-        with pytest.raises(ts.errors.ConvergenceError, match="stalled at half-width"):
+        with pytest.raises(ts.errors.ConvergenceError, match=rf"stalled at half-width .*, {budget} iterations\)"):
             transfer._solve_potential(full2, phi)
         return
     solve = transfer._solve_potential(full2, phi)
@@ -485,6 +486,30 @@ def test_a_tie_sent_back_from_noda_certifies():
     result, mu = ts.pressure_and_equilibrium(sft, phi_t)
     assert result.residual <= 1e-12
     assert abs(result.value - (mu.entropy + ts.integrate(mu, phi_t))) <= 1e-9
+
+
+def test_two_loops_coupled_at_e_minus_60_stall():
+    # The census's trial 58 with rounded values, at t = 10 (5 states): two
+    # critical loops of mean 30, at states 0 and 3, coupled only through
+    # edges of frame weight e^-60 and below.  The Perron vector sits on
+    # state 3 and the frame's target is state 0; the enclosure stalls.
+    phi = next(phi for trial, draw, _, phi in census() if (trial, draw) == (58, 1))
+    message = "Perron enclosure stalled at half-width 1.03067e-09 (tolerance 1e-13, 2000 iterations)"
+    with pytest.raises(ts.errors.ConvergenceError) as failed:
+        transfer._solve_potential(phi.sft, ray(phi.sft, phi, 10.0))
+    assert str(failed.value) == message
+
+
+def test_a_nearly_periodic_corpus_slice_certifies_in_noda_phase():
+    # Trial 1 of the corpus on its own values at t = 10 (5 states), with
+    # lambda_2 about -1.00001 against lambda_1 about 1.00011: the
+    # squarings after step 1 leave it far from the tolerance, and Noda's
+    # phase certifies both sides at step 10.
+    _, sft, phi = next(case for case in corpus() if case[0] == 1)
+    solve = transfer._solve_potential(sft, ray(sft, phi, 10.0))
+    assert solve.noda.tolist() == [True, True] and solve.iterations.tolist() == [10, 10]
+    assert solve.residuals.tolist() == [2.2201749987071917e-16, 3.3302624980607876e-16]
+    assert solve.value.tolist() == [8.968253398842355]
 
 
 def test_large_graphs_switch_to_noda_only_when_they_stall():
