@@ -19,7 +19,8 @@ frame is not finite, as where the walk sums of weights near the float
 limit overflow, or lost its precision, as where rounding at that size
 leaves a conjugated weight outside the range of ``exp``.  A stack of
 all-zero weights has the zero frame, so it runs no policy iteration, no
-Karp levels and no Bellman pass.
+Karp levels, no Bellman pass and no refusal: its conjugated weights are
+all 0.
 Both Perron sides of every row then go through one `perron_stack`; a
 caller that reads only the values asks for the right sides alone.
 
@@ -64,12 +65,15 @@ Before those phases, on a graph of at most ``_SQUARE_STATES`` (32)
 states, a slice that step 1 does not certify, and leaves with a spread
 above ``_SQUARE_SPREAD`` (1e-4), takes ``P^(2^K) x`` as its next
 iterate, ``x`` being its step-1 update: its matrix is squared ``K``
-times (``_SQUARINGS``, 7), each power scaled by its largest entry, one
-batched product per squaring over those slices.  A slice whose second
-eigenvalue is below about 0.8 of the Perron root then certifies at its
-next check, step 4; the squarings only choose the iterate, and the
-enclosure on the true product ``E x`` still decides.  A slice they do
-not finish goes on through the phases above.
+times (``_SQUARINGS``, 7), one batched product per squaring over those
+slices, with no scaling between squarings.  As its rows peak at 1, a
+slice of at most 32 states has ``|P|_inf <= 32`` and
+``|P^128|_inf <= 2^640``, far inside the float range, and the iterate is
+scaled once, at the end.  A slice whose second eigenvalue is below about
+0.8 of the Perron root then certifies at its next check, step 4; the
+squarings only choose the iterate, and the enclosure on the true product
+``E x`` still decides.  A slice they do not finish goes on through the
+phases above.
 """
 
 from __future__ import annotations
@@ -96,14 +100,16 @@ _NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
 # P^(2^_SQUARINGS) times its step-1 update as its next iterate.  At seed
 # 1, 7 squarings certify at step 4 every warm slice up to 32 states that
 # 8 to 12 do (5 leave 10 of them to Noda's phase); 10 cost 1.4-1.6% more
-# of the warm pass in process (seeds 2 and 5).  Seven squarings of two
-# slices cost 62-109 us up to 32 states and 323 us at 64, and of 26
-# slices 3.5 ms at 64, which a slice they do not finish pays for nothing;
-# the warm pass read within 2% squaring up to 32, 49 or 64 states.  A
-# frame at low temperature starts near its Perron vector and contracts
-# fast: on the cold and ray workloads (seed 1) every slice whose step-1
-# spread was at most 1e-4 certified at step 4 on plain products, and
-# squaring those too cost the cold pass 4-6% in process.
+# of the warm pass in process (seeds 2 and 5).  Seven unscaled squarings
+# of two slices cost 16-36 us up to 32 states and 140 us at 64, and of 26
+# slices 2.4 ms at 64 (36-81 us, 251 us and 3.5 ms with each power
+# scaled; best of 15 runs of 300 calls, 6 of 20 at 26 slices, one pinned
+# core), which a slice they do not finish pays for nothing; the warm pass read within 2% squaring up
+# to 32, 49 or 64 states.  A frame at low temperature starts near its
+# Perron vector and contracts fast: on the cold and ray workloads (seed
+# 1) every slice whose step-1 spread was at most 1e-4 certified at step 4
+# on plain products, and squaring those too cost the cold pass 4-6% in
+# process.
 _SQUARE_STATES = 32
 _SQUARINGS = 7
 _SQUARE_SPREAD = 1e-4
@@ -173,12 +179,15 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     # keeps pi frame-sized.
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
-        refused = _refused(n, src, frame_w)
         if left:
             left_w = frame_w + left_frame[:, src] - left_frame[:, dst]
-            refused = np.maximum(refused, _refused(n, dst, left_w))
-    if refused.any():
-        raise ValidationError(_REFUSALS[refused[refused > 0][0]])
+        # the zero frame of an all-zero stack has weights 0, never refused
+        if w.any():
+            refused = _refused(n, src, frame_w)
+            if left:
+                refused = np.maximum(refused, _refused(n, dst, left_w))
+            if refused.any():
+                raise ValidationError(_REFUSALS[refused[refused > 0][0]])
     frames = np.zeros((sides * size, n, n))
     frames[0::sides, src, dst] = np.exp(frame_w)
     if left:
@@ -284,7 +293,10 @@ def _refused(n, src, conj):
 
 def _flat(n, size, index):
     """Vertex ``index`` for a stack of ``size`` rows laid out flat: row
-    ``s`` lives at entries ``s*n .. s*n + n - 1``."""
+    ``s`` lives at entries ``s*n .. s*n + n - 1``, so a stack of one
+    keeps ``index`` itself."""
+    if size == 1:
+        return index
     return ((np.arange(size) * n)[:, None] + index).ravel()
 
 
@@ -370,7 +382,7 @@ def _howard(n, src, dst, w):
     head = np.where(real, dst[edge], np.arange(n))
     depth = (n - 1).bit_length()  # 2**depth policy steps reach a cycle
     scale = np.abs(w).max(axis=1)
-    live = np.flatnonzero(np.isfinite(scale))
+    live = np.isfinite(scale).nonzero()[0]
     ws, tol = np.where(real, w[live][:, edge], -np.inf), n * 2.0 ** -36 * scale[live, None]
     rows = live.size
     if not rows:
@@ -401,12 +413,11 @@ def _howard(n, src, dst, w):
             # a row's first bias step sweeps on from the bias, as its
             # first policy was chosen, and takes the greedy policy
             swept |= sweep
-            k = np.flatnonzero(sweep)
+            k = sweep.nonzero()[0]
             policy[k] = _greedy(step[k], ws[k] - eta[k, :1, None], at[:k.size])
             up[k] = False
-        switch = np.flatnonzero(up)
-        if switch.size:  # to the first slot that attains the best
-            row, vertex = np.divmod(switch, n)
+        row, vertex = up.nonzero()
+        if row.size:  # to the first slot that attains the best
             policy[row, vertex] = step[row, :, vertex].argmax(axis=1)
         if moved.all():
             continue
@@ -532,21 +543,25 @@ def perron_stack(e):
             history[steps % ring] = np.nan
             x = _product(stack, x)
         steps = check
-        if not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
+        first = steps == 1  # x is the all-ones start: in range, at max 1
+        if not first and not np.minimum.reduce(x, axis=None) >= _SMALLEST_NORMAL:  # also catches nan
             smallest = np.minimum.reduce(x, axis=1)
-            out = ~(smallest >= _SMALLEST_NORMAL) & ~bare
+            out = ~(smallest >= _SMALLEST_NORMAL)
+            if bare is not None:
+                out &= ~bare
             for j in out.nonzero()[0].tolist():
                 failures[int(live[j])] = ConvergenceError(
                     f"Perron iterate left the normal float range (smallest entry "
                     f"{smallest[j]:g} of the iterate after {steps - 1} iterations)")
             history, live, stack, x, since, bare = _compact(~out, history, live, stack, x, since, bare)
         y = _product(stack, x)
-        ratio = y / x
+        ratio = y if first else y / x
         d = np.log(ratio)
         hi, lo = np.maximum.reduce(d, axis=1), np.minimum.reduce(d, axis=1)
         # The spread hi - lo is twice the residual (halving is exact).
         spread = np.subtract(hi, lo, out=history[steps % ring])
-        spread[bare] = np.nan
+        if bare is not None:
+            spread[bare] = np.nan
         leave = spread <= TOL
         certified = leave
         # A slice is slow when its spread has not shrunk over the last
@@ -558,7 +573,7 @@ def perron_stack(e):
         if steps > window or left <= 0:
             widths, oldest, phase = spread.tolist(), history[(steps - window) % ring].tolist(), since.tolist()
             stalled = []
-            for j in (~leave & ~bare).nonzero()[0].tolist():
+            for j in (~leave if bare is None else ~(leave | bare)).nonzero()[0].tolist():
                 start = max(phase[j], 0)
                 slow = steps - start > window and _too_slow(
                     widths[j], oldest[j], window, left if start else min(horizon, left))
@@ -582,17 +597,21 @@ def perron_stack(e):
         if leaving:
             done = live[certified]
             values[done], residuals[done] = (hi + lo)[certified] / 2.0, spread[certified] / 2.0
-            kept = x[certified]  # bare in the first plain phase: scaled back to max 1
-            vectors[done] = np.log(kept / np.maximum.reduce(kept, axis=1, keepdims=True))
+            if first:
+                vectors[done] = 0.0
+            else:
+                kept = x[certified]  # bare in the first plain phase: scaled back to max 1
+                vectors[done] = np.log(kept / np.maximum.reduce(kept, axis=1, keepdims=True))
             iterations[done], noda[done] = steps, since[certified] > 0
             if leaving == live.size:
                 break
             history, live, stack, x, y, ratio, spread, since, bare = _compact(
                 ~leave, history, live, stack, x, y, ratio, spread, since, bare)
         scale = np.maximum.reduce(y, axis=1, keepdims=True)
-        scale[bare] = 1.0  # a bare product is its own update
+        if bare is not None:
+            scale[bare] = 1.0  # a bare product is its own update
         update = y / scale
-        if steps == 1 and n <= _SQUARE_STATES:
+        if first and n <= _SQUARE_STATES:
             # the open slices far from their Perron vector, whose step-1
             # update is in the normal range
             far = (spread > _SQUARE_SPREAD) & (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL)
@@ -615,13 +634,14 @@ def perron_stack(e):
 def _schedule(step, since):
     """The next step after ``step`` at which a slice takes the
     Collatz-Wielandt enclosure, and a mask of the slices that take none
-    there, by their phase ``since``: a slice in its first plain phase (0)
-    takes it at step 1 and every ``_BLOCK``-th step, every other slice at
-    every step.  Every product before that step is bare."""
+    there, by their phase ``since``, or None where every slice takes it: a
+    slice in its first plain phase (0) takes it at step 1 and every
+    ``_BLOCK``-th step, every other slice at every step.  Every product
+    before that step is bare."""
     block = (step // _BLOCK + 1) * _BLOCK if step else 1
     if block > step + 1 and np.count_nonzero(since):
         return step + 1, since == 0
-    return block, np.zeros(since.shape, dtype=bool)
+    return block, None
 
 
 def _product(stack, x):
@@ -631,8 +651,8 @@ def _product(stack, x):
 
 def _compact(keep, history, *rows):
     """The columns ``keep`` of the spread history, and the rows ``keep``
-    of every other array."""
-    return (history[:, keep], *(a[keep] for a in rows))
+    of every other array (None stays None)."""
+    return (history[:, keep], *(None if a is None else a[keep] for a in rows))
 
 
 def _too_slow(width, oldest, window, horizon):
@@ -646,13 +666,14 @@ def _too_slow(width, oldest, window, horizon):
 def _squared_steps(stack, rows, x):
     """``P^(2^K) x[rows]`` for the slices ``P`` of ``stack[rows]``, ``K``
     being ``_SQUARINGS``, scaled to ``max = 1``: each slice is squared
-    ``K`` times, one batched product per squaring, and each power scaled
-    by its largest entry, so the powers stay in range whatever the
-    Perron root."""
+    ``K`` times, one batched product per squaring, and only the product
+    is scaled.  The rows of ``P`` peak at 1, so on ``n`` states
+    ``|P|_inf <= n`` and ``|P^(2^K)|_inf <= n^(2^K)``, 2^640 at
+    ``_SQUARE_STATES``; a power that still leaves the float range gives
+    an iterate that is not finite, which the caller does not take."""
     p = stack[rows]
     for _ in range(_SQUARINGS):
         p = np.matmul(p, p)
-        p /= np.maximum.reduce(p.reshape(len(p), -1), axis=1)[:, None, None]
     z = _product(p, x[rows])
     z /= np.maximum.reduce(z, axis=1, keepdims=True)
     return z

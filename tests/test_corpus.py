@@ -94,9 +94,16 @@ def assert_census_solve(trial, draw, sft, phi, t):
     assert drift(mu) <= DRIFT, (trial, draw, t, drift(mu))
 
 
-def test_census_certifies_every_draw_but_the_known_failures():
+@pytest.fixture(scope="module")
+def census_cases():
+    """The census, built once: ``(sft, phi)`` by ``(trial, draw)``, in
+    census order."""
+    return {(trial, draw): (sft, phi) for trial, draw, sft, phi in census()}
+
+
+def test_census_certifies_every_draw_but_the_known_failures(census_cases):
     known = set(CENSUS_FAILURES)
-    for trial, draw, sft, phi in census():
+    for (trial, draw), (sft, phi) in census_cases.items():
         for t in TEMPERATURES:
             if (trial, draw, t) not in known:
                 assert_census_solve(trial, draw, sft, phi, t)
@@ -105,8 +112,8 @@ def test_census_certifies_every_draw_but_the_known_failures():
 @pytest.mark.parametrize("trial, draw, t", [
     pytest.param(*case, marks=pytest.mark.xfail(raises=ts.errors.ConvergenceError, strict=True))
     for case in CENSUS_FAILURES])
-def test_census_known_failure(trial, draw, t):
-    _, _, sft, phi = next(case for case in census() if case[:2] == (trial, draw))
+def test_census_known_failure(census_cases, trial, draw, t):
+    sft, phi = census_cases[trial, draw]
     assert_census_solve(trial, draw, sft, phi, t)
 
 

@@ -323,7 +323,8 @@ def test_stdout_matches_pinned_bytes(case, capsys, monkeypatch):
     # products, pins 05 and 06 when the solvers' scan took four points per
     # octave and their closing probes became Hermite roots, and every pin
     # but 03 when Perron slices of at most 32 states began to take a
-    # squared iterate after step 1.
+    # squared iterate after step 1, and pins 05 and 06 when the squarings
+    # stopped scaling each power.
     reason = recording_environment_differs()
     if reason:
         pytest.skip(reason)

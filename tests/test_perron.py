@@ -20,14 +20,18 @@ def test_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def recorded_squarings(monkeypatch):
-    """Record the slices that each call of `_squared_steps` squares."""
+def recorded_squarings(monkeypatch, iterates=None):
+    """Record the slices that each call of `_squared_steps` squares, and
+    the squared iterates it returns into the list ``iterates`` if given."""
     squared = []
     squared_steps = _perron._squared_steps
 
     def recorded(stack, rows, x):
         squared.append(rows.tolist())
-        return squared_steps(stack, rows, x)
+        z = squared_steps(stack, rows, x)
+        if iterates is not None:
+            iterates.append(z.copy())
+        return z
 
     monkeypatch.setattr(_perron, "_squared_steps", recorded)
     return squared
@@ -368,6 +372,67 @@ def test_squared_slices_stacked_with_plain_and_noda_slices_equal_their_lone_solv
         assert got[4].tolist() == [False, False, False, True, False], n
 
 
+def test_squarings_at_the_state_cap_stay_finite(monkeypatch):
+    # 32 states, the most that are squared, whose powers are not scaled
+    # between squarings: a dense irregular primitive graph under the zero
+    # potential (Perron root near 29, so P^128 is near 1e187, inside the
+    # 2^640 bound) and the full 32-shift with N(0, 1) values at t = 1.
+    # Both sides of each are squared to a finite iterate and certify at
+    # step 4, each as its lone solve, bit for bit.
+    rng = np.random.default_rng(37)
+    m = (rng.random((32, 32)) < 0.9).astype(int)
+    assert oracles.primitive_by_sequential_powers(m) and m.sum(axis=1).min() < m.sum(axis=1).max()
+    dense, full32 = ts.build_sft(32, m.tolist()), ts.full_shift(32)
+    blocks = ts.admissible_blocks(full32, 2)
+    normal = ts.Potential(full32, 2, dict(zip(blocks, rng.normal(size=len(blocks)).tolist())))
+    iterates, frames = [], []
+    squared = recorded_squarings(monkeypatch, iterates)
+    perron_stack = _perron.perron_stack
+
+    def recorded(e):
+        frames.append(e)
+        return perron_stack(e)
+
+    monkeypatch.setattr(_perron, "perron_stack", recorded)
+    values = []
+    for sft, phi in ((dense, ts.zero_potential(dense, 2)), (full32, ray(full32, normal, 1.0))):
+        del squared[:], iterates[:], frames[:]
+        solve = transfer._solve_potential(sft, phi)
+        assert frames[0].shape == (2, 32, 32) and squared == [[0, 1]]
+        assert np.isfinite(iterates[0]).all()
+        assert solve.iterations.tolist() == [4, 4] and not solve.noda.any()
+        got = perron_stack(frames[0])
+        for k in range(2):
+            alone = perron_stack(frames[0][k][None])
+            for stacked, lone in zip(got, alone):
+                assert stacked[k].tobytes() == lone[0].tobytes(), k
+        values.append(solve.value[0])
+    assert 128 * values[0] > math.log(1e185)
+
+
+def test_only_an_all_zero_stack_skips_the_refusals(monkeypatch):
+    # The zero frame of an all-zero stack has weights 0, which no refusal
+    # can catch, so it runs none; one nonzero row sends the whole stack
+    # down the general path, refusals included.
+    states, src, dst = ts.sft.block_graph(ts.full_shift(2), 5)
+    huge = 1e307 * np.random.default_rng(1).uniform(-1.0, 1.0, size=len(src))
+    with pytest.raises(ts.errors.ValidationError, match="max-plus frame is not finite"):
+        _perron.solve_stack(len(states), src, dst, np.array([np.zeros(len(src)), huge]))
+    calls = []
+    refused = _perron._refused
+
+    def counted(*args):
+        calls.append(args)
+        return refused(*args)
+
+    monkeypatch.setattr(_perron, "_refused", counted)
+    golden = ts.golden_mean_shift()
+    ts.pressure_and_equilibrium(golden, ts.zero_potential(golden))
+    assert not calls
+    ts.pressure_and_equilibrium(golden, ts.Potential(golden, 1, {(0,): 0.0, (1,): -1.0}))
+    assert len(calls) == 2  # both sides of the general path
+
+
 def test_a_squared_iterate_out_of_the_normal_range_is_dropped(monkeypatch):
     # A squared iterate that is not finite, positive and normal is not
     # taken: its slice keeps its plain update, and so runs as with no
@@ -508,7 +573,7 @@ def test_a_nearly_periodic_corpus_slice_certifies_in_noda_phase():
     _, sft, phi = next(case for case in corpus() if case[0] == 1)
     solve = transfer._solve_potential(sft, ray(sft, phi, 10.0))
     assert solve.noda.tolist() == [True, True] and solve.iterations.tolist() == [10, 10]
-    assert solve.residuals.tolist() == [2.2201749987071917e-16, 3.3302624980607876e-16]
+    assert solve.residuals.tolist() == [1.1100874993535959e-16, 2.2201749987071917e-16]
     assert solve.value.tolist() == [8.968253398842355]
 
 
