@@ -182,11 +182,13 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
         if left:
             left_w = frame_w + left_frame[:, src] - left_frame[:, dst]
         # the zero frame of an all-zero stack has weights 0, never refused
-        if w.any():
-            refused = _refused(n, src, frame_w)
-            if left:
-                refused = np.maximum(refused, _refused(n, dst, left_w))
-            if refused.any():
+        if np.count_nonzero(w):
+            # One pass over both sides: a row's left weights leave their
+            # heads, as the tails of a second copy of the vertices.
+            refused = (_refused(2 * n, np.concatenate((src, dst + n)),
+                                np.concatenate((frame_w, left_w), axis=1))
+                       if left else _refused(n, src, frame_w))
+            if np.count_nonzero(refused):
                 raise ValidationError(_REFUSALS[refused[refused > 0][0]])
     frames = np.zeros((sides * size, n, n))
     frames[0::sides, src, dst] = np.exp(frame_w)
@@ -247,7 +249,7 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     there (``+0.0`` even from ``-0.0`` weights).  Any nonzero weight in
     the stack sends every row down the general path."""
     size = len(w)
-    if not w.any():
+    if not np.count_nonzero(w):
         left = np.zeros((size, n)) if with_left else None
         return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), left
     if n < _HOWARD_STATES:
@@ -255,11 +257,11 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     else:
         certified, beta, target, right = _howard(n, src, dst, w)
         karp = ~certified
-        if karp.any():
+        if np.count_nonzero(karp):
             beta[karp], target[karp], right[karp] = _karp(n, src, dst, w[karp])
     src_at, dst_at = _flat(n, size, src), _flat(n, size, dst)
     right = right.ravel()
-    frame_w = w.ravel() - np.repeat(beta, len(src)) + right[dst_at] - right[src_at]
+    frame_w = (w - beta[:, None]).ravel() + right[dst_at] - right[src_at]
     left = None
     if with_left:
         target_at = np.arange(size) * n + target
@@ -284,7 +286,7 @@ def _refused(n, src, conj):
     vertex with no out-edge in the normal range, else 0."""
     peak, low = np.maximum.reduce(conj, axis=1), np.minimum.reduce(conj, axis=1)
     lost = peak > _LOG_MAX
-    if not low.min() >= _LOG_SMALLEST_NORMAL:  # then look at each vertex
+    if not np.minimum.reduce(low) >= _LOG_SMALLEST_NORMAL:  # then look at each vertex
         top = np.full(len(conj) * n, -np.inf)
         np.fmax.at(top, _flat(n, len(conj), src), conj.ravel())  # skips nan, without a warning
         lost |= np.minimum.reduce(top.reshape(len(conj), n), axis=1) < _LOG_SMALLEST_NORMAL
@@ -318,7 +320,7 @@ def _karp(n, src, dst, w):
     walks = level.reshape(n + 1, size, n)
     reached = np.isfinite(walks[:n])
     gaps = np.where(reached, walks[n] - np.where(reached, walks[:n], 0.0), np.inf)
-    means = (gaps / np.arange(n, 0, -1)[:, None, None]).min(axis=0)
+    means = np.minimum.reduce(gaps / np.arange(n, 0, -1)[:, None, None], axis=0)
     vertex = means.argmax(axis=1)
     beta = means[rows, vertex]
     # Every cycle on a best n-edge walk into that vertex is critical: walk
@@ -333,7 +335,7 @@ def _karp(n, src, dst, w):
         walking &= ~seen[rows, vertex]
         if not np.count_nonzero(walking):
             break
-    excess = flat_w - np.repeat(beta, len(src))
+    excess = (w - beta[:, None]).ravel()
     right = _longest_walks(n, src_at, dst_at, excess, rows * n + vertex)
     return beta, vertex, right.reshape(size, n)
 
@@ -618,7 +620,8 @@ def perron_stack(e):
             rows = far.nonzero()[0]
             if rows.size:
                 z = _squared_steps(stack, rows, update)
-                good = np.isfinite(z).all(axis=1) & (np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
+                good = np.logical_and.reduce(np.isfinite(z), axis=1) & (
+                    np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
                 update[rows[good]] = z[good]
         rows = (since > 0).nonzero()[0]  # the slices in Noda's phase
         if rows.size:

@@ -12,14 +12,20 @@ of moderate size at any temperature, then a linear-domain Perron
 iteration of both sides, certified to the fixed tolerance
 ``_perron.TOL``.
 
-The kernels live in dense ``n x n`` tables that are 0 off the edges.
-Every exp and log of the measure assembly and of its validation runs on
-the edge entries alone (p log p on the positive entries), and the
-results are scattered into zero-filled tables; every row sum is still
-taken over the dense row, so numpy's pairwise summation groups the same
-terms as over a table padded with ``-inf`` before ``exp``, bit for bit.
-Each kernel row and each stationary vector is one ``exp`` of its log
-row less the row's maximum, divided by its sum (`_equilibria`).
+Each equilibrium kernel lives on the edges of ``block_graph(sft,
+order)``, which are listed by source: a vector over the edges, and a
+stack of them of shape ``(T, E)`` aligned with ``src, dst``.  It is
+assembled, validated and integrated in O(E).  Each kernel row is one
+``exp`` of its log row on the state's out-edges less their maximum,
+divided by their sum, and each stationary vector the same over its
+dense row (`_equilibria`).  Validation takes p log p on the positive
+entries, the row sums, and the invariance ``pi P`` as one ``bincount``
+of the edge masses into their heads; an edge vector has no support off
+the transitions.  Every sum over a row's out-edges is a
+``np.add.reduceat`` segment: its first term plus numpy's pairwise sum
+of the rest.  `MarkovMeasure.kernel` is a dense table built on its
+first read; only the variance's linear solve (`_variances`) scatters
+dense tables of its own.
 
 Solves run on stacks: rows of edge weights on one graph, such as
 ``psi + t * phi`` for a whole grid of ``t``, go through one
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._edgegraph import edge_weights, graph_order
-from ._perron import EigenSolve, _solved, solve_stack
+from ._perron import EigenSolve, _flat, _solved, solve_stack
 from .errors import CheckFailedError, ValidationError
 from .potentials import Potential, _require_over, combine, sup_norm
 from .sft import Block, Sft, block_graph, out_edge_starts, topological_entropy
@@ -116,6 +122,12 @@ class MarkovMeasure:
     finite, the kernel is row-stochastic and supported on admissible
     transitions, the stationary vector is an invariant probability
     vector, and the entropy lies in ``[0, h(f)]``.
+
+    The measure holds its kernel on the edges of ``block_graph(sft,
+    order)``.  ``kernel`` is a read-only dense ``n x n`` view of it: the
+    given table, copied, for a measure built from one, and for a measure
+    the library assembles (an equilibrium state, a lift) a table 0 off
+    the edges, built on its first read and kept.
     """
 
     sft: Sft
@@ -124,22 +136,39 @@ class MarkovMeasure:
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        states = block_graph(self.sft, self.order)[0]
+        states, src, dst = block_graph(self.sft, self.order)
         n = len(states)
-        pi = np.asarray(self.stationary, dtype=float).copy()
-        kernel = np.asarray(self.kernel, dtype=float).copy()
+        pi = np.array(self.stationary, dtype=float)
+        kernel = np.array(self.kernel, dtype=float)
         if pi.shape != (n,) or kernel.shape != (n, n):
             raise ValidationError(
                 f"expected {n} states of order {self.order}, got stationary "
                 f"{pi.shape} and kernel {kernel.shape}"
             )
-        entropy = _validate_measures(self.sft, self.order, pi[None], kernel[None])
-        pi.flags.writeable = False
+        edges = kernel[src, dst]
+        # An entry off the transitions is nonzero iff the table has more
+        # nonzero entries than its edges.  Such a table is refused, by the
+        # first check it fails in their order, where the checks before
+        # that one read the whole table (as the edges of the complete graph).
+        if np.count_nonzero(kernel) != np.count_nonzero(edges):
+            whole = np.arange(n * n)
+            _checked(pi[None], kernel.reshape(1, -1), whole // n, whole % n, whole[::n],
+                     topological_entropy(self.sft), stray=True)
         kernel.flags.writeable = False
-        object.__setattr__(self, "stationary", pi)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "_states", states)
-        object.__setattr__(self, "_entropy", float(entropy[0]))
+        _assemble(self, pi[None], edges[None])
+
+    def __getattr__(self, name):
+        # Only the dense kernel of an assembled measure can be missing.
+        if name != "kernel":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _, src, dst = block_graph(self.sft, self.order)
+        n = len(self._states)
+        kernel = np.zeros((n, n))
+        kernel[src, dst] = self._edge_kernel
+        kernel.flags.writeable = False
+        object.__setattr__(self, "kernel", kernel)
+        return kernel
 
     @property
     def states(self) -> tuple[Block, ...]:
@@ -157,11 +186,37 @@ class MarkovMeasure:
 
         _, src, dst = block_graph(self.sft, self.order)
         pi = self.stationary
-        charged = (pi[src] * self.kernel[src, dst] > 0) & (pi[dst] > 0)
+        charged = (pi[src] * self._edge_kernel > 0) & (pi[dst] > 0)
         label = maxplus.strongly_connected_components(
             len(self._states), zip(src[charged].tolist(), dst[charged].tolist())
         )
         return len({label[i] for i in np.flatnonzero(pi > 0).tolist()}) == 1
+
+
+def _assemble(mu: MarkovMeasure, pi: np.ndarray, kernel: np.ndarray) -> MarkovMeasure:
+    """``mu`` with its stationary vector and edge kernel, a stack of one of
+    each, validated by `_validate_measures`; both become read-only, in
+    place."""
+    entropy = _validate_measures(mu.sft, mu.order, pi, kernel)
+    pi, kernel = pi[0], kernel[0]
+    pi.flags.writeable = False
+    kernel.flags.writeable = False
+    object.__setattr__(mu, "stationary", pi)
+    object.__setattr__(mu, "_edge_kernel", kernel)
+    object.__setattr__(mu, "_states", block_graph(mu.sft, mu.order)[0])
+    object.__setattr__(mu, "_entropy", entropy[0])
+    return mu
+
+
+def _edge_measure(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray) -> MarkovMeasure:
+    """The measure of a stationary vector ``pi`` and an edge kernel
+    ``kernel`` that the module assembled on ``block_graph(sft, order)``,
+    a stack of one of each: validated on the edges, with no dense table
+    and no copy."""
+    mu = object.__new__(MarkovMeasure)
+    object.__setattr__(mu, "sft", sft)
+    object.__setattr__(mu, "order", order)
+    return _assemble(mu, pi, kernel)
 
 
 def _dots(a, b):
@@ -172,39 +227,42 @@ def _dots(a, b):
 
 def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray):
     """The checks of `MarkovMeasure` on a stack of stationary vectors
-    ``pi`` (T, n) and kernels ``kernel`` (T, n, n) on ``order``-blocks.
+    ``pi`` (T, n) and edge kernels ``kernel`` (T, E) on
+    ``block_graph(sft, order)``.
 
     Returns the entropies of the slices.  Raises the ``ValidationError``
     of the first slice that fails a check, for the first check it fails."""
     _, src, dst = block_graph(sft, order)
-    size = len(pi)
+    return _checked(pi, kernel, src, dst, out_edge_starts(sft, order), topological_entropy(sft))
+
+
+def _checked(pi, kernel, src, dst, starts, top, stray=False):
+    """`_validate_measures` on the edges ``src -> dst``, listed by source
+    from ``starts``, against the topological entropy ``top``; a stack
+    ``stray`` is refused as supported outside admissible transitions, in
+    that check's turn."""
+    size, n = pi.shape
     # The reductions run on every slice at once; a slice that fails a
     # check is refused, so what the later ones make of it is moot.
     with np.errstate(all="ignore"):
-        # p log p on the positive entries alone, 0 elsewhere: no log runs
-        # over the zero padding
+        # p log p on the positive entries alone, 0 elsewhere
         positive = kernel > 0
         plogp = np.zeros(kernel.shape)
         np.log(kernel, out=plogp, where=positive)
         np.multiply(kernel, plogp, out=plogp, where=positive)
-        dots = _dots(pi, np.add.reduce(plogp, axis=2))
-        deviation = np.maximum.reduce(np.abs(np.add.reduce(kernel, axis=2) - 1.0), axis=1)
-        drift = np.maximum.reduce(np.abs(np.matmul(pi[:, None, :], kernel)[:, 0] - pi), axis=1)
-    # An entry off the transitions is nonzero iff a slice has more nonzero
-    # entries than it has on the transitions.
-    stray = [False] * size
-    if np.count_nonzero(kernel) != np.count_nonzero(kernel[:, src, dst]):
-        stray = [np.count_nonzero(k) != np.count_nonzero(k[src, dst]) for k in kernel]
-    top = topological_entropy(sft)
+        dots = _dots(pi, np.add.reduceat(plogp, starts, axis=1))
+        deviation = np.maximum.reduce(np.abs(np.add.reduceat(kernel, starts, axis=1) - 1.0), axis=1)
+        # pi P: the mass that each edge carries, summed into its head
+        moved = np.bincount(_flat(n, size, dst), (pi[:, src] * kernel).ravel(), size * n)
+        drift = np.maximum.reduce(np.abs(moved.reshape(size, n) - pi), axis=1)
     entropy = []
     # A finite sum has finite terms, so only a slice whose sum is not
     # finite is searched for a non-finite entry.
-    for k, (total, low, low_kernel, rows, stray, moved, dot) in enumerate(zip(
+    for k, (total, low, low_kernel, rows, moved, dot) in enumerate(zip(
         np.add.reduce(pi, axis=1).tolist(),
         np.minimum.reduce(pi, axis=1).tolist(),
-        np.minimum.reduce(kernel.reshape(size, -1), axis=1).tolist(),
+        np.minimum.reduce(kernel, axis=1).tolist(),
         deviation.tolist(),
-        stray,
         drift.tolist(),
         dots.tolist(),
     )):
@@ -233,19 +291,18 @@ def _validate_measures(sft: Sft, order: int, pi: np.ndarray, kernel: np.ndarray)
 
 
 def _equilibria(sft: Sft, order: int, solve: EigenSolve):
-    """Stationary vectors and kernels of the equilibrium states of a stack
-    of solves on ``block_graph(sft, order)``, not yet validated."""
+    """Stationary vectors (T, n) and edge kernels (T, E) of the
+    equilibrium states of a stack of solves on ``block_graph(sft,
+    order)``, not yet validated."""
     _, src, dst = block_graph(sft, order)
+    starts = out_edge_starts(sft, order)
     u = solve.frame_right
-    size, n = u.shape
     # Each row has an edge and every log weight is finite, so each row's
-    # maximum is finite: its exp on the edges peaks at 1 and cannot
-    # overflow, and its sum over the dense row is at least 1.
+    # maximum is finite: its exp peaks at 1 and cannot overflow, and its
+    # sum over the row's out-edges is at least 1.
     ln_kernel = solve.frame_w + u[:, dst] - u[:, src]
-    row_max = np.maximum.reduceat(ln_kernel, out_edge_starts(sft, order), axis=1)
-    kernel = np.zeros((size, n, n))
-    kernel[:, src, dst] = np.exp(ln_kernel - row_max[:, src])
-    kernel /= np.add.reduce(kernel, axis=2)[:, :, None]
+    kernel = np.exp(ln_kernel - np.maximum.reduceat(ln_kernel, starts, axis=1)[:, src])
+    kernel /= np.add.reduceat(kernel, starts, axis=1)[:, src]
     # the same for each row of the log stationary vector, dense and finite
     ln_pi = solve.frame_left + solve.frame_right
     pi = np.exp(ln_pi - np.maximum.reduce(ln_pi, axis=1, keepdims=True))
@@ -255,8 +312,7 @@ def _equilibria(sft: Sft, order: int, solve: EigenSolve):
 
 def _equilibrium(sft: Sft, order: int, solve: EigenSolve) -> MarkovMeasure:
     """The equilibrium state of a stack of one solve."""
-    pi, kernel = _equilibria(sft, order, solve)
-    return MarkovMeasure(sft, order, pi[0], kernel[0])
+    return _edge_measure(sft, order, *_equilibria(sft, order, solve))
 
 
 def equilibrium_state(sft: Sft, phi: Potential) -> MarkovMeasure:
@@ -333,8 +389,8 @@ def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> l
         grid = ts[start:start + chunk]
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             w = w_psi + np.array(grid, dtype=float)[:, None] * w_phi
-        finite = np.isfinite(w).all(axis=1)
-        if not finite.all():
+        finite = np.logical_and.reduce(np.isfinite(w), axis=1)
+        if np.count_nonzero(finite) < len(grid):
             raise ValidationError(
                 f"psi + t * phi has a non-finite value at t = {grid[int(finite.argmin())]}"
             )
@@ -356,15 +412,11 @@ def lift_markov_measure(mu: MarkovMeasure, order: int) -> MarkovMeasure:
         return mu
     # One order at a time: a (k+1)-block weighs its prefix times its
     # transition, which is the next order's kernel on the edges it ends.
-    pi, kernel = mu.stationary, mu.kernel
+    pi, kernel = mu.stationary, mu._edge_kernel
     for k in range(mu.order, order):
-        _, src, dst = block_graph(mu.sft, k)
-        step = kernel[src, dst]
-        pi = pi[src] * step
-        _, src, dst = block_graph(mu.sft, k + 1)
-        kernel = np.zeros((len(pi), len(pi)))
-        kernel[src, dst] = step[dst]
-    return MarkovMeasure(mu.sft, order, pi / pi.sum(), kernel)
+        pi = pi[block_graph(mu.sft, k)[1]] * kernel
+        kernel = kernel[block_graph(mu.sft, k + 1)[2]]
+    return _edge_measure(mu.sft, order, (pi / pi.sum())[None], kernel[None])
 
 
 def integrate(mu: MarkovMeasure, phi: Potential) -> float:
@@ -376,16 +428,15 @@ def integrate(mu: MarkovMeasure, phi: Potential) -> float:
     _require_over(mu.sft, phi)
     if phi.memory > mu.order + 1:
         mu = lift_markov_measure(mu, phi.memory - 1)
-    return _integrals(mu.sft, mu.order, mu.stationary[None], mu.kernel[None],
+    return _integrals(mu.sft, mu.order, mu.stationary[None], mu._edge_kernel[None],
                       edge_weights(phi, mu.order))[0][0]
 
 
 def _integrals(sft: Sft, order: int, pi, kernel, *weights) -> list[list[float]]:
     """Integral of each vector of edge weights of ``block_graph(sft,
-    order)`` in ``weights`` against each measure of a stack: one list over
-    the stack per vector."""
-    _, src, dst = block_graph(sft, order)
-    mass = pi[:, src] * kernel[:, src, dst]
+    order)`` in ``weights`` against each measure of a stack (edge kernels
+    ``kernel``): one list over the stack per vector."""
+    mass = pi[:, block_graph(sft, order)[1]] * kernel
     # fsum is exactly rounded, so the order of the edges cannot matter, and
     # it sums zeros to +0.0, so uncharged edges (zero terms) cannot either.
     return [[math.fsum(row) for row in (mass * w).tolist()] for w in weights]
@@ -393,14 +444,17 @@ def _integrals(sft: Sft, order: int, pi, kernel, *weights) -> list[list[float]]:
 
 def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
     """Asymptotic variance of the edge weights ``weights`` of
-    ``block_graph(sft, order)`` under each measure of a stack.
+    ``block_graph(sft, order)`` under each measure of a stack (edge
+    kernels ``kernel``).
 
     With ``f`` the value of the weights on each transition,
     ``g = (P * f) 1`` its one-step mean and ``m = pi g`` its average, the
     covariances of all lags sum through the fundamental matrix
     ``(I - P + 1 pi)^-1`` (Kemeny and Snell):
     ``var = sum pi_i P_ij (f_ij - m)^2 + 2 pi (P * f) h`` with ``h``
-    solving ``(I - P + 1 pi) h = g - m``.
+    solving ``(I - P + 1 pi) h = g - m``.  The solve takes dense
+    tables, so the kernels are scattered into zero-filled ones, and every
+    sum here runs over their dense rows.
 
     The system is singular when ``P`` is reducible, as it becomes once
     the weights between two tied ground cycles underflow at large ``t``;
@@ -408,16 +462,19 @@ def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
     so round-off can leave it a few ulps below zero where it vanishes.
     """
     _, src, dst = block_graph(sft, order)
-    f = np.zeros_like(kernel)
+    size, n = pi.shape
+    dense = np.zeros((size, n, n))
+    dense[:, src, dst] = kernel
+    f = np.zeros_like(dense)
     # 0 wherever the kernel is 0, so no product there is a signed zero
-    f[:, src, dst] = np.where(kernel[:, src, dst] > 0, weights, 0.0)
-    weighted = kernel * f
+    f[:, src, dst] = np.where(kernel > 0, weights, 0.0)
+    weighted = dense * f
     g = np.add.reduce(weighted, axis=2)
     m = _dots(pi, g)
-    system = np.eye(pi.shape[1]) - kernel + pi[:, None, :]
+    system = np.eye(n) - dense + pi[:, None, :]
     # nan in a singular slice's h, which carries through to its variance
     h = _solved(system, (g - m[:, None])[:, :, None])
-    spread = _dots(pi, np.add.reduce(kernel * (f - m[:, None, None]) ** 2, axis=2))
+    spread = _dots(pi, np.add.reduce(dense * (f - m[:, None, None]) ** 2, axis=2))
     return spread + _dots(2.0 * pi, np.matmul(weighted, h)[:, :, 0])
 
 

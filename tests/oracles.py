@@ -157,10 +157,10 @@ def dense_gibbs(transitions, memory, values, t=1.0):
 
 # --- dense tables ------------------------------------------------------------
 #
-# The measure assembly as it ran on whole n x n tables: log tables padded
-# with -inf off the edges, exp and log over every entry.  The
-# package takes exp and log on the edges alone and keeps the dense sums;
-# these are the references it must equal bit for bit.
+# The Perron stack and the stationary vectors as they ran on whole tables:
+# log tables padded with -inf off the edges, exp over every entry.  The
+# package takes exp on the edges alone and keeps the dense sums; these
+# are the references it must equal bit for bit.
 
 def dense_perron_tables(n, src, dst, frame_w, left_frame=None):
     """The linear-domain Perron stack of a solve: the conjugated
@@ -175,17 +175,6 @@ def dense_perron_tables(n, src, dst, frame_w, left_frame=None):
     return np.exp(logw)
 
 
-def dense_kernels(n, src, dst, frame_w, frame_right):
-    """Equilibrium kernels ``P_ij = e^{w_ij} r_j / (lambda r_i)`` of a stack
-    of frame solves: each row of the -inf padded log kernel less its
-    maximum, exponentiated whole and divided by its sum."""
-    u = frame_right
-    ln_kernel = np.full((len(u), n, n), -np.inf)
-    ln_kernel[:, src, dst] = frame_w + u[:, dst] - u[:, src]
-    kernel = np.exp(ln_kernel - ln_kernel.max(axis=2, keepdims=True))
-    return kernel / np.add.reduce(kernel, axis=2)[:, :, None]
-
-
 def dense_stationary(ln_pi):
     """Stationary vectors of a stack of frame solves from their log rows
     ``ln_pi`` (T, n): each row less its maximum, exponentiated and
@@ -194,12 +183,75 @@ def dense_stationary(ln_pi):
     return pi / np.add.reduce(pi, axis=1)[:, None]
 
 
-def dense_entropies(pi, kernel):
+# --- edge kernels ------------------------------------------------------------
+#
+# The measure assembly on the edges of the block graph, one state at a
+# time: each sum of a row runs over the state's out-edges in edge order,
+# grouped as `np.add.reduceat` groups a segment.  These are the
+# references the package's edge kernels and entropies must equal bit for
+# bit.
+
+def out_edge_sum(terms):
+    """The sum of the floats ``terms`` grouped as ``np.add.reduceat``
+    groups a segment: the first term plus numpy's pairwise sum of the
+    rest, which adds fewer than 8 terms onto 0 left to right, up to 128
+    in eight interleaved partial sums, and more by halves."""
+    return terms[0] + _pairwise_sum(terms[1:])
+
+
+def _pairwise_sum(terms):
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for x in terms:
+            total += x
+        return total
+    if n <= 128:
+        r = list(terms[:8])
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in terms[end:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def out_edge_sums(values, starts):
+    """The sum of each state's out-edges (from ``starts``) in each row of
+    a stack ``values`` (T, E), by `out_edge_sum`, as (T, n)."""
+    bounds = [*starts.tolist(), values.shape[1]]
+    return np.array([[out_edge_sum(row[a:b]) for a, b in zip(bounds, bounds[1:])]
+                     for row in values.tolist()])
+
+
+def edge_kernels(starts, src, dst, frame_w, frame_right):
+    """Equilibrium kernels ``P_ij = e^{w_ij} r_j / (lambda r_i)`` on the
+    edges (T, E) of a stack of frame solves: each state's log kernel on
+    its out-edges less their maximum, exponentiated and divided by its
+    `out_edge_sum`."""
+    u = frame_right
+    ln_kernel = frame_w + u[:, dst] - u[:, src]
+    bounds = [*starts.tolist(), ln_kernel.shape[1]]
+    kernel = np.empty_like(ln_kernel)
+    for row, ln_row in zip(kernel, ln_kernel):
+        for a, b in zip(bounds, bounds[1:]):
+            p = np.exp(ln_row[a:b] - ln_row[a:b].max())
+            row[a:b] = p / out_edge_sum(p.tolist())
+    return kernel
+
+
+def edge_entropies(pi, kernel, starts):
     """Entropy ``-sum_i pi_i sum_j P_ij log P_ij`` (0 log 0 = 0, clamped at
-    0) of each measure of a stack, with p log p over the whole table."""
+    0) of each measure of a stack of edge kernels, with p log p on the
+    edges and each inner sum by `out_edge_sums`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(kernel > 0, kernel * np.log(kernel), 0.0)
-    dots = np.matmul(pi[:, None, :], np.add.reduce(plogp, axis=2)[:, :, None])[:, 0, 0]
+    rows = out_edge_sums(plogp, starts)
+    dots = np.matmul(pi[:, None, :], rows[:, :, None])[:, 0, 0]
     return [max(0.0, -dot) for dot in dots.tolist()]
 
 
@@ -367,7 +419,10 @@ def asymptotic_variance(mu, phi):
     sample whose equilibrium state is ``mu``.  ``phi`` must have memory
     at most ``mu.order + 1``."""
     from thermoshift._edgegraph import edge_weights
+    from thermoshift.sft import block_graph
     from thermoshift.transfer import _variances
 
+    _, src, dst = block_graph(mu.sft, mu.order)
     weights = edge_weights(phi, mu.order)
-    return float(_variances(mu.sft, mu.order, mu.stationary[None], mu.kernel[None], weights)[0])
+    kernel = mu.kernel[src, dst]
+    return float(_variances(mu.sft, mu.order, mu.stationary[None], kernel[None], weights)[0])

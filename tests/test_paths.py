@@ -186,8 +186,10 @@ def test_a_singular_variance_system_is_nan_in_its_own_slice_only(full2):
     mixing = np.array([[0.75, 0.25], [0.25, 0.75]])
     want = oracles.asymptotic_variance(ts.MarkovMeasure(full2, 1, pi, mixing), two_loops)
     assert math.isfinite(want)
+    _, src, dst = ts.sft.block_graph(full2, 1)
     for kernels, singular in (([np.eye(2), mixing], 0), ([mixing, np.eye(2)], 1)):
-        got = transfer._variances(full2, 1, np.array([pi, pi]), np.array(kernels), weights)
+        edge_kernels = np.array(kernels)[:, src, dst]
+        got = transfer._variances(full2, 1, np.array([pi, pi]), edge_kernels, weights)
         assert math.isnan(got[singular])
         assert got[1 - singular].hex() == want.hex()
 

@@ -174,6 +174,19 @@ def test_each_refusal_names_its_cause():
     assert _perron._refused(2, np.array([0, 0, 1]), conj).tolist() == [0, 1, 1, 2]
 
 
+def test_one_refusal_pass_over_both_sides_keeps_each_sides_verdict():
+    # As in solve_stack: a row's left weights leave the heads of its
+    # edges, as the tails of a second copy of the vertices.  Every pair of
+    # the rows above, on either side, reads the worse of the two verdicts.
+    src, dst = np.array([0, 0, 1]), np.array([0, 1, 0])
+    conj = np.array([[0.0, -1.0, 0.0], [0.0, -1.0, 710.0], [0.0, 0.0, -709.0], [0.0, np.nan, 0.0]])
+    right, left = np.repeat(conj, 4, axis=0), np.tile(conj, (4, 1))
+    both = _perron._refused(4, np.concatenate((src, dst + 2)), np.concatenate((right, left), axis=1))
+    each = np.maximum(_perron._refused(2, src, right), _perron._refused(2, dst, left))
+    assert both.tolist() == each.tolist()
+    assert sorted(set(both.tolist())) == [0, 1, 2]
+
+
 def test_a_frame_refused_in_a_stack_is_the_error_of_its_row(monkeypatch):
     # A row whose frame overflows is refused before any Perron step, so
     # its error comes out even where an earlier row would fail to converge.
@@ -430,7 +443,7 @@ def test_only_an_all_zero_stack_skips_the_refusals(monkeypatch):
     ts.pressure_and_equilibrium(golden, ts.zero_potential(golden))
     assert not calls
     ts.pressure_and_equilibrium(golden, ts.Potential(golden, 1, {(0,): 0.0, (1,): -1.0}))
-    assert len(calls) == 2  # both sides of the general path
+    assert len(calls) == 1  # one pass over both sides of the general path
 
 
 def test_a_squared_iterate_out_of_the_normal_range_is_dropped(monkeypatch):

@@ -309,9 +309,10 @@ def test_markov_measure_validation(full2):
 
 
 def test_a_stack_of_measures_raises_the_error_of_its_first_failing_slice(full2):
+    # edge kernels: the full 2-shift's edges are 0->0, 0->1, 1->0, 1->1
     pi = np.full((3, 2), 0.5)
-    kernel = np.full((3, 2, 2), 0.5)
-    kernel[1] = [[1.5, -0.5], [0.5, 0.5]]  # rows still sum to 1
+    kernel = np.full((3, 4), 0.5)
+    kernel[1] = [1.5, -0.5, 0.5, 0.5]  # rows still sum to 1
     pi[2] = [0.9, 0.1]  # moved to (0.5, 0.5) by the uniform kernel
     with pytest.raises(ValidationError, match="kernel has negative entries"):
         transfer._validate_measures(full2, 1, pi, kernel)
@@ -339,6 +340,53 @@ def test_markov_measure_rejects_forbidden_support(golden):
         ts.MarkovMeasure(
             golden, 1, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]
         )  # golden mean forbids the 1 -> 1 transition
+
+
+@pytest.mark.parametrize("stationary, kernel, message", [
+    # both vectors non-finite: the stationary vector's check comes first
+    ([math.nan, 0.5], [[0.5, 0.5], [math.nan, 1.0]], "stationary vector has a non-finite entry"),
+    # support off the transitions (1 -> 1) and one of the checks before it
+    ([0.5, 0.5], [[0.5, 0.5], [1.0, math.nan]], "kernel has a non-finite entry"),
+    ([0.7, 0.5], [[0.5, 0.5], [0.5, 0.5]], "stationary vector is not a probability vector"),
+    ([0.5, 0.5], [[0.5, 0.5], [1.5, -0.5]], "kernel has negative entries"),
+    # the row 1 sums to 1.1 over the whole table, to 0.5 over its edge
+    ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.6]], r"kernel rows sum to 1 only within 0\.1$"),
+    # and one of the checks after it
+    ([0.9, 0.1], [[0.5, 0.5], [0.5, 0.5]], "kernel is supported outside admissible transitions"),
+    # on the edges alone: negative entries before the row sums
+    ([0.5, 0.5], [[1.5, -0.6], [1.0, 0.0]], "kernel has negative entries"),
+])
+def test_markov_measure_raises_the_first_check_a_table_fails(golden, stationary, kernel, message):
+    with pytest.raises(ValidationError, match=message):
+        ts.MarkovMeasure(golden, 1, stationary, kernel)
+
+
+def test_markov_measure_keeps_the_dense_kernel_it_was_given_bit_for_bit(golden, rng):
+    # a signed zero off the transitions is no support
+    given = np.array([[0.6, 0.4], [1.0, -0.0]])
+    tables = [given, oracles.random_stochastic_kernel(rng, golden.transitions, 2)[1]]
+    for order, kernel in enumerate(tables, start=1):
+        pi = oracles.stationary_from_kernel(kernel)
+        mu = ts.MarkovMeasure(golden, order, pi, kernel)
+        assert mu.kernel is not kernel and not mu.kernel.flags.writeable
+        assert mu.kernel.tobytes() == kernel.tobytes()
+
+
+def test_an_assembled_measure_builds_its_dense_kernel_on_first_read(rng):
+    sft = ts.full_shift(3)
+    phi = ts.Potential(sft, 3, oracles.random_values(rng, sft.transitions, 3))
+    _, mu = ts.pressure_and_equilibrium(sft, phi)
+    ts.integrate(mu, phi)
+    lifted = ts.lift_markov_measure(mu, 3)
+    for measure in (mu, lifted):
+        assert "kernel" not in vars(measure)
+        _, src, dst = ts.sft.block_graph(sft, measure.order)
+        kernel = measure.kernel
+        assert not kernel.flags.writeable
+        scattered = np.zeros(kernel.shape)
+        scattered[src, dst] = measure._edge_kernel
+        assert kernel.tobytes() == scattered.tobytes()
+        assert measure.kernel is kernel
 
 
 def test_equilibrium_support_strongly_connected(rng):
@@ -408,8 +456,14 @@ def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
     # Stacks over t in {0, 1, 1e4}: at 1e4 kernel entries underflow to 0,
     # so p log p meets zeros on the edges.  Stacks of weights from
     # {0, -0.5, 0.25} at t in {1, 10} add tied stationary maxima.  The
-    # Perron stack is compared as handed to perron_stack, the stationary
-    # vectors, the kernels and the entropies as returned.
+    # Perron stack is compared as handed to perron_stack with the dense
+    # tables, the stationary vectors as returned with the dense rows, and
+    # the edge kernels and entropies with references that sum each row
+    # over its out-edges in edge order.  Those sums group terms otherwise
+    # than the dense rows that the kernels were summed over before they
+    # moved onto the edges: on these stacks the edge kernels differ from
+    # the dense ones by at most 2.2e-16 (5.7e-16 relative) and the
+    # entropies by at most 4.4e-16.
     rng = np.random.default_rng(31)
     tie_rng = np.random.default_rng(37)
     perron_stack = ts._perron.perron_stack
@@ -433,16 +487,17 @@ def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
             _, _, frame_w, left_frame = ts._perron._maxplus_frame(n, src, dst, w, left)
             dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
             assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), (n, left)
+        starts = ts.sft.out_edge_starts(sft, order)
         for solve in (solve, ts._perron.solve_stack(n, src, dst, tied)):
             pi, kernel = transfer._equilibria(sft, order, solve)
             ln_pi = solve.frame_left + solve.frame_right
             assert pi.tobytes() == oracles.dense_stationary(ln_pi).tobytes(), n
-            assert kernel.tobytes() == oracles.dense_kernels(
-                n, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
+            assert kernel.tobytes() == oracles.edge_kernels(
+                starts, src, dst, solve.frame_w, solve.frame_right).tobytes(), n
             entropy = transfer._validate_measures(sft, order, pi, kernel)
-            dense_entropy = oracles.dense_entropies(pi, kernel)
-            assert np.array(entropy).tobytes() == np.array(dense_entropy).tobytes(), n
-            underflow += np.count_nonzero(kernel[:, src, dst] == 0.0)
+            edge_entropy = oracles.edge_entropies(pi, kernel, starts)
+            assert np.array(entropy).tobytes() == np.array(edge_entropy).tobytes(), n
+            underflow += np.count_nonzero(kernel == 0.0)
             ties = np.add.reduce(ln_pi == ln_pi.max(axis=1, keepdims=True), axis=1)
             all_tied += np.count_nonzero(ties == n)
             some_tied += np.count_nonzero((1 < ties) & (ties < n))
