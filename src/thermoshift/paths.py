@@ -9,11 +9,13 @@ the entropy and the ``psi``-pressure of the equilibrium state,
 at ``t = 0`` are therefore found by a geometric bracketing scan followed
 by interpolation safeguarded by bisection inside the bracket.
 
-A sweep solves its whole grid as stacks (see `transfer`), and each of its
-samples equals `sample_at` at that point bit for bit; `sample_at` is a
-sweep of one point.  Every multi-point solve raises what `sample_at`
-raises at its first failing point: a stack that fails is solved again by
-halves (`_stacked`), by a sweep and by the solvers alike.
+A sweep solves its grid as stacks of at most ``_STACK_ENTRIES // (2 n^2)``
+points on ``n`` block states (see `transfer`), and each of its samples
+equals `sample_at` at that point bit for bit; `sample_at` is a sweep of
+one point.  `_stacked` is the one place that forms stacks, for a sweep
+and for the solvers alike.  Every multi-point solve raises what
+`sample_at` raises at its first failing point: a stack that fails is
+solved again by halves.
 
 The solvers solve their start at ``t = 0`` and the points of their
 geometric scan in look-ahead stacks: the next few points are solved
@@ -84,6 +86,10 @@ _LOOK_AHEAD = 26
 _SCAN_SPLIT = 4
 _SPREAD = 4
 _LOOK_AHEAD_STATES = 32
+# Most entries of one stacked n x n table (2 MiB of float64): a sweep
+# solves stacks of max(1, _STACK_ENTRIES // (2 n^2)) points, as the
+# Perron stack holds both sides of each.
+_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,15 @@ def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
 
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
     """Path samples on an increasing grid of parameters ``t >= 0``,
-    solved as stacks; each equals `sample_at` at its point bit for bit.
-    A grid that fails is solved again by halves, so it raises what
-    `sample_at` raises at its first failing point."""
+    solved as stacks of at most ``_STACK_ENTRIES // (2 n^2)`` points, and
+    at least one, on a block graph of ``n`` states; each equals
+    `sample_at` at its point bit for bit.  A stack that fails is solved
+    again by halves, so a grid raises what `sample_at` raises at its
+    first failing point."""
     ts = _checked_grid("t_grid", t_grid, positive=False)
-    return list(_stacked(partial(_ray_samples, sft, psi, phi), ts, len(ts)))
+    _, (states, _, _) = _ray_graph(sft, psi, phi)
+    look_ahead = max(1, _STACK_ENTRIES // (2 * len(states) ** 2))
+    return list(_stacked(partial(_ray_samples, sft, psi, phi), ts, look_ahead))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ Block = tuple[int, ...]
 
 # Most admissible blocks one listing may hold.  Dense tables are indexed
 # by listed blocks, so each float64 one stays within 8 * MAX_BLOCKS**2
-# bytes = 128 MiB.  A grid of a ray is solved in stacks of such tables
-# that hold at most transfer._STACK_ENTRIES = 2**18 entries (2 MiB) each,
+# bytes = 128 MiB.  A sweep of a ray is solved in stacks of such tables
+# that hold at most paths._STACK_ENTRIES = 2**18 entries (2 MiB) each,
 # or one table where a single table is larger.
 MAX_BLOCKS = 4096
 

@@ -24,8 +24,8 @@ of the edge masses into their heads; an edge vector has no support off
 the transitions.  Every sum over a row's out-edges is a
 ``np.add.reduceat`` segment: its first term plus numpy's pairwise sum
 of the rest.  `MarkovMeasure.kernel` is a dense table built on its
-first read; only the variance's linear solve (`_variances`) scatters
-dense tables of its own.
+first read.  The variance of a ray sample (`_variances`) sums over the
+same segments; its one dense table is the linear system it solves.
 
 Solves run on stacks: rows of edge weights on one graph, such as
 ``psi + t * phi`` for a whole grid of ``t``, go through one
@@ -33,11 +33,10 @@ Solves run on stacks: rows of edge weights on one graph, such as
 single potential is a stack of one.  Each slice equals its solve alone
 bit for bit: every dot product and matrix product is still taken per
 slice, and every iteration stops on its slice's own counts.  So a
-sample of a sweep equals ``paths.sample_at`` at its point.  A grid is
-solved in chunks whose largest stacked table holds at most
-``_STACK_ENTRIES`` entries, and at least one sample.  Every measure is
-validated once: `MarkovMeasure` on construction, a grid's by
-`_validate_measures` on the whole chunk.
+sample of a sweep equals ``paths.sample_at`` at its point.  How many
+points share a stack is decided in ``paths`` alone (``paths._stacked``).
+Every measure is validated once: `MarkovMeasure` on construction, a
+stack's by `_validate_measures` on the whole stack.
 
 A multi-point solve raises what ``paths.sample_at`` raises at its first
 failing point, as ``paths._stacked`` solves a stack that fails again by
@@ -64,10 +63,6 @@ _ROW_SUM_TOL = 1e-12
 _ENTROPY_SLACK = 1e-9
 _IDENTITY_TOL = 1e-9
 _LIPSCHITZ_SLACK = 1e-12
-# Most entries of one stacked n x n table (2 MiB of float64): a grid of
-# the ray is solved in chunks of max(1, _STACK_ENTRIES // (2 n^2))
-# samples, as the Perron stack holds both sides of each.
-_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -372,36 +367,29 @@ def _ray_graph(sft: Sft, psi: Potential, phi: Potential):
 
 def _ray_samples(sft: Sft, psi: Potential, phi: Potential, ts: list[float]) -> list[PathSample]:
     """The path samples at the points ``ts`` of the ray ``psi + t * phi``,
-    solved as stacks at the common order on the cached edge weights of
+    solved as one stack at the common order on the cached edge weights of
     both potentials: the weights of ``combine(psi, phi, t)`` bit for bit,
     without building that potential or its dense edge table.
 
-    Raises the error of a failing point of the first chunk that has one:
-    the ``ValidationError`` of its first point whose weights are not
-    finite, before any solve; else the first error of its eigensolve,
-    then of its measure validation (see the module docstring)."""
+    Raises the ``ValidationError`` of the first point whose weights are
+    not finite, before any solve; else the first error of the eigensolve,
+    then of the measure validation (see the module docstring)."""
     order, (states, src, dst) = _ray_graph(sft, psi, phi)
-    n = len(states)
     w_psi, w_phi = edge_weights(psi, order), edge_weights(phi, order)
-    chunk = max(1, _STACK_ENTRIES // (2 * n * n))
-    out = []
-    for start in range(0, len(ts), chunk):
-        grid = ts[start:start + chunk]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            w = w_psi + np.array(grid, dtype=float)[:, None] * w_phi
-        finite = np.logical_and.reduce(np.isfinite(w), axis=1)
-        if np.count_nonzero(finite) < len(grid):
-            raise ValidationError(
-                f"psi + t * phi has a non-finite value at t = {grid[int(finite.argmin())]}"
-            )
-        solve = solve_stack(n, src, dst, w)
-        pi, kernel = _equilibria(sft, order, solve)
-        entropy = _validate_measures(sft, order, pi, kernel)
-        phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
-        phi_var = _variances(sft, order, pi, kernel, w_phi).tolist()
-        psi_pressure = [h + b for h, b in zip(entropy, psi_avg)]
-        out += map(PathSample, grid, solve.value.tolist(), entropy, phi_avg, psi_pressure, phi_var)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        w = w_psi + np.array(ts, dtype=float)[:, None] * w_phi
+    finite = np.logical_and.reduce(np.isfinite(w), axis=1)
+    if np.count_nonzero(finite) < len(ts):
+        raise ValidationError(
+            f"psi + t * phi has a non-finite value at t = {ts[int(finite.argmin())]}"
+        )
+    solve = solve_stack(len(states), src, dst, w)
+    pi, kernel = _equilibria(sft, order, solve)
+    entropy = _validate_measures(sft, order, pi, kernel)
+    phi_avg, psi_avg = _integrals(sft, order, pi, kernel, w_phi, w_psi)
+    phi_var = _variances(sft, order, pi, kernel, w_phi).tolist()
+    psi_pressure = [h + b for h, b in zip(entropy, psi_avg)]
+    return list(map(PathSample, ts, solve.value.tolist(), entropy, phi_avg, psi_pressure, phi_var))
 
 
 def lift_markov_measure(mu: MarkovMeasure, order: int) -> MarkovMeasure:
@@ -452,9 +440,9 @@ def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
     covariances of all lags sum through the fundamental matrix
     ``(I - P + 1 pi)^-1`` (Kemeny and Snell):
     ``var = sum pi_i P_ij (f_ij - m)^2 + 2 pi (P * f) h`` with ``h``
-    solving ``(I - P + 1 pi) h = g - m``.  The solve takes dense
-    tables, so the kernels are scattered into zero-filled ones, and every
-    sum here runs over their dense rows.
+    solving ``(I - P + 1 pi) h = g - m``.  Every sum over a row runs over
+    its state's out-edges (`_checked`); the system is the one dense table,
+    ``-P`` scattered into zeros, then ``+ I``, then ``+ 1 pi``.
 
     The system is singular when ``P`` is reducible, as it becomes once
     the weights between two tied ground cycles underflow at large ``t``;
@@ -462,20 +450,21 @@ def _variances(sft: Sft, order: int, pi, kernel, weights) -> np.ndarray:
     so round-off can leave it a few ulps below zero where it vanishes.
     """
     _, src, dst = block_graph(sft, order)
+    starts = out_edge_starts(sft, order)
     size, n = pi.shape
-    dense = np.zeros((size, n, n))
-    dense[:, src, dst] = kernel
-    f = np.zeros_like(dense)
     # 0 wherever the kernel is 0, so no product there is a signed zero
-    f[:, src, dst] = np.where(kernel > 0, weights, 0.0)
-    weighted = dense * f
-    g = np.add.reduce(weighted, axis=2)
+    f = np.where(kernel > 0, weights, 0.0)
+    weighted = kernel * f
+    g = np.add.reduceat(weighted, starts, axis=1)
     m = _dots(pi, g)
-    system = np.eye(n) - dense + pi[:, None, :]
+    system = np.zeros((size, n, n))
+    system[:, src, dst] = -kernel
+    system.reshape(size, n * n)[:, ::n + 1] += 1.0
+    system += pi[:, None, :]
     # nan in a singular slice's h, which carries through to its variance
-    h = _solved(system, (g - m[:, None])[:, :, None])
-    spread = _dots(pi, np.add.reduce(dense * (f - m[:, None, None]) ** 2, axis=2))
-    return spread + _dots(2.0 * pi, np.matmul(weighted, h)[:, :, 0])
+    h = _solved(system, (g - m[:, None])[:, :, None])[:, :, 0]
+    spread = _dots(pi, np.add.reduceat(kernel * (f - m[:, None]) ** 2, starts, axis=1))
+    return spread + _dots(2.0 * pi, np.add.reduceat(weighted * h[:, dst], starts, axis=1))
 
 
 @dataclass(frozen=True)

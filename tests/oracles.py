@@ -419,10 +419,7 @@ def asymptotic_variance(mu, phi):
     sample whose equilibrium state is ``mu``.  ``phi`` must have memory
     at most ``mu.order + 1``."""
     from thermoshift._edgegraph import edge_weights
-    from thermoshift.sft import block_graph
     from thermoshift.transfer import _variances
 
-    _, src, dst = block_graph(mu.sft, mu.order)
-    weights = edge_weights(phi, mu.order)
-    kernel = mu.kernel[src, dst]
+    kernel, weights = mu._edge_kernel, edge_weights(phi, mu.order)
     return float(_variances(mu.sft, mu.order, mu.stationary[None], kernel[None], weights)[0])

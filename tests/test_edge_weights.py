@@ -6,6 +6,7 @@ import math
 import pathlib
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,19 +50,23 @@ def dense_integral(mu, phi):
     return math.fsum((weight[charged] * logw[charged]).tolist())
 
 
-def dense_variance(mu, phi):
-    """``oracles.asymptotic_variance`` as computed on the dense table."""
-    kernel, pi = mu.kernel, mu.stationary
-    f = np.where(kernel > 0, dense_logw(mu.sft, phi, mu.order), 0.0)
+def edge_variance(mu, phi):
+    """``oracles.asymptotic_variance`` with each row summed over its
+    state's out-edges by `oracles.out_edge_sums`, and the dense solve of
+    ``(I - P + 1 pi) h = g - m``."""
+    _, src, dst = ts.sft.block_graph(mu.sft, mu.order)
+    starts = ts.sft.out_edge_starts(mu.sft, mu.order)
+    kernel, pi = mu.kernel[src, dst], mu.stationary
+    f = np.where(kernel > 0, dense_logw(mu.sft, phi, mu.order)[src, dst], 0.0)
     weighted = kernel * f
-    g = weighted.sum(axis=1)
+    g = oracles.out_edge_sums(weighted[None], starts)[0]
     m = pi @ g
     try:
-        h = np.linalg.solve(np.eye(len(pi)) - kernel + pi[None, :], g - m)
+        h = np.linalg.solve(np.eye(len(pi)) - mu.kernel + pi[None, :], g - m)
     except np.linalg.LinAlgError:
         return math.nan
-    spread = pi @ (kernel * (f - m) ** 2).sum(axis=1)
-    return float(spread + 2.0 * pi @ (weighted @ h))
+    spread = pi @ oracles.out_edge_sums((kernel * (f - m) ** 2)[None], starts)[0]
+    return float(spread + 2.0 * pi @ oracles.out_edge_sums((weighted * h[dst])[None], starts)[0])
 
 
 def test_sample_at_matches_the_combine_route_bit_for_bit():
@@ -83,7 +88,7 @@ def test_sample_at_matches_the_combine_route_bit_for_bit():
             assert sample_bits(sample) == bits(*want), (trial, t)
             assert sample_bits(stacked) == bits(*want), (trial, t)
             assert bits(phi_avg, oracles.asymptotic_variance(mu, phi)) == bits(
-                dense_integral(mu, phi), dense_variance(mu, phi)
+                dense_integral(mu, phi), edge_variance(mu, phi)
             ), (trial, t)
 
 
@@ -168,12 +173,51 @@ def test_a_sweep_across_chunks_equals_one_chunk(golden, rng, monkeypatch, sample
             return solve_stack(n, src, dst, w)
 
         with monkeypatch.context() as chunked:
-            chunked.setattr(transfer, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
+            chunked.setattr(paths, "_STACK_ENTRIES", 2 * n * n * samples_per_chunk)
             chunked.setattr(transfer, "solve_stack", counted)
             assert [sample_bits(s) for s in ts.sweep(sft, psi, phi, grid)] == whole
         assert max(solves) == samples_per_chunk and sum(solves) == len(grid)
     # certified rows were stacked beside rows that fell back to Karp
     assert certified[:len(grid)] == [False] + [True] * (len(grid) - 1)
+
+
+def test_only_a_sweep_splits_its_grid_into_stacks(rng, monkeypatch):
+    # 64 states: a sweep stacks 2**18 // (2 * 64**2) = 32 points
+    full2 = ts.full_shift(2)
+    psi, phi = (random_potential(rng, full2, full2.transitions, 7) for _ in range(2))
+    solves = []
+    solve_stack = transfer.solve_stack
+
+    def counted(n, src, dst, w):
+        solves.append(len(w))
+        return solve_stack(n, src, dst, w)
+
+    monkeypatch.setattr(transfer, "solve_stack", counted)
+    transfer._ray_samples(full2, psi, phi, np.linspace(0.0, 4.0, 40).tolist())
+    assert solves == [40]
+    solves.clear()
+    grid = np.linspace(0.0, 10.0, 100).tolist()
+    swept = [sample_bits(s) for s in ts.sweep(full2, psi, phi, grid)]
+    assert solves == [32, 32, 32, 4]
+    assert swept == [sample_bits(ts.sample_at(full2, psi, phi, t)) for t in grid]
+
+
+@pytest.mark.parametrize("symbols, memory", [(2, 10), (4, 5), (3, 6)])
+def test_a_sample_holds_one_dense_system_beside_the_perron_stack(rng, symbols, memory):
+    # 512, 256 and 243 states: the peak is the Perron stack's (2-3 n^2);
+    # a dense kernel, weight table and their product held beside the
+    # variance's system pass 3.5 n^2
+    sft = ts.full_shift(symbols)
+    psi, phi = ts.zero_potential(sft, memory), random_potential(rng, sft, sft.transitions, memory)
+    ts.sample_at(sft, psi, phi, 1.0)  # the block graph and edge weights, cached
+    n = len(ts.admissible_blocks(sft, memory - 1))
+    tracemalloc.start()
+    try:
+        ts.sample_at(sft, psi, phi, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_a_sweep_raises_the_error_of_its_first_failing_point(golden):
