@@ -62,18 +62,18 @@ stall.  The 3- to 9-state N(0, 1) potentials at ``t = 8`` of
 steps alone took 995 to 1,931.
 
 Before those phases, on a graph of at most ``_SQUARE_STATES`` (32)
-states, a slice that step 1 does not certify, and leaves with a spread
-above ``_SQUARE_SPREAD`` (1e-4), takes ``P^(2^K) x`` as its next
-iterate, ``x`` being its step-1 update: its matrix is squared ``K``
-times (``_SQUARINGS``, 7), one batched product per squaring over those
-slices, with no scaling between squarings.  As its rows peak at 1, a
-slice of at most 32 states has ``|P|_inf <= 32`` and
-``|P^128|_inf <= 2^640``, far inside the float range, and the iterate is
-scaled once, at the end.  A slice whose second eigenvalue is below about
-0.8 of the Perron root then certifies at its next check, step 4; the
-squarings only choose the iterate, and the enclosure on the true product
-``E x`` still decides.  A slice they do not finish goes on through the
-phases above.
+states, every slice that step 1 leaves open, and whose step-1 update is
+in the normal range, takes ``P^(2^K) x`` as its next iterate, ``x``
+being that update: its matrix is squared ``K`` times (``_SQUARINGS``,
+7), one batched product per squaring over those slices, with no scaling
+between squarings.  As its rows peak at 1, a slice of at most 32 states
+has ``|P|_inf <= 32`` and ``|P^128|_inf <= 2^640``, far inside the float
+range, and the iterate is scaled once, at the end.  A slice whose second
+eigenvalue is below about 0.8 of the Perron root then certifies at its
+next check, step 4, as does a frame at low temperature, which starts
+near its Perron vector; the squarings only choose the iterate, and the
+enclosure on the true product ``E x`` still decides.  A slice they do
+not finish goes on through the phases above.
 """
 
 from __future__ import annotations
@@ -84,55 +84,41 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
+# The enclosure's width at which a slice certifies: the library's contract.
 TOL = 1e-13
-_BUDGET = 2000  # steps per slice, plain and Noda together
-_PROBE = 8  # the step that measures each slice's contraction
-_PROBE_WINDOW = 4
-# Products per enclosure in the first plain phase; `_PROBE`, `_PROBE_WINDOW`
-# and `_STALL` are its multiples, so the probe and both windows read spreads
-# that were taken.
+# Steps per slice, plain and Noda together: ends every run at some verdict.
+_BUDGET = 2000
+# The step at which a slice whose contraction over the last `_BLOCK` steps
+# is slow switches to Noda's phase, before any stall (BENCH_42.json).
+_PROBE = 8
+# Products per enclosure in the first plain phase (BENCH_42.json); `_PROBE`
+# and `_STALL` are its multiples, so both windows read spreads that were taken.
 _BLOCK = 4
+# Steps over which a spread that does not shrink is a stall, which sends a
+# plain slice to Noda's phase and ends a Noda slice.
 _STALL = 40
+# Half-width accepted where a stall or the budget ends a run; above it the
+# slice is refused.
 _NOISE_FLOOR_ACCEPT = 1e-12
-_NODA_FLOATS = 2 ** 20  # matrix entries that one batched Noda solve copies
-# A slice of at most `_SQUARE_STATES` states that step 1 does not
-# certify, and whose step-1 spread is above `_SQUARE_SPREAD`, takes
-# P^(2^_SQUARINGS) times its step-1 update as its next iterate.  At seed
-# 1, 7 squarings certify at step 4 every warm slice up to 32 states that
-# 8 to 12 do (5 leave 10 of them to Noda's phase); 10 cost 1.4-1.6% more
-# of the warm pass in process (seeds 2 and 5).  Seven unscaled squarings
-# of two slices cost 16-36 us up to 32 states and 140 us at 64, and of 26
-# slices 2.4 ms at 64 (36-81 us, 251 us and 3.5 ms with each power
-# scaled; best of 15 runs of 300 calls, 6 of 20 at 26 slices, one pinned
-# core), which a slice they do not finish pays for nothing; the warm pass read within 2% squaring up
-# to 32, 49 or 64 states.  A frame at low temperature starts near its
-# Perron vector and contracts fast: on the cold and ray workloads (seed
-# 1) every slice whose step-1 spread was at most 1e-4 certified at step 4
-# on plain products, and squaring those too cost the cold pass 4-6% in
-# process.
+# Matrix entries that one batched Noda solve copies: bounds its memory, as
+# from 725 states on each slice is solved alone.
+_NODA_FLOATS = 2 ** 20
+# A slice of at most `_SQUARE_STATES` states that step 1 leaves open takes
+# P^(2^_SQUARINGS) times its step-1 update as its next iterate, which most
+# such slices certify at step 4 in fewer products (BENCH_42.json).
 _SQUARE_STATES = 32
 _SQUARINGS = 7
-_SQUARE_SPREAD = 1e-4
+# The normal float range, in which every iterate and its logs must stay.
 _SMALLEST_NORMAL = np.finfo(float).tiny
 _LOG_MAX = float(np.log(np.finfo(float).max))
 _LOG_SMALLEST_NORMAL = float(np.log(_SMALLEST_NORMAL))
 # From this many states `_maxplus_frame` tries Howard's policy iteration
-# before Karp's levels.  On the N(0, 1) frames of the benchmark's warm
-# (t = 1) and cold (t >= 500) workloads the Howard route of a frame took
-# 0.97-1.21 times the Karp route's time at 25-36 states, 0.72-0.83 at
-# 48-49, 0.59-0.71 at 64 and 0.37 at 144 (interleaved medians of 60
-# rounds); a row that ends uncertified (tied values) pays both.  A
-# crossover at 48 showed no gain end to end: the warm workload read
-# ops_per_s 1.1% lower and op_tail_ms 5.5% higher than at 64 (medians of
-# 10 interleaved pairs).  Below 64 every Tier-1 corpus graph keeps Karp's
-# bits.
+# before Karp's levels; each is the faster on one side (BENCH_42.json).
 _HOWARD_STATES = 64
-_HOWARD_STEPS = 64  # policy steps per row before it falls back to Karp
-# Value-iteration sweeps that choose Howard's first policy, and again its
-# policy at the first bias step.  A sweep costs about a tenth of a policy
-# step; 10 took the least time on the warm frames of 100-144 states (3, 3
-# and 2 policy steps; 8 sweeps left 3 at 144 states and 2 on the cold
-# 100-state frames, where 10 leave 1).
+# Policy steps per row before it falls back to Karp: ends every row.
+_HOWARD_STEPS = 64
+# Value-iteration sweeps before Howard's first policy and first bias step:
+# fewer policy steps (BENCH_42.json), the same certified rows.
 _LOOKAHEAD = 10
 
 
@@ -506,7 +492,7 @@ def perron_stack(e):
     with a verdict at once.
 
     The phases are those of the module docstring.  The probe looks back
-    ``_PROBE_WINDOW`` steps, the stall window ``_STALL`` steps of the
+    ``_BLOCK`` steps, the stall window ``_STALL`` steps of the
     slice's phase.  A squared slice that certifies at step 4 returns
     ``iterations`` 4 (the squarings are not counted) and ``noda`` False.
     A squared iterate, or a Noda solve, that is not finite, positive and
@@ -523,10 +509,8 @@ def perron_stack(e):
     iterations = np.empty(size, dtype=int)
     noda = np.zeros(size, dtype=bool)
     failures = {}
-    # Plain steps that cost about as much as four Noda steps, at or above
-    # every measured cost of a Noda step (in plain steps: 7 at n = 32, 12
-    # at 64, 23-47 at 128, 78-84 at 192, 69-107 at 256, 173-205 at 1,024,
-    # measured when each step took the enclosure; it counts products).
+    # Plain steps counted to cost as much as four Noda steps, from n alone:
+    # at or above every measured cost of a Noda step (BENCH_42.json).
     # From n of about 500 it passes the budget: there no slice switches at
     # the probe, and only a stall sends one to Noda's phase.
     horizon = 4 * (2 + n / 8 + (n / 24) ** 2)
@@ -570,7 +554,7 @@ def perron_stack(e):
         # `window` steps of its phase, or shrinks too slowly to reach TOL
         # within the budget (in the plain phase: within what Noda's steps
         # are counted to cost); before step `window + 1` none can be.
-        window = _PROBE_WINDOW if steps == probe else _STALL
+        window = _BLOCK if steps == probe else _STALL
         left = _BUDGET - steps
         if steps > window or left <= 0:
             widths, oldest, phase = spread.tolist(), history[(steps - window) % ring].tolist(), since.tolist()
@@ -614,15 +598,12 @@ def perron_stack(e):
             scale[bare] = 1.0  # a bare product is its own update
         update = y / scale
         if first and n <= _SQUARE_STATES:
-            # the open slices far from their Perron vector, whose step-1
-            # update is in the normal range
-            far = (spread > _SQUARE_SPREAD) & (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL)
-            rows = far.nonzero()[0]
-            if rows.size:
-                z = _squared_steps(stack, rows, update)
-                good = np.logical_and.reduce(np.isfinite(z), axis=1) & (
-                    np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
-                update[rows[good]] = z[good]
+            # the open slices whose step-1 update is in the normal range, if any
+            rows = (np.minimum.reduce(update, axis=1) >= _SMALLEST_NORMAL).nonzero()[0]
+            z = _squared_steps(stack, rows, update)
+            good = np.logical_and.reduce(np.isfinite(z), axis=1) & (
+                np.minimum.reduce(z, axis=1) >= _SMALLEST_NORMAL)
+            update[rows[good]] = z[good]
         rows = (since > 0).nonzero()[0]  # the slices in Noda's phase
         if rows.size:
             z, good = _noda_steps(stack, rows, x, ratio)

@@ -123,7 +123,7 @@ def config_from_dict(raw) -> SystemConfig:
                 raise ValidationError(
                     f"potentials.{name}.values: value for {key!r} is not a number"
                 )
-            values[block] = float(value)
+            values[block] = value  # converted, and refused past the float range, by Potential
         try:
             potentials[name] = Potential(sft, memory, values)
         except ValidationError as exc:

@@ -39,8 +39,8 @@ reports and raises what probing one point at a time would.
 On block graphs of at most 32 states a stack costs about one point: the
 scan takes four points per octave, 26 points a stack, and a closing stack
 reaches up to four points either side.  Above 32 states every point is
-solved alone, as stacks of eight there timed about as cheap (64 states)
-or dearer (128), so the scan takes one point per octave and a closing
+solved alone, as a stack there costs about as much per point or more
+(`BENCH_42.json`), so the scan takes one point per octave and a closing
 stack one point either side.
 """
 
@@ -74,21 +74,26 @@ from .transfer import (
     pressure_and_equilibrium,
 )
 
+# The solvers' default tolerance, and their geometric scan's first step
+# and last point: the public defaults of every solve.
 SOLVER_TOL = 1e-8
 SCAN_STEP = 0.125
 SCAN_T_MAX = SCAN_STEP * 2**20
+# Round-off slack at the ends of the entropy range: a target up to it above
+# h(f) is in range, and one up to it above the ground entropy unreachable.
 _ENDPOINT_GUARD = 1e-12
 # On block graphs of at most _LOOK_AHEAD_STATES states: points solved as
 # one stack by the bracketing scans (the first, the start and 25 scan
 # points, reaches t = 8), scan points per octave, and the points a closing
-# stack may solve on either side of its probe.
+# stack may solve on either side of its probe.  Each sets the solvers'
+# probes, which the pinned stdout of the solve commands records.
 _LOOK_AHEAD = 26
 _SCAN_SPLIT = 4
 _SPREAD = 4
 _LOOK_AHEAD_STATES = 32
-# Most entries of one stacked n x n table (2 MiB of float64): a sweep
-# solves stacks of max(1, _STACK_ENTRIES // (2 n^2)) points, as the
-# Perron stack holds both sides of each.
+# Most entries of one stacked n x n table (2 MiB of float64), which bounds
+# a sweep's memory: it solves stacks of max(1, _STACK_ENTRIES // (2 n^2))
+# points, as the Perron stack holds both sides of each.
 _STACK_ENTRIES = 2**18
 
 

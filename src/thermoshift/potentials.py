@@ -10,6 +10,7 @@ operands to a common memory by ignoring trailing symbols.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -38,7 +39,10 @@ class Potential:
     def __post_init__(self):
         if self.memory < 1:
             raise ValidationError(f"memory must be >= 1, got {self.memory}")
-        table = {tuple(b): float(v) for b, v in self.values.items()}
+        try:
+            table = {tuple(b): float(v) for b, v in self.values.items()}
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValidationError(f"value beyond the float range: {exc}") from exc
         expected = admissible_blocks(self.sft, self.memory)
         missing = [b for b in expected if b not in table]
         if missing:
@@ -143,8 +147,8 @@ def fixed_point_potential(sft: Sft, p: int) -> Potential:
     the point mass on the constant sequence at ``p``, which has zero
     entropy.
     """
-    if not (0 <= p < sft.alphabet_size):
-        raise ValidationError(f"symbol {p} outside alphabet")
+    if not isinstance(p, numbers.Integral) or not 0 <= p < sft.alphabet_size:
+        raise ValidationError(f"symbol {p!r} is not a symbol of the alphabet")
     if not sft.is_edge(p, p):
         raise NoSelfLoopError(f"symbol {p} has no self-loop: block {p}{p} forbidden")
     table = {

@@ -115,8 +115,12 @@ def test_validation_error_exit_code(tmp_path):
             "potentials.p.values: must be an object",
         ),
         ({"transitions": [[1, 1], [1]]}, "rows differ in length"),
+        (
+            {"potentials": {"p": {"memory": 1, "values": {"0": 10**400, "1": 0.0}}}},
+            "potentials.p: value beyond the float range",
+        ),
     ],
-    ids=["potentials-list", "values-list", "ragged-transitions"],
+    ids=["potentials-list", "values-list", "ragged-transitions", "value-past-float-range"],
 )
 def test_malformed_config_is_a_configuration_error(tmp_path, change, message):
     path = write_config(tmp_path, {**GOLDEN_CONFIG, **change})
@@ -153,11 +157,13 @@ def with_potential(entry):
          "potentials.p.values: value for '0' is not a number"),
         (with_potential({"memory": 1, "values": {"0": False}}),
          "potentials.p.values: value for '0' is not a number"),
+        (with_potential({"memory": 1, "values": {"0": 10**400, "1": 0.0}}),
+         "potentials.p: value beyond the float range: int too large to convert to float"),
     ],
     ids=["root-list", "missing-transitions", "alphabet-zero", "alphabet-bool",
          "entry-number", "missing-memory", "memory-zero", "key-not-symbols",
          "key-empty", "key-outside-alphabet", "key-wrong-length", "value-string",
-         "value-bool"],
+         "value-bool", "value-past-float-range"],
 )
 def test_config_from_dict_refuses_with_the_cause(raw, message):
     with pytest.raises(ValidationError) as refused:

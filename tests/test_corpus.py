@@ -298,6 +298,38 @@ def test_howard_frames_agree_with_the_exact_analysis_and_karp(monkeypatch):
     assert digest.hexdigest() == KARP_FRAMES_BELOW_CROSSOVER
 
 
+def test_howards_sweeps_leave_no_trace_in_a_certified_row(monkeypatch):
+    # `_LOOKAHEAD` only steers the search: the near-cap graphs of 64 to 256
+    # states, under their N(0, 1) or tied values and two more edge draws at
+    # four scales, certify the same rows with the same beta, target and
+    # bias at every setting, while the policy steps taken differ.
+    rng = np.random.default_rng(25)
+    scales = np.array([1.0, 10.0, 500.0, 1e4])
+    steps, policy_values = {}, _perron._policy_values
+
+    def counted(*args):
+        steps[lookahead] += 1
+        return policy_values(*args)
+
+    monkeypatch.setattr(_perron, "_policy_values", counted)
+    certified = 0
+    for label, draw, n, src, dst, phi, order in cap_frames(lambda n: 64 <= n <= 256):
+        draws = [edge_weights(phi, order), rng.normal(size=len(src)), np.round(2.0 * rng.normal(size=len(src)))]
+        w = (scales[:, None, None] * np.array(draws)).reshape(-1, len(src))
+        runs = []
+        for lookahead in (0, 3, 10, 25):
+            steps.setdefault(lookahead, 0)
+            monkeypatch.setattr(_perron, "_LOOKAHEAD", lookahead)
+            runs.append(_perron._howard(n, src, dst, w))
+        mask = runs[0][0]
+        for run in runs[1:]:
+            assert run[0].tobytes() == mask.tobytes(), (label, draw)
+            for mine, theirs in zip(run[1:], runs[0][1:]):
+                assert mine[mask].tobytes() == theirs[mask].tobytes(), (label, draw)
+        certified += np.count_nonzero(mask)
+    assert certified == 96 and len(set(steps.values())) == 4, (certified, steps)
+
+
 # sha256 of every field of `solve_stack` on the near-cap graphs of at least
 # 64 states at t = 1, pinned before the policy steps of `_howard` and the
 # plain step of `perron_stack` were reworked: both keep every bit.  Taken

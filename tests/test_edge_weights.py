@@ -220,6 +220,26 @@ def test_a_sample_holds_one_dense_system_beside_the_perron_stack(rng, symbols, m
     assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
 
 
+@pytest.mark.parametrize("symbols, order", [(3, 6), (2, 10)])
+def test_the_variance_holds_one_dense_system(symbols, order):
+    # 729 and 1,024 states: `_variances` holds its fundamental system, n^2
+    # floats, and else only edge and state vectors; one more dense table,
+    # such as the kernel scattered into zeros, passes 1.5 n^2.
+    sft = ts.full_shift(symbols)
+    n = symbols ** order
+    _, src, _ = ts.sft.block_graph(sft, order)
+    pi, kernel = np.full((1, n), 1.0 / n), np.full((1, len(src)), 1.0 / symbols)  # the uniform measure
+    weights = np.random.default_rng(order).normal(size=len(src))
+    transfer._variances(sft, order, pi, kernel, weights)  # the block graph and out-edge starts, cached
+    tracemalloc.start()
+    try:
+        variance = transfer._variances(sft, order, pi, kernel, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(variance).all() and peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
 def test_a_sweep_raises_the_error_of_its_first_failing_point(golden):
     psi = ts.zero_potential(golden)
     phi = ts.Potential(golden, 1, {(0,): 0.0, (1,): 1e150})

@@ -350,18 +350,19 @@ def test_small_slices_that_miss_step_1_certify_at_step_4():
     assert (iterations > 4).all()
 
 
-def test_a_slice_that_starts_near_its_perron_vector_is_not_squared(monkeypatch):
-    # At t = 500 and 1e4 the frame of an N(0, 1) potential on 16 states
-    # leaves step 1 with a spread below _SQUARE_SPREAD and certifies by
-    # step 4 on plain products alone; at t = 1 both sides are squared.
+def test_every_small_slice_that_step_1_leaves_open_is_squared(monkeypatch):
+    # An N(0, 1) potential on 16 states: every side that step 1 leaves open
+    # is squared, at low temperature too, where the frame starts near its
+    # Perron vector; at t = 500 the right side certifies at step 1 and only
+    # the left is squared.  Each certifies by step 4, none in Noda's phase.
     squared = recorded_squarings(monkeypatch)
     full4 = ts.full_shift(4)
     blocks = ts.admissible_blocks(full4, 2)
     phi = ts.Potential(full4, 2, dict(zip(blocks, np.random.default_rng(42).normal(size=len(blocks)).tolist())))
-    for t, want in ((1.0, [[0, 1]]), (500.0, []), (1e4, [])):
+    for t, want, steps in ((1.0, [[0, 1]], [4, 4]), (500.0, [[0]], [1, 4]), (1e4, [[0, 1]], [4, 4])):
         del squared[:]
         solve = transfer._solve_potential(full4, ray(full4, phi, t))
-        assert squared == want and (solve.iterations <= 4).all() and not solve.noda.any(), t
+        assert squared == want and solve.iterations.tolist() == steps and not solve.noda.any(), t
 
 
 def test_squared_slices_stacked_with_plain_and_noda_slices_equal_their_lone_solves(monkeypatch):

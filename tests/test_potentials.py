@@ -160,6 +160,12 @@ def test_fixed_point_requires_self_loop(golden):
         ts.fixed_point_potential(golden, 1)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, "0", -1, 2])
+def test_fixed_point_refuses_what_is_not_a_symbol(golden, p):
+    with pytest.raises(ValidationError, match="is not a symbol of the alphabet"):
+        ts.fixed_point_potential(golden, p)
+
+
 def test_birkhoff_constant(full2):
     const = ts.constant_potential(full2, 0.3, memory=2)
     assert ts.birkhoff_sum(const, (0, 1, 1, 0, 1), 4) == pytest.approx(4 * 0.3)
