@@ -17,31 +17,26 @@ and for the solvers alike.  Every multi-point solve raises what
 `sample_at` raises at its first failing point: a stack that fails is
 solved again by halves.
 
-The solvers solve their start at ``t = 0`` and the points of their
-geometric scan in look-ahead stacks: the next few points are solved
-together, and those past the bracket are dropped.  A target at the value
-at ``t = 0`` is solved at the start alone.  A stack ends early at the
-first scan point at or past twice the Newton step from the last point
-solved.  Where the objective is convex its tangent's root falls short
-of the root, and twice the step reaches past it once the tangent is
-near; so few points are solved past the bracket, and few stacks short
-of it.  Each sample carries the objective's value and slope, so the
-first probe inside the bracket is the root of the cubic Hermite
+Both solvers take one path, `_solve_monotone`.  Its start at ``t = 0``
+is solved with the first points of the geometric scan as one stack, and
+each next stack holds the next points of the scan; those past the bracket
+are dropped.  The start makes the range and endpoint checks: a target
+within the tolerance of its value is solved at ``t = 0``, and one above
+it is out of range.  Each sample carries the objective's value and slope,
+so the first probe inside the bracket is the root of the cubic Hermite
 interpolant of its two ends.
 The probes that close the bracket go one call at a time, since each
 depends on the ones before it, except the last: once the Newton error
-predicted from the bend of the objective puts the Newton point within a
-few widths of the root, that point and the points half a width apart on
-either side of it are solved as one stack, and the first that lies past
-the root closes the bracket when the prediction holds.  So a solve
-reports and raises what probing one point at a time would.
+predicted from the bend of the objective is under a quarter width, or
+the Newton step under a width, the Newton point and the points half a
+width on either side of it are solved as one stack, and the first that
+lies past the root closes the bracket when the prediction holds.  So a
+solve reports and raises what probing one point at a time would.
 
 On block graphs of at most 32 states a stack costs about one point: the
-scan takes four points per octave, 26 points a stack, and a closing stack
-reaches up to four points either side.  Above 32 states every point is
-solved alone, as a stack there costs about as much per point or more
-(`BENCH_42.json`), so the scan takes one point per octave and a closing
-stack one point either side.
+scan takes four points per octave and 26 points a stack.  Above 32 states
+every point is solved alone, as a stack there costs more per point
+(`BENCH_43.json`), and the scan takes one point per octave.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -61,7 +56,7 @@ from .errors import (
     TargetOutOfRangeError,
     ValidationError,
 )
-from .potentials import Potential, combine, zero_potential
+from .potentials import Potential, _floats, combine, zero_potential
 from .sft import Sft, topological_entropy
 from .transfer import (
     _IDENTITY_TOL,
@@ -70,7 +65,6 @@ from .transfer import (
     _identity_gap,
     _ray_graph,
     _ray_samples,
-    pressure,
     pressure_and_equilibrium,
 )
 
@@ -82,14 +76,15 @@ SCAN_T_MAX = SCAN_STEP * 2**20
 # Round-off slack at the ends of the entropy range: a target up to it above
 # h(f) is in range, and one up to it above the ground entropy unreachable.
 _ENDPOINT_GUARD = 1e-12
-# On block graphs of at most _LOOK_AHEAD_STATES states: points solved as
-# one stack by the bracketing scans (the first, the start and 25 scan
-# points, reaches t = 8), scan points per octave, and the points a closing
-# stack may solve on either side of its probe.  Each sets the solvers'
-# probes, which the pinned stdout of the solve commands records.
+# Points a bracketing scan solves as one stack (the first, the start and 25
+# scan points, reaches t = 8): one stack costs about one point, so a solve
+# takes a few calls, not one per point.
 _LOOK_AHEAD = 26
+# Scan points per octave: a narrower bracket to close, where one an octave
+# lets probes crawl from the flat end of a steep drop.
 _SCAN_SPLIT = 4
-_SPREAD = 4
+# Most block states on which the scan is stacked and split: above it a
+# stack costs more than its points solved alone.
 _LOOK_AHEAD_STATES = 32
 # Most entries of one stacked n x n table (2 MiB of float64), which bounds
 # a sweep's memory: it solves stacks of max(1, _STACK_ENTRIES // (2 n^2))
@@ -122,7 +117,7 @@ class SolveReport:
 
 def sample_at(sft: Sft, psi: Potential, phi: Potential, t: float) -> PathSample:
     """Evaluate one path sample at parameter ``t``: a sweep of one point."""
-    return _ray_samples(sft, psi, phi, [float(t)])[0]
+    return _ray_samples(sft, psi, phi, _floats("t", [t]))[0]
 
 
 def sweep(sft: Sft, psi: Potential, phi: Potential, t_grid) -> list[PathSample]:
@@ -199,19 +194,16 @@ def _stacked(
     evaluate: _Evaluator,
     ts: Iterable[float],
     look_ahead: int,
-    crossing: Callable[[PathSample], float] = lambda s: math.inf,
     wanted: Callable[[float], bool] = lambda t: True,
 ) -> Iterator[PathSample]:
     """Samples at the points ``ts`` in order, solved in stacks of up to
     ``look_ahead`` points as the caller asks for them.  A point is skipped
     where ``wanted`` fails for it once the caller has taken the samples
-    before it.  A stack ends early at its first point at or past
-    ``crossing`` of the last sample solved, where the caller expects to
-    stop.  A stack that raises is solved again by halves: the first half
-    as a stack, whose samples are yielded, then the wanted points of the
-    rest, each half split again where it raises.  So the error that comes
-    out is the one of the first failing point the caller wants, once the
-    points before it are yielded, after about two solves per halving."""
+    before it.  A stack that raises is solved again by halves: the first
+    half as a stack, whose samples are yielded, then the wanted points of
+    the rest, each half split again where it raises.  So the error that
+    comes out is the one of the first failing point the caller wants, once
+    the points before it are yielded, after about two solves per halving."""
     def solved(stack: list[float]) -> Iterator[PathSample]:
         try:
             samples = evaluate(stack)
@@ -228,41 +220,29 @@ def _stacked(
             if wanted(t):
                 yield s
 
-    ts = iter(ts)
-    end = math.inf
-    while True:
-        stack = []
-        for t in ts:
-            if not wanted(t):
-                continue
-            stack.append(t)
-            if len(stack) == look_ahead or t >= end:
-                break
-        if not stack:
-            return
-        for last in solved(stack):
-            yield last
-        end = crossing(last)
+    points = filter(wanted, ts)
+    while stack := list(islice(points, look_ahead)):
+        yield from solved(stack)
 
 
 def _solve_monotone(
     evaluate: _Evaluator,
     look_ahead: int,
-    fine: bool,
+    scan: Iterable[float],
     value_of: Callable[[PathSample], float],
     target: float,
     tol: float,
-    t_max: float,
     exhausted: Callable[[list[PathSample]], Exception],
 ) -> SolveReport:
-    """Bracket a non-increasing objective on a geometric grid, then close
-    the bracket by safeguarded interpolation.
+    """Bracket a non-increasing objective on the increasing points
+    ``scan``, then close the bracket by safeguarded interpolation.
 
-    The start and the scan (``_scan_grid(t_max, fine)``) are solved in
-    stacks of up to ``look_ahead`` points (see `_stacked`).  A stack after
-    the first ends early at the first scan point at or past twice the
-    Newton step from the last point solved, so the points solved past the
-    bracket are few; the report holds only the points the scan reached.
+    The start at ``t = 0`` is checked first: a target within ``tol`` of
+    its value is solved at ``t = 0``, and one above it is out of range.
+    The start and the scan are solved in stacks of up to ``look_ahead``
+    points (see `_stacked`); the report holds only the points the scan
+    reached, and ``exhausted(trace)`` is raised where the scan ends above
+    the target.
 
     Both objectives have derivative ``-t p''(t)``, so each sample carries
     the objective's value and slope.  Each probe is the root of the cubic
@@ -270,19 +250,20 @@ def _solve_monotone(
     else, where that root is not strictly inside the bracket, the Newton
     step from the sample closest to the target (the latest of those tied,
     so an end of the bracket), else the midpoint (``rtsafe``, Numerical
-    Recipes section 9.4).  A sample on the target has a Newton step of 0,
-    pushed on by half the width tolerance ``w``, then twice as far as the
-    last push: where rounding leaves the objective on the target over many
-    widths, the probes cross that plateau in a few doublings.
+    Recipes section 9.4).  The Hermite root stays as it reads both ends:
+    Newton steps from one end take more calls (`BENCH_43.json`).  A sample
+    on the target has a Newton step of 0, pushed on by half the width
+    tolerance ``w``, then twice as far as the last push: where rounding
+    leaves the objective on the target over many widths, the probes cross
+    that plateau in a few doublings, where midpoints take many more calls.
 
     The last call closes the bracket.  The error of the Newton point is
     about ``bend * step**2 / (2 |slope|)``, with the objective's bend taken
-    between the ends of the bracket.  When it is under ``k w / 4`` for some
-    ``k`` up to ``_SPREAD`` where ``fine`` (else 1), or the Newton step is
-    shorter than ``w`` (then ``k = 1``), the probe is the Newton point, and
-    the points ``j w / 2`` beyond and short of it, ``j = 1 .. k``, are
-    solved with it.  In order, each is probed unless it lies outside the
-    bracket or the bracket has collapsed.
+    between the ends of the bracket.  When it is under ``w / 4``, or the
+    Newton step is shorter than ``w``, the probe is the Newton point, and
+    the points ``w / 2`` beyond and short of it are solved with it.  In
+    order, each is probed unless it lies outside the bracket or the
+    bracket has collapsed.
 
     The returned parameter carries both guarantees: objective within
     ``tol`` of the target and a bracket collapsed to near round-off, so
@@ -294,19 +275,16 @@ def _solve_monotone(
     def newton_step(s: PathSample) -> float | None:
         return (value_of(s) - target) / -slope(s) if slope(s) < 0.0 else None
 
-    def crossing(s: PathSample) -> float:
-        step = newton_step(s)
-        return math.inf if step is None else s.t + 2.0 * step
-
     def hermite_root(a: PathSample, b: PathSample) -> float:
         # The root in [0, 1] of the cubic p(u) that has the objective less
         # the target, and its slope, at t = a.t + u * h at both ends; nan
-        # where a slope is not finite.  Newton steps on p from the secant
-        # root, with bisection where one leaves the bracket of the root.
+        # where a slope is not finite, or where both ends lie on the target
+        # and every u is a root.  Newton steps on p from the secant root,
+        # with bisection where one leaves the bracket of the root.
         h = b.t - a.t
         pa, pb = value_of(a) - target, value_of(b) - target
         da, db = h * slope(a), h * slope(b)
-        if not math.isfinite(da + db):
+        if not math.isfinite(da + db) or pa == pb:
             return math.nan
         c2, c3 = 3.0 * (pb - pa) - 2.0 * da - db, 2.0 * (pa - pb) + da + db
         above, below, u = 0.0, 1.0, pa / (pa - pb)
@@ -322,8 +300,8 @@ def _solve_monotone(
         return a.t + new * h
 
     trace: list[PathSample] = []
-    scan = _stacked(evaluate, chain([0.0], _scan_grid(t_max, fine)), look_ahead, crossing)
-    start = next(scan)
+    samples = _stacked(evaluate, chain([0.0], scan), look_ahead)
+    start = next(samples)
     trace.append(start)
     if abs(value_of(start) - target) <= tol:
         return SolveReport(target, 0.0, value_of(start),
@@ -333,7 +311,7 @@ def _solve_monotone(
             f"target {target} exceeds the value {value_of(start)} at t = 0"
         )
 
-    for s in scan:
+    for s in samples:
         trace.append(s)
         if value_of(s) <= target:
             break
@@ -343,7 +321,6 @@ def _solve_monotone(
     low, high = trace[-2:]  # the samples at the ends of the bracket
     bracket = (low.t, high.t)
     best = min(reversed(trace), key=lambda s: abs(value_of(s) - target))
-    spread = _SPREAD if fine else 1
     iterations = 0
     push = 0.0  # the last push off the target
 
@@ -355,25 +332,22 @@ def _solve_monotone(
 
     while high.t - low.t > (w := width()):
         step = newton_step(best)
-        reach = 0  # the points on either side of the probe solved with it
+        closing = False  # whether the probe and the points w/2 either side of it are solved
         if step == 0.0:
             push = 2.0 * push if push else 0.5 * w
         elif step is not None:
             bend = abs((slope(high) - slope(low)) / (high.t - low.t))
             quarters = 2.0 * bend * step * step / -slope(best) / w  # Newton's error
-            if quarters < spread:  # nan fails
-                reach = max(1, math.ceil(quarters))
-            elif abs(step) < w:
-                reach = 1
+            closing = quarters < 1.0 or abs(step) < w  # nan fails the first
         newton = math.nan if step is None else best.t + (step or push)
-        t = newton if reach else hermite_root(low, high)
+        t = newton if closing else hermite_root(low, high)
         if not open_at(t):
             t = newton
         if not open_at(t):
-            t, reach = 0.5 * (low.t + high.t), 0
+            t, closing = 0.5 * (low.t + high.t), False
         points = [t]
-        for j in range(1, reach + 1):
-            half = math.copysign(0.5 * j * w, step)
+        if closing:
+            half = math.copysign(0.5 * w, step)
             points += [t + half, t - half]
         for s in _stacked(evaluate, points, look_ahead, wanted=open_at):
             trace.append(s)
@@ -443,9 +417,9 @@ def solve_intermediate_entropy(
                 f"scan reached t = {t_max} with entropy {lowest} still above {a}"
             )
 
-    look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
-    return _solve_monotone(evaluate, look_ahead, _stacks_pay(sft, psi, phi),
-                           lambda s: s.entropy, a, tol, t_max, exhausted)
+    scan = _scan_grid(t_max, _stacks_pay(sft, psi, phi))
+    return _solve_monotone(evaluate, _look_ahead(sft, psi, phi), scan,
+                           lambda s: s.entropy, a, tol, exhausted)
 
 
 def solve_intermediate_pressure(
@@ -461,51 +435,49 @@ def solve_intermediate_pressure(
 
     Reachable targets lie in ``(alpha, P(psi)]`` where ``alpha`` bounds
     the ``psi``-pressure of every ``phi``-maximizing measure; the solver
-    returns ``t = 0`` at ``target = P(psi)`` and rejects targets at or
-    beyond the asymptote.
+    returns ``t = 0`` at ``target = P(psi)``, the value of its start, and
+    rejects targets at or beyond the asymptote.
     """
     _check_positive("tol", tol)
     _check_positive("t_max", t_max)
+    if math.isnan(target):
+        raise TargetOutOfRangeError(f"target {target} is not a number")
     from .ergopt import ground_state_pressure_bound  # here, so that a sweep loads no ergopt
 
     alpha = ground_state_pressure_bound(sft, psi, phi)
-    top = pressure(sft, psi).value
-    if not target <= top + _ENDPOINT_GUARD:  # nan fails too
-        raise TargetOutOfRangeError(f"target {target} exceeds P(psi) = {top}")
     if target < alpha - _ENDPOINT_GUARD:
         raise TargetOutOfRangeError(
             f"target {target} lies below the ground-state bound alpha = {alpha}"
         )
-
     evaluate = partial(_ray_samples, sft, psi, phi)
-    endpoint = abs(target - top) <= tol
-    look_ahead = 1 if endpoint else _look_ahead(sft, psi, phi)  # the start alone at t = 0
-
-    if target <= alpha + _ENDPOINT_GUARD and not endpoint:
-        # The bound value itself is attained only in the limit; scan to
-        # document the approach before refusing, one point per octave.
-        trace = list(_stacked(evaluate, _scan_grid(t_max, False), look_ahead))
-        last = (
-            f"psi-pressure {trace[-1].psi_pressure} at t = {trace[-1].t}"
-            if trace
-            else f"no scan step fits under t_max = {t_max}"
-        )
-        error = AsymptoteUnreachableError(
-            f"target {target} equals the ground-state bound alpha = {alpha}, "
-            f"approached only as t -> infinity ({last})"
-        )
-        error.trace = tuple(trace)
-        raise error
+    look_ahead = _look_ahead(sft, psi, phi)
+    # A target at alpha is attained only in the limit: past the start, which
+    # may still solve it at t = 0 where alpha = P(psi), it is refused.
+    asymptote = target <= alpha + _ENDPOINT_GUARD
 
     def exhausted(trace) -> Exception:
+        if asymptote:  # scan to document the approach, one point per octave
+            trace = list(_stacked(evaluate, _scan_grid(t_max, False), look_ahead))
+            last = (
+                f"psi-pressure {trace[-1].psi_pressure} at t = {trace[-1].t}"
+                if trace
+                else f"no scan step fits under t_max = {t_max}"
+            )
+            error = AsymptoteUnreachableError(
+                f"target {target} equals the ground-state bound alpha = {alpha}, "
+                f"approached only as t -> infinity ({last})"
+            )
+            error.trace = tuple(trace)
+            return error
         lowest = min(s.psi_pressure for s in trace)
         return AsymptoteUnreachableError(
             f"scan reached t = {t_max} with psi-pressure {lowest} still above "
             f"{target}; the target is approached only as t -> infinity"
         )
 
-    return _solve_monotone(evaluate, look_ahead, _stacks_pay(sft, psi, phi),
-                           lambda s: s.psi_pressure, target, tol, t_max, exhausted)
+    scan = () if asymptote else _scan_grid(t_max, _stacks_pay(sft, psi, phi))
+    return _solve_monotone(evaluate, look_ahead, scan,
+                           lambda s: s.psi_pressure, target, tol, exhausted)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,7 @@ class Potential:
     def __post_init__(self):
         if self.memory < 1:
             raise ValidationError(f"memory must be >= 1, got {self.memory}")
-        try:
-            table = {tuple(b): float(v) for b, v in self.values.items()}
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ValidationError(f"value beyond the float range: {exc}") from exc
+        table = dict(zip(map(tuple, self.values), _floats("value", self.values.values())))
         expected = admissible_blocks(self.sft, self.memory)
         missing = [b for b in expected if b not in table]
         if missing:
@@ -82,6 +79,15 @@ class Potential:
         )
 
 
+def _floats(name: str, values) -> list[float]:
+    """``values`` as floats, an integer beyond the float range refused
+    with a ``ValidationError`` rather than an ``OverflowError``."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ValidationError(f"{name} beyond the float range: {exc}") from exc
+
+
 def _word_strs(words) -> str:
     return ", ".join("".join(map(str, w)) for w in words)
 
@@ -116,6 +122,7 @@ def combine(psi: Potential, phi: Potential, t: float) -> Potential:
     only the leading symbols of each block, then combined blockwise.
     """
     _require_over(psi.sft, phi)
+    (t,) = _floats("t", [t])
     k = max(psi.memory, phi.memory)
     table = {
         b: psi.values[b[: psi.memory]] + t * phi.values[b[: phi.memory]]

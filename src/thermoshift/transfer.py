@@ -55,7 +55,7 @@ import numpy as np
 from ._edgegraph import edge_weights, graph_order
 from ._perron import EigenSolve, _flat, _solved, solve_stack
 from .errors import CheckFailedError, ValidationError
-from .potentials import Potential, _require_over, combine, sup_norm
+from .potentials import Potential, _floats, _require_over, combine, sup_norm
 from .sft import Block, Sft, block_graph, out_edge_starts, topological_entropy
 
 _INVARIANCE_TOL = 1e-12
@@ -345,7 +345,7 @@ def _checked_grid(name: str, grid, *, positive: bool) -> list[float]:
     ``ValidationError`` unless they are finite and strictly increasing
     from a first point that is positive, or only nonnegative when not
     ``positive``."""
-    ts = [float(t) for t in grid]
+    ts = _floats(name, grid)
     if not ts:
         raise ValidationError(f"{name} must be nonempty")
     for t in ts:
