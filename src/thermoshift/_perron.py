@@ -21,8 +21,8 @@ leaves a conjugated weight outside the range of ``exp``.  A stack of
 all-zero weights has the zero frame, so it runs no policy iteration, no
 Karp levels, no Bellman pass and no refusal: its conjugated weights are
 all 0.
-Both Perron sides of every row then go through one `perron_stack`; a
-caller that reads only the values asks for the right sides alone.
+Both Perron sides of every row then go through one `perron_stack`, for
+every caller: a caller that reads only the values reads the right sides.
 
 Power iteration ``x <- E x`` runs on the linear-domain table ``E``,
 formed once per solve: ``exp`` of the conjugated log-weights is taken on
@@ -127,9 +127,7 @@ class EigenSolve:
     """Eigensolves of a stack of edge-weight rows on one graph; row arrays
     carry the rows on their first axis.  Row ``s`` is solved by slices
     ``2s`` (right side) and ``2s + 1`` (left side) of the Perron stack,
-    whose residuals, iteration counts and certifying phases are kept; a
-    right-only solve solves row ``s`` by slice ``s`` and has no
-    ``frame_left``."""
+    whose residuals, iteration counts and certifying phases are kept."""
 
     value: np.ndarray
     maxplus_right: np.ndarray
@@ -137,14 +135,14 @@ class EigenSolve:
     frame_w: np.ndarray
     frame_right: np.ndarray
     # log pi = frame_left + frame_right (up to norm)
-    frame_left: np.ndarray | None
+    frame_left: np.ndarray
     residuals: np.ndarray
     iterations: np.ndarray
     # True where the slice certified in Noda's phase, False in the plain
     noda: np.ndarray
 
 
-def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenSolve:
+def solve_stack(n: int, src, dst, w: np.ndarray) -> EigenSolve:
     """Log Perron values and vectors of the rows of edge weights ``w``
     (shape ``(T, E)``) on the strongly connected graph ``src -> dst`` over
     ``n`` vertices.  Before any Perron step, raises the ``ValidationError``
@@ -153,40 +151,30 @@ def solve_stack(n: int, src, dst, w: np.ndarray, *, left: bool = True) -> EigenS
     weight (right or left) passes ln of the float maximum or every edge
     out of a vertex falls below ln of the smallest normal.  Else raises
     the ``ConvergenceError`` of the first row that fails, its right
-    side's before its left side's.
-
-    With ``left=False`` neither the left Bellman pass nor the left Perron
-    slices run, for callers that read only ``value``: every field but
-    ``frame_left`` equals that of the right side of the two-sided solve
-    bit for bit, and only right sides can fail."""
-    size = len(w)
-    sides = 2 if left else 1
+    side's before its left side's."""
     # Conjugating the transposed frame again, by its left eigenvector,
     # keeps pi frame-sized.
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        beta, right, frame_w, left_frame = _maxplus_frame(n, src, dst, w, left)
-        if left:
-            left_w = frame_w + left_frame[:, src] - left_frame[:, dst]
+        beta, right, frame_w, left = _maxplus_frame(n, src, dst, w)
+        left_w = frame_w + left[:, src] - left[:, dst]
         # the zero frame of an all-zero stack has weights 0, never refused
         if np.count_nonzero(w):
             # One pass over both sides: a row's left weights leave their
             # heads, as the tails of a second copy of the vertices.
-            refused = (_refused(2 * n, np.concatenate((src, dst + n)),
-                                np.concatenate((frame_w, left_w), axis=1))
-                       if left else _refused(n, src, frame_w))
+            refused = _refused(2 * n, np.concatenate((src, dst + n)),
+                               np.concatenate((frame_w, left_w), axis=1))
             if np.count_nonzero(refused):
                 raise ValidationError(_REFUSALS[refused[refused > 0][0]])
-    frames = np.zeros((sides * size, n, n))
-    frames[0::sides, src, dst] = np.exp(frame_w)
-    if left:
-        frames[1::2, dst, src] = np.exp(left_w)
+    frames = np.zeros((2 * len(w), n, n))
+    frames[0::2, src, dst] = np.exp(frame_w)
+    frames[1::2, dst, src] = np.exp(left_w)
     values, vectors, residuals, iterations, noda = perron_stack(frames)
     return EigenSolve(
-        value=values[0::sides] + beta,
+        value=values[0::2] + beta,
         maxplus_right=right,
         frame_w=frame_w,
-        frame_right=vectors[0::sides],
-        frame_left=vectors[1::2] + left_frame if left else None,
+        frame_right=vectors[0::2],
+        frame_left=vectors[1::2] + left,
         residuals=residuals,
         iterations=iterations,
         noda=noda,
@@ -213,14 +201,14 @@ def _longest_walks(n, tail_at, head_at, weights, target_at):
     return dist
 
 
-def _maxplus_frame(n, src, dst, w, with_left=True):
+def _maxplus_frame(n, src, dst, w):
     """Float max-plus conditioning of each row of edge weights ``w`` (a
     stack of shape ``(T, E)``) on ``src -> dst``: the maximum cycle mean
     ``beta``; a right max-plus eigenvector ``right`` of ``w - beta``, 0 at
     a vertex of a critical cycle (the row's target); the conjugated
     weights ``frame_w``, whose rows peak at 0; and a left max-plus
-    eigenvector ``left`` of ``frame_w``, 0 at the target, or None when
-    not ``with_left``.  Each comes back as an array over the rows.
+    eigenvector ``left`` of ``frame_w``, 0 at the target.  Each comes
+    back as an array over the rows.
 
     On a graph of at least ``_HOWARD_STATES`` states each row first runs
     Howard's policy iteration (`_howard`); a row it certifies takes
@@ -236,8 +224,7 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     the stack sends every row down the general path."""
     size = len(w)
     if not np.count_nonzero(w):
-        left = np.zeros((size, n)) if with_left else None
-        return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), left
+        return np.zeros(size), np.zeros((size, n)), np.zeros(w.shape), np.zeros((size, n))
     if n < _HOWARD_STATES:
         beta, target, right = _karp(n, src, dst, w)
     else:
@@ -248,11 +235,8 @@ def _maxplus_frame(n, src, dst, w, with_left=True):
     src_at, dst_at = _flat(n, size, src), _flat(n, size, dst)
     right = right.ravel()
     frame_w = (w - beta[:, None]).ravel() + right[dst_at] - right[src_at]
-    left = None
-    if with_left:
-        target_at = np.arange(size) * n + target
-        left = _longest_walks(n, dst_at, src_at, frame_w, target_at).reshape(size, n)
-    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left
+    left = _longest_walks(n, dst_at, src_at, frame_w, np.arange(size) * n + target)
+    return beta, right.reshape(size, n), frame_w.reshape(size, -1), left.reshape(size, n)
 
 
 _REFUSALS = (

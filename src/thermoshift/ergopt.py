@@ -11,9 +11,11 @@ Bellman passes confirm or correct it (see `maxplus`), once per potential
 and vertex order (see `_edgegraph.maxplus_data`).
 
 The ground entropy and the ground-state bound are pressures on the
-critical subgraph: exact on its simple cycles, the topological entropy
-of the subshift when every edge is critical, and elsewhere Perron values
-from `_perron.solve_stack`, certified as every eigensolve.
+critical classes that the analysis stores (`maxplus.MaxPlusData`), so no
+call searches the graph again: exact on a class that is a simple cycle,
+the topological entropy of the subshift when every edge is critical, and
+elsewhere Perron values from `_perron.solve_stack`, certified as every
+eigensolve.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import maxplus
 from ._edgegraph import edge_weights, graph_order, maxplus_data
 from ._perron import solve_stack
 from .errors import CheckFailedError
@@ -61,14 +62,13 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     _require_over(sft, phi)
     order = graph_order(phi.memory)
     states, src, _ = block_graph(sft, order)
-    n = len(states)
     data = maxplus_data(phi, order)
     critical = sorted(data.critical)
     if len(critical) == len(src):
         # every edge is critical: the critical subshift is the subshift
         ground = topological_entropy(sft)
     else:
-        ground = _critical_pressure(n, critical, np.zeros(len(critical)))
+        ground = _critical_pressure(data.classes, [np.zeros(len(c)) for c in data.classes])
     return MaximizationResult(
         beta=float(data.beta),
         critical_edges=tuple((states[i], states[j]) for i, j in critical),
@@ -79,29 +79,21 @@ def max_ergodic_average(sft: Sft, phi: Potential) -> MaximizationResult:
     )
 
 
-def _critical_pressure(n: int, critical: list[tuple[int, int]], weights: np.ndarray) -> float:
-    """Largest pressure of the edge ``weights``, aligned with ``critical``,
-    over the strongly connected components of the ``critical`` edges: the
-    exact mean on a simple cycle, else the certified Perron value of
-    `solve_stack` on the right side alone, as only the value is read."""
-    label = maxplus.strongly_connected_components(n, critical)
-    components: dict[int, list[int]] = {}
-    for e, (i, _) in enumerate(critical):
-        components.setdefault(label[i], []).append(e)
-
+def _critical_pressure(classes, weights) -> float:
+    """Largest pressure over the critical ``classes`` of their edge
+    ``weights``, one array aligned with each class: the exact mean on a
+    simple cycle, else the certified Perron value of `solve_stack`."""
     best = -math.inf
-    for positions in components.values():
-        edges = [critical[e] for e in positions]
-        w = weights[positions]
-        # a strongly connected component is a simple cycle iff it has as
-        # many edges as vertices
+    for edges, w in zip(classes, weights):
+        # a strongly connected class is a simple cycle iff it has as many
+        # edges as vertices
         if len(edges) == len({i for i, _ in edges}):
             value = math.fsum(w.tolist()) / len(edges)
         else:
             pairs = np.array(edges)
             vertices, local = np.unique(pairs, return_inverse=True)
             src, dst = local.reshape(pairs.shape).T
-            value = float(solve_stack(len(vertices), src, dst, w[None], left=False).value[0])
+            value = float(solve_stack(len(vertices), src, dst, w[None]).value[0])
         best = max(best, value)
     return best
 
@@ -119,10 +111,11 @@ def ground_state_pressure_bound(sft: Sft, psi: Potential, phi: Potential) -> flo
     order = graph_order(psi.memory, phi.memory)
     states, src, dst = block_graph(sft, order)
     n = len(states)
-    critical = list(maxplus_data(phi, order).critical)
+    classes = maxplus_data(phi, order).classes
     # Edges are numbered in row-major order, so their keys are sorted.
-    at = np.searchsorted(src * n + dst, [i * n + j for i, j in critical])
-    return _critical_pressure(n, critical, edge_weights(psi, order)[at])
+    keys, w = src * n + dst, edge_weights(psi, order)
+    weights = [w[np.searchsorted(keys, [i * n + j for i, j in edges])] for edges in classes]
+    return _critical_pressure(classes, weights)
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,17 @@ class MaxPlusData:
         Bellman equation ``v_i = max_j (w_ij - beta + v_j)`` and lie on
         a cycle of saturating edges.  Every cycle made of these edges
         has mean exactly ``beta``.
+    classes
+        The critical classes: the edges of ``critical`` grouped by the
+        strongly connected components of the critical subgraph, as
+        labelled once by `critical_classes`; each class's edges sorted,
+        and the classes in order of their first edge.
     """
 
     beta: Fraction
     witness: tuple[int, ...]
     critical: frozenset[tuple[int, int]]
+    classes: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def analyze(n_vertices: int, edges) -> MaxPlusData:
@@ -80,11 +86,12 @@ def analyze(n_vertices: int, edges) -> MaxPlusData:
         num, den = weight(cycle), len(cycle)
         normalized = [(i, j, w * den - num) for i, j, w in scaled]
         vec, cycle = bellman_longest_to(n_vertices, normalized, cycle[0])
-    critical = frozenset(critical_edges(n_vertices, normalized, vec))
+    classes = critical_classes(n_vertices, normalized, vec)
+    critical = frozenset(e for edges in classes for e in edges)
     witness = canonical_witness(critical)
     if weight(witness) * den != num * len(witness):
         raise AssertionError("witness cycle does not attain the maximum mean")
-    return MaxPlusData(Fraction(num, scale * den), witness, critical)
+    return MaxPlusData(Fraction(num, scale * den), witness, critical, classes)
 
 
 def _proposed_cycle(n: int, edges) -> tuple[int, ...]:
@@ -101,7 +108,7 @@ def _proposed_cycle(n: int, edges) -> tuple[int, ...]:
     src, dst, w = (np.array(column) for column in zip(*edges))
     w = w.astype(float)
     w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-    frame_w = _maxplus_frame(n, src, dst, w[None], with_left=False)[2][0]
+    frame_w = _maxplus_frame(n, src, dst, w[None])[2][0]
     top = np.full(n, -np.inf)
     np.fmax.at(top, src, frame_w)  # skips nan, without a warning
     best = ~(frame_w < top[src])
@@ -174,11 +181,17 @@ def bellman_longest_to(n: int, normalized_edges, target: int):
     return dist, tuple(cycle)
 
 
-def critical_edges(n: int, normalized_edges, vec) -> set[tuple[int, int]]:
-    """Saturating edges that lie on a cycle of saturating edges."""
-    saturated = [(i, j) for i, j, w in normalized_edges if vec[i] == w + vec[j]]
+def critical_classes(n: int, normalized_edges, vec) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Saturating edges that lie on a cycle of saturating edges, grouped
+    by the strongly connected components of the saturating edges: each
+    class's edges sorted, and the classes in order of their first edge."""
+    saturated = sorted((i, j) for i, j, w in normalized_edges if vec[i] == w + vec[j])
     label = strongly_connected_components(n, saturated)
-    return {(i, j) for i, j in saturated if label[i] == label[j]}
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, j in saturated:
+        if label[i] == label[j]:
+            classes.setdefault(label[i], []).append((i, j))
+    return tuple(map(tuple, classes.values()))
 
 
 def strongly_connected_components(n: int, edge_pairs) -> list[int]:

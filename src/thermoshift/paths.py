@@ -242,7 +242,8 @@ def _solve_monotone(
     The start and the scan are solved in stacks of up to ``look_ahead``
     points (see `_stacked`); the report holds only the points the scan
     reached, and ``exhausted(trace)`` is raised where the scan ends above
-    the target.
+    the target.  A scan sample on the target ends the solve there, with
+    residual 0 and no probe.
 
     Both objectives have derivative ``-t p''(t)``, so each sample carries
     the objective's value and slope.  Each probe is the root of the cubic
@@ -250,7 +251,11 @@ def _solve_monotone(
     else, where that root is not strictly inside the bracket, the Newton
     step from the sample closest to the target (the latest of those tied,
     so an end of the bracket), else the midpoint (``rtsafe``, Numerical
-    Recipes section 9.4).  The Hermite root stays as it reads both ends:
+    Recipes section 9.4).  As in ``rtsafe``, a probe whose step from the
+    last sample is longer than half the step before last is replaced by
+    the midpoint, so that probes from the flat end of a steep drop cannot
+    crawl; a push off the target (below) is exempt and is not counted as
+    a step.  The Hermite root stays as it reads both ends:
     Newton steps from one end take more calls (`BENCH_43.json`).  A sample
     on the target has a Newton step of 0, pushed on by half the width
     tolerance ``w``, then twice as far as the last push: where rounding
@@ -320,9 +325,12 @@ def _solve_monotone(
 
     low, high = trace[-2:]  # the samples at the ends of the bracket
     bracket = (low.t, high.t)
+    if value_of(high) == target:  # a scan point on the target
+        return SolveReport(target, high.t, target, 0.0, bracket, 0, tuple(trace))
     best = min(reversed(trace), key=lambda s: abs(value_of(s) - target))
     iterations = 0
     push = 0.0  # the last push off the target
+    steps = (math.inf, math.inf)  # the last two steps but pushes, the older first
 
     def width() -> float:
         return 1e-10 * max(1.0, high.t)
@@ -343,8 +351,13 @@ def _solve_monotone(
         t = newton if closing else hermite_root(low, high)
         if not open_at(t):
             t = newton
-        if not open_at(t):
-            t, closing = 0.5 * (low.t + high.t), False
+        # rtsafe's safeguard: a step longer than half the step before last
+        # bisects, unless it is a push off the target
+        pushed = step == 0.0 and t == newton
+        if not open_at(t) or not pushed and abs(t - trace[-1].t) > 0.5 * steps[0]:
+            t, closing, pushed = 0.5 * (low.t + high.t), False, False
+        if not pushed:
+            steps = (steps[1], abs(t - trace[-1].t))
         points = [t]
         if closing:
             half = math.copysign(0.5 * w, step)

@@ -162,16 +162,14 @@ def dense_gibbs(transitions, memory, values, t=1.0):
 # package takes exp on the edges alone and keeps the dense sums; these
 # are the references it must equal bit for bit.
 
-def dense_perron_tables(n, src, dst, frame_w, left_frame=None):
+def dense_perron_tables(n, src, dst, frame_w, left_frame):
     """The linear-domain Perron stack of a solve: the conjugated
-    log-weights ``frame_w`` (T, E) of each row on ``src -> dst`` (and,
-    given the left frame, the transposed weights conjugated by it) in a
-    -inf padded table, exponentiated whole."""
-    sides = 1 if left_frame is None else 2
-    logw = np.full((sides * len(frame_w), n, n), -np.inf)
-    logw[0::sides, src, dst] = frame_w
-    if left_frame is not None:
-        logw[1::2, dst, src] = frame_w + left_frame[:, src] - left_frame[:, dst]
+    log-weights ``frame_w`` (T, E) of each row on ``src -> dst``, and the
+    transposed weights conjugated by the left frame, in a -inf padded
+    table, exponentiated whole."""
+    logw = np.full((2 * len(frame_w), n, n), -np.inf)
+    logw[0::2, src, dst] = frame_w
+    logw[1::2, dst, src] = frame_w + left_frame[:, src] - left_frame[:, dst]
     return np.exp(logw)
 
 

@@ -15,6 +15,7 @@ with N(0, 1) values and with values tied in {-0.5, 0, 0.25}.
 import hashlib
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -137,6 +138,22 @@ def test_float_frame_beta_matches_exact_maxplus_beta():
         frame_beta = _maxplus_frame(n, src, dst, FRAME_SCALES[:, None] * w)[0]
         for t, beta in zip(FRAME_SCALES.tolist(), frame_beta.tolist()):
             assert abs(beta - t * exact) <= 1e-13 * t * np.abs(w).max(), (label, draw, t)
+
+
+def test_stored_critical_classes_are_the_networkx_components(census_cases):
+    # On the corpus and the census's tied draws, the classes the analysis
+    # stores are the strongly connected components of its critical edges,
+    # each class's edges sorted and the classes in order of their first.
+    tied = [phi for (_, draw), (_, phi) in census_cases.items() if draw == 2]
+    non_cycle = 0
+    for phi in [phi for _, _, phi in corpus()] + tied:
+        data = maxplus_data(phi, graph_order(phi.memory))
+        graph = nx.DiGraph(list(data.critical))
+        expected = sorted(tuple(sorted(graph.subgraph(vertices).edges))
+                          for vertices in nx.strongly_connected_components(graph))
+        assert data.classes == tuple(expected)
+        non_cycle += any(len(c) > len({i for i, _ in c}) for c in data.classes)
+    assert non_cycle == 64  # systems with a class that is not a simple cycle
 
 
 def test_exact_analysis_matches_karp_oracle_on_the_corpus():

@@ -137,21 +137,22 @@ def test_integer_analysis_matches_fraction_reference(rng):
         assert data.witness == maxplus.canonical_witness(critical)
 
 
-def zero_frame(n, src, dst, w, with_left=True):
+def zero_frame(n, src, dst, w):
     """A frame that ties every edge, so the proposal is the walk of
     smallest successors from vertex 0, whatever the weights."""
-    return np.zeros(len(w)), np.zeros((len(w), n)), np.zeros(w.shape), None
+    return np.zeros(len(w)), np.zeros((len(w), n)), np.zeros(w.shape), np.zeros((len(w), n))
 
 
-def overflowed_frame(n, src, dst, w, with_left=True):
+def overflowed_frame(n, src, dst, w):
     """The frame of weights whose walk sums overflow: nan throughout."""
-    return np.full(len(w), np.nan), np.full((len(w), n), np.nan), np.full(w.shape, np.nan), None
+    nan = np.full((len(w), n), np.nan)
+    return np.full(len(w), np.nan), nan, np.full(w.shape, np.nan), nan
 
 
-def reversed_frame(n, src, dst, w, with_left=True):
+def reversed_frame(n, src, dst, w):
     """The frame of the negated weights, which proposes a cycle of
     smallest mean."""
-    return _perron._maxplus_frame(n, src, dst, -w, with_left)
+    return _perron._maxplus_frame(n, src, dst, -w)
 
 
 @pytest.mark.parametrize("frame", [zero_frame, overflowed_frame, reversed_frame])
@@ -371,6 +372,76 @@ def test_ground_values_match_dense_eigensolve(rng):
             oracles.restricted_log_radius(w_psi, critical), abs=1e-12
         )
     assert non_cycle >= 20
+
+
+def tied_systems(rng, count):
+    """``(sft, psi, phi)`` on ``count`` random primitive systems of 2 to 4
+    symbols: ``phi`` of memory 1 to 3 with values from {-0.5, 0, 0.25}
+    times ``10**k``, k from -2 to 3, so that cycle means tie and critical
+    classes that are not simple cycles are common, and ``psi`` of the
+    same memory with values uniform in [-2, 2]."""
+    for _ in range(count):
+        m = oracles.random_primitive_transitions(rng, max_alphabet=4)
+        sft = ts.build_sft(len(m), m)
+        memory = int(rng.integers(1, 4))
+        scale = 10.0 ** int(rng.integers(-2, 4))
+        words = oracles.admissible_words(m, memory)
+        phi = ts.Potential(sft, memory, {b: scale * float(rng.choice([-0.5, 0.0, 0.25])) for b in words})
+        yield sft, ts.Potential(sft, memory, oracles.random_values(rng, m, memory)), phi
+
+
+def test_ground_values_on_tied_critical_classes_match_a_dense_eigensolve(monkeypatch):
+    # 400 tied systems: the ground entropy and the ground-state bound raise
+    # nothing and match a dense eig on each critical class within 1e-12;
+    # 86 of them solve a class that is not a simple cycle by a Perron
+    # eigensolve.
+    solved = []
+    solve_stack = ergopt.solve_stack
+
+    def counted(*args):
+        solved.append(args)
+        return solve_stack(*args)
+
+    monkeypatch.setattr(ergopt, "solve_stack", counted)
+    perron = 0
+    for sft, psi, phi in tied_systems(np.random.default_rng(44), 400):
+        del solved[:]
+        result = ts.max_ergodic_average(sft, phi)
+        bound = ts.ground_state_pressure_bound(sft, psi, phi)
+        perron += bool(solved)
+        states, w_psi = oracles.dense_weighted_matrix(sft.transitions, phi.memory, psi.values)
+        index = {b: i for i, b in enumerate(states)}
+        critical = nx.DiGraph([(index[b], index[c]) for b, c in result.critical_edges])
+        ones = (w_psi > 0).astype(float)
+        entropy = bound_oracle = -math.inf
+        for vertices in nx.strongly_connected_components(critical):
+            edges = critical.subgraph(vertices).edges
+            entropy = max(entropy, oracles.restricted_log_radius(ones, edges))
+            bound_oracle = max(bound_oracle, oracles.restricted_log_radius(w_psi, edges))
+        assert result.ground_entropy == pytest.approx(entropy, abs=1e-12)
+        assert bound == pytest.approx(bound_oracle, abs=1e-12)
+    assert perron == 86
+
+
+def test_a_cached_analysis_runs_no_graph_search(full3, monkeypatch):
+    # The analysis labels the critical classes once, beside its check that
+    # the graph is strongly connected; maximizing and bounding then read
+    # the classes it stores, here one that is not a simple cycle.
+    phi = period_two_critical_potential(full3)
+    psi = ts.Potential(full3, 2, oracles.random_values(np.random.default_rng(3), full3.transitions, 2))
+    searches = []
+    search = maxplus.strongly_connected_components
+
+    def counted(n, edge_pairs):
+        searches.append(n)
+        return search(n, edge_pairs)
+
+    monkeypatch.setattr(maxplus, "strongly_connected_components", counted)
+    first = ts.max_ergodic_average(full3, phi), ts.ground_state_pressure_bound(full3, psi, phi)
+    assert searches == [3, 3]  # one analysis
+    again = ts.max_ergodic_average(full3, phi), ts.ground_state_pressure_bound(full3, psi, phi)
+    assert searches == [3, 3]
+    assert again == first
 
 
 # --- invariances -----------------------------------------------------------------

@@ -25,7 +25,7 @@ def dense_maximization(sft, phi):
     """`max_ergodic_average` as computed on the dense edge table."""
     states, data = dense_analysis(sft, phi, graph_order(phi.memory))
     critical = sorted(data.critical)
-    ground = ergopt._critical_pressure(len(states), critical, np.zeros(len(critical)))
+    ground = ergopt._critical_pressure(data.classes, [np.zeros(len(c)) for c in data.classes])
     return (
         float(data.beta).hex(),
         tuple((states[i], states[j]) for i, j in critical),
@@ -53,9 +53,8 @@ def dense_bound(sft, psi, phi):
     order = max(graph_order(psi.memory), graph_order(phi.memory))
     states, data = dense_analysis(sft, phi, order)
     _, psi_logw, _ = oracles.dense_edge_table(sft.transitions, psi.memory, psi.values, order)
-    critical = list(data.critical)
-    weights = np.array([psi_logw[i, j] for i, j in critical])
-    return ergopt._critical_pressure(len(states), critical, weights)
+    weights = [np.array([psi_logw[i, j] for i, j in edges]) for edges in data.classes]
+    return ergopt._critical_pressure(data.classes, weights)
 
 
 def test_cached_analysis_matches_the_dense_edge_list():

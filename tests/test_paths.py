@@ -792,8 +792,8 @@ def test_the_ray_family_solves_keep_their_call_budget(full2, golden, full3, rng,
 def test_seeded_random_ray_solves_keep_their_call_budget(monkeypatch):
     # 120 entropy and pressure solves on 60 random systems beyond the
     # hand-picked family.  23 targets lie within round-off of their ground
-    # value and are refused; "random 35 b" rounds to its target from
-    # t = 7.995 to 8, so its bracket closes with both ends on the target.
+    # value and are refused; "random 35 b" and "random 53 b" end at the
+    # scan point t = 8, which lies on their targets.
     calls = refused = 0
     for label, ray, solve in random_ray_solves(np.random.default_rng(43), 60):
         with monkeypatch.context() as m:
@@ -806,7 +806,37 @@ def test_seeded_random_ray_solves_keep_their_call_budget(monkeypatch):
         assert len(points) == len(set(points)), label  # no point is solved twice
         calls += len(stacks)
     assert refused == 23
-    assert calls <= 675  # 655 on x86-64 with numpy 2.4, and 20 for other hosts' last bits
+    assert calls <= 635  # 615 on x86-64 with numpy 2.4, and 20 for other hosts' last bits
+
+
+def test_a_scan_point_on_the_target_ends_the_solve(monkeypatch):
+    # "random 35 b" of seed 43: its scan sample at t = 8, in the first
+    # stack, equals the target, so the solve ends there with no probe
+    # rather than collapsing the bracket onto it.
+    *_, (label, _, solve) = random_ray_solves(np.random.default_rng(43), 36)
+    assert label.startswith("random 35 b=")
+    stacks = recorded_stacks(monkeypatch)
+    report = solve()
+    assert (report.t_found, report.residual, report.iterations) == (8.0, 0.0, 0)
+    assert report.achieved == report.target and report.trace[-1].t == 8.0
+    assert report.bracket == (2 ** 2.75, 8.0) and len(stacks) == 1
+
+
+def test_the_closing_loop_bisects_where_its_steps_crawl(full2, monkeypatch):
+    # "random 27 b" of seed 1, lifted to 64 block states, where the scan
+    # takes one point per octave: its bracket (8, 16) drops 3.7 near 8 and
+    # is flat near 16, where interpolated probes creep down by steps of
+    # about 4e-4 (7,459 calls) unless a step longer than half the step
+    # before last bisects.
+    psi = ts.Potential(full2, 1, {(0,): 1.7497168714834959, (1,): -1.924935189970204})
+    phi = ts.Potential(full2, 2, {(0, 0): 1.4626538474805826, (0, 1): 1.8498924409721775,
+                                  (1, 0): 0.16930600593658962, (1, 1): 1.8715338337915277})
+    psi, phi = ts.lift_to_memory(psi, 6), ts.lift_to_memory(phi, 7)
+    stacks = recorded_stacks(monkeypatch)
+    report = ts.solve_intermediate_pressure(full2, psi, phi, -1.9249351602582003)
+    assert report.residual <= ts.paths.SOLVER_TOL
+    assert report.bracket == (8.0, 16.0)
+    assert len(stacks) <= 26  # 22 on x86-64 with numpy 2.4, and 4 for other hosts' last bits
 
 
 def test_the_64_state_solves_keep_their_call_budget(full2, rng, monkeypatch):

@@ -543,7 +543,7 @@ def test_returned_vectors_recertify():
         n = len(states)
         w = np.array([0.0, 1.0, 10.0])[:, None] * edge_weights(phi, order)
         solve = _perron.solve_stack(n, src, dst, w)
-        beta = _perron._maxplus_frame(n, src, dst, w, False)[0]
+        beta = _perron._maxplus_frame(n, src, dst, w)[0]
         e = np.zeros((len(w), n, n))
         e[:, src, dst] = np.exp(solve.frame_w)
         assert_recertified(e, solve.value, solve.frame_right, solve.residuals[0::2],
@@ -649,8 +649,11 @@ def test_all_zero_weights_take_the_closed_form_frame(monkeypatch):
 
 def test_right_only_solve_equals_the_two_sided_value(monkeypatch):
     # A zero row takes the closed-form frame and random rows the general
-    # one; the right-only solve runs one Bellman pass and one Perron slice
-    # per row, and every field it returns is the two-sided solve's.
+    # one.  Every solve runs both sides: a Bellman pass for each side of a
+    # nonzero stack and two Perron slices per row.  Its value, read alone
+    # by the entropy and ground-state callers, is the right slices' solved
+    # alone, bit for bit, so the left slices stacked beside them move no
+    # value.
     rng = np.random.default_rng(23)
     systems = [ts.golden_mean_shift(), *(ts.full_shift(k) for k in range(1, 13))]
     for _ in range(60):
@@ -676,13 +679,15 @@ def test_right_only_solve_equals_the_two_sided_value(monkeypatch):
     for states, src, dst in graphs:
         n, edges = len(states), len(src)
         for w in (np.zeros((1, edges)), rng.normal(size=(3, edges))):
-            both = _perron.solve_stack(n, src, dst, w)
             del walks[:], slices[:]
-            right = _perron.solve_stack(n, src, dst, w, left=False)
-            assert (len(walks), slices) == (1 if w.any() else 0, [len(w)])
-            assert right.value.tobytes() == both.value.tobytes(), n
-            for name in ("maxplus_right", "frame_w", "frame_right"):
-                assert getattr(right, name).tobytes() == getattr(both, name).tobytes(), name
-            assert right.residuals.tobytes() == both.residuals[0::2].tobytes()
-            assert right.iterations.tobytes() == both.iterations[0::2].tobytes()
-            assert right.frame_left is None
+            both = _perron.solve_stack(n, src, dst, w)
+            assert (len(walks), slices) == (2 if w.any() else 0, [2 * len(w)])
+            assert both.frame_left.shape == (len(w), n)
+            right = np.zeros((len(w), n, n))
+            right[:, src, dst] = np.exp(both.frame_w)
+            values, vectors, residuals, iterations, _ = perron_stack(right)
+            beta = _perron._maxplus_frame(n, src, dst, w)[0]
+            assert (values + beta).tobytes() == both.value.tobytes(), n
+            assert vectors.tobytes() == both.frame_right.tobytes(), n
+            assert residuals.tobytes() == both.residuals[0::2].tobytes()
+            assert iterations.tobytes() == both.iterations[0::2].tobytes()

@@ -481,12 +481,11 @@ def test_edge_only_exp_and_log_equal_the_dense_tables_bit_for_bit(monkeypatch):
         w = np.array([0.0, 1.0, 1e4])[:, None] * rng.normal(size=len(src))
         tie_values = tie_rng.choice([0.0, -0.5, 0.25], size=len(src))
         tied = np.array([1.0, 10.0])[:, None] * tie_values
-        for left in (False, True):  # the two-sided solve is kept
-            del tables[:]
-            solve = ts._perron.solve_stack(n, src, dst, w, left=left)
-            _, _, frame_w, left_frame = ts._perron._maxplus_frame(n, src, dst, w, left)
-            dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
-            assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), (n, left)
+        del tables[:]
+        solve = ts._perron.solve_stack(n, src, dst, w)
+        _, _, frame_w, left_frame = ts._perron._maxplus_frame(n, src, dst, w)
+        dense = oracles.dense_perron_tables(n, src, dst, frame_w, left_frame)
+        assert len(tables) == 1 and tables[0].tobytes() == dense.tobytes(), n
         starts = ts.sft.out_edge_starts(sft, order)
         for solve in (solve, ts._perron.solve_stack(n, src, dst, tied)):
             pi, kernel = transfer._equilibria(sft, order, solve)
